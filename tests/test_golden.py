@@ -1,0 +1,61 @@
+"""Reports on committed inputs against committed golden reports.
+
+``golden/README.md`` says how each golden was produced.  A change that
+only rearranges code must leave the reports byte-identical; a change to
+the floating-point path must stay within the token-wise tolerance of
+:mod:`golden_compare`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from golden_compare import report_differences
+from pcrkit.pipeline import RunConfig, render_report_delim, render_report_text, run_pipeline
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("fig3_varimax.txt", dict(fixture="fig3"), render_report_text),
+    ("fig3_none.txt", dict(fixture="fig3", rotation="none"), render_report_text),
+    ("panel30_report.txt", dict(input_path="panel30.csv"), render_report_text),
+    ("panel30_report.csv", dict(input_path="panel30.csv"), render_report_delim),
+]
+
+
+@pytest.mark.parametrize("golden, config, render", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(golden, config, render, monkeypatch):
+    # The panel report names its input by the path it was given.
+    monkeypatch.chdir(GOLDEN)
+    first = render(run_pipeline(RunConfig(**config)))
+    second = render(run_pipeline(RunConfig(**config)))
+    assert report_differences(second, first, exact=True) == []
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert report_differences(first, expected) == []
+
+
+class TestComparator:
+    OLD = "[eigenvalues]\nX01 1.5 -0.25 3e-05\nretained 2 of 9 components (auto)\n"
+
+    def test_identical_texts_pass_both_modes(self):
+        assert report_differences(self.OLD, self.OLD, exact=True) == []
+        assert report_differences(self.OLD, self.OLD) == []
+
+    def test_exact_mode_flags_one_ulp(self):
+        new = self.OLD.replace("1.5", repr(1.5 + 2.0**-52))
+        assert len(report_differences(new, self.OLD, exact=True)) == 1
+        assert report_differences(new, self.OLD) == []
+
+    def test_numbers_within_relative_tolerance(self):
+        assert report_differences(self.OLD.replace("-0.25", "-0.25000000001"), self.OLD) == []
+        problems = report_differences(self.OLD.replace("-0.25", "-0.2500000002"), self.OLD)
+        assert problems == ["line 2: -0.2500000002 != golden -0.25"]
+
+    def test_text_must_match(self):
+        assert report_differences(self.OLD.replace("X01", "X02"), self.OLD)
+        assert report_differences(self.OLD.replace("auto", "Auto"), self.OLD)
+        assert report_differences(self.OLD.replace("1.5 ", "1.5  "), self.OLD)
+
+    def test_missing_line_reported(self):
+        new = self.OLD.replace("[eigenvalues]\n", "")
+        assert report_differences(new, self.OLD) == ["3 lines, golden has 4"]
