@@ -3,9 +3,9 @@
 Two copies of the same series make the design matrix exactly rank
 deficient.  OLS has no answer to give and refuses with a named column;
 the component route compresses the predictors first, so the duplicate
-costs one zero eigenvalue and nothing else.  With a tiny ridge on the
-correlation inverse the scores -- and the fit -- come out essentially
-identical to the clean run.
+costs one zero eigenvalue and nothing else.  The score weights never
+invert the correlation matrix, so the retained scores -- and the fit --
+come out essentially identical to the clean run.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ x = rng.standard_normal((n, 4)) @ (np.eye(4) + 0.2)
 y = x @ np.array([1.0, 0.5, -1.0, 0.25]) + 0.1 * rng.standard_normal(n)
 
 
-def pcr_r_squared(matrix, columns, ridge):
+def pcr_r_squared(matrix, columns):
     table = TimeSeriesTable(
         years=np.arange(2000, 2000 + n),
         names=("Y",) + columns,
@@ -42,7 +42,7 @@ def pcr_r_squared(matrix, columns, ridge):
     z = standardize(table)
     r = correlation_matrix(z).submatrix(columns)
     sol = rotate_varimax(extract(r, 4))  # keep all four directions
-    w = score_weights(r, sol, ridge=ridge)
+    w = score_weights(r, sol)
     scores = component_scores(z.select(columns), w)
     fit = fit_pcr(scores, y, w.component_names)
     return fit.r_squared, sol.eigenvalues
@@ -71,8 +71,8 @@ except RankDeficiencyError as err:
           f"pivot {err.pivot:.1e}")
 print()
 
-clean_r2, clean_eigs = pcr_r_squared(x, names, ridge=False)
-dup_r2, dup_eigs = pcr_r_squared(duplicated, dup_names, ridge=True)
+clean_r2, clean_eigs = pcr_r_squared(x, names)
+dup_r2, dup_eigs = pcr_r_squared(duplicated, dup_names)
 print(f"clean eigenvalues:      {clean_eigs}")
 print(f"duplicated eigenvalues: {dup_eigs}   <- one extra ~0")
 print(f"PCR R^2 clean:      {clean_r2:.10f}")

@@ -19,7 +19,7 @@ print(f"fixture: {fx.name}, variables: {', '.join(fx.matrix.names)}")
 print(f"printed matrix smallest eigenvalue: "
       f"{np.linalg.eigvalsh(fx.printed)[0]: .6f}  (indefinite)")
 print(f"repaired smallest eigenvalue:       "
-      f"{fx.matrix.eigenvalues[-1]: .2e}")
+      f"{fx.matrix.eigen.eigenvalues[-1]: .2e}")
 print(f"largest repair adjustment:          {fx.max_adjustment:.6f} < 0.005")
 print()
 

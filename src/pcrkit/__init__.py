@@ -28,7 +28,6 @@ from .errors import (
     PreprocessError,
     RankDeficiencyError,
     ShapeMismatchError,
-    SingularCorrelationError,
     StageError,
     TableFormatError,
     ZeroVarianceError,
@@ -45,7 +44,6 @@ from .fixtures import (
 from .linalg import (
     EigenDecomposition,
     eigen_symmetric,
-    invert_spd,
     solve_least_squares,
 )
 from .pca import (
@@ -121,7 +119,6 @@ __all__ = [
     "ScatterPair",
     "ScoreWeights",
     "ShapeMismatchError",
-    "SingularCorrelationError",
     "StageError",
     "StandardizedMatrix",
     "TableFormatError",
@@ -136,7 +133,6 @@ __all__ = [
     "extract",
     "fit_ols",
     "fit_pcr",
-    "invert_spd",
     "load_fixture",
     "load_table",
     "nearest_valid_correlation",

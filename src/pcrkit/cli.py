@@ -97,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="report file format (default: text)",
     )
-    parser.add_argument(
-        "--ridge",
-        action="store_true",
-        help="regularize score weights on a numerically singular correlation matrix",
-    )
     return parser
 
 
@@ -117,7 +112,6 @@ def main(argv=None) -> int:
         scores=args.scores,
         out=args.out,
         format=args.format,
-        ridge=args.ridge,
     )
     try:
         report = run_pipeline(config)

@@ -126,15 +126,6 @@ class ComponentCountError(PcaError):
         super().__init__(message)
 
 
-class SingularCorrelationError(PcaError):
-    def __init__(self, smallest: float):
-        self.smallest = smallest
-        super().__init__(
-            f"correlation matrix is numerically singular (smallest eigenvalue "
-            f"{smallest!r}); pass ridge=True to regularize the score weights"
-        )
-
-
 class NameMismatchError(PcaError):
     def __init__(self, missing: tuple[str, ...], extra: tuple[str, ...]):
         self.missing = missing

@@ -1,11 +1,10 @@
-"""Dense numeric core: symmetric eigensolver, least squares, SPD inverse.
+"""Dense numeric core: symmetric eigensolver and least squares.
 
-The eigensolver is a cyclic Jacobi iteration written against plain numpy
-arrays.  Jacobi is slower than a blocked Householder reduction but it is
-simple, unconditionally stable for symmetric input, and its behaviour is
-easy to pin down bit for bit, which matters more here than speed: the
-matrices this package sees are correlation matrices of at most a few
-dozen indicators.
+The eigensolver is LAPACK's symmetric driver behind ``numpy.linalg.eigh``
+with a fixed contract on top: eigenvalues in descending order, a stable
+order among ties, and a sign convention on every eigenvector.  Repeated
+calls on the same input therefore give bit-identical output, which the
+deterministic reports rely on.
 
 Least squares goes through a QR factorization with an explicit pivot
 check so that rank deficiency surfaces as a structured error naming the
@@ -17,29 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     AsymmetryError,
-    ConvergenceError,
     NonFiniteError,
     NonSquareError,
-    NotPositiveDefiniteError,
     RankDeficiencyError,
     ShapeMismatchError,
 )
 
-# Relative off-diagonal tolerance for Jacobi convergence.
-JACOBI_TOL = 1e-12
-# Hard cap on full sweeps; 9x9 correlation matrices need fewer than ten.
-JACOBI_MAX_SWEEPS = 100
 # Relative symmetry tolerance for inputs that claim to be symmetric.
 SYMMETRY_TOL = 1e-9
 # A diagonal entry of R below this multiple of the largest one marks the
 # design matrix as rank deficient.
 RANK_TOL = 1e-12
-# Smallest eigenvalue an SPD matrix may have before inversion is refused.
-SPD_EIGENVALUE_MIN = 1e-10
 
 
 def as_checked_array(a, where: str = "matrix") -> np.ndarray:
@@ -83,85 +73,22 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # Computed from the strict upper triangle directly; deriving it from
-    # total and diagonal norms cancels catastrophically near convergence.
-    n = a.shape[0]
-    upper = a[np.triu_indices(n, 1)]
-    return float(np.sqrt(2.0) * np.linalg.norm(upper))
-
-
-def eigen_symmetric(a, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def eigen_symmetric(a) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix.
 
     Parameters
     ----------
     a : array_like
         Symmetric matrix.  Asymmetric or non-finite input raises.
-    max_sweeps : int
-        Cap on full cyclic sweeps before a convergence error.
 
     Returns
     -------
     EigenDecomposition
-        Sorted descending; the sort is stable so equal eigenvalues keep
-        their discovery order.
-
-    Notes
-    -----
-    One sweep rotates every strict upper-triangle pair (p, q) in row
-    order.  Convergence is declared when the off-diagonal Frobenius norm
-    falls below ``JACOBI_TOL`` times the Frobenius norm of the input.
-    For the tiny rotation angles near convergence the classic guard
-    t = a_pq / (a_qq - a_pp) avoids overflow in the exact formula.
+        Sorted descending; the sort is stable, so equal eigenvalues keep
+        the order ``numpy.linalg.eigh`` returns them in.
     """
-    work = check_symmetric(a)
-    n = work.shape[0]
-    if n == 0:
-        return EigenDecomposition(np.empty(0), np.empty((0, 0)))
-    vectors = np.eye(n)
-    frobenius = float(np.linalg.norm(work))
-    if frobenius == 0.0:
-        return _finish_eigen(np.zeros(n), vectors)
-
-    sweeps = 0
-    while True:
-        off = _offdiag_norm(work)
-        if off <= JACOBI_TOL * frobenius:
-            break
-        if sweeps >= max_sweeps:
-            raise ConvergenceError("jacobi eigensolver", sweeps, off / frobenius)
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                diff = work[q, q] - work[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.hypot(1.0, theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp = work[:, p].copy()
-                rq = work[:, q].copy()
-                work[:, p] = c * rp - s * rq
-                work[:, q] = s * rp + c * rq
-                rp = work[p, :].copy()
-                rq = work[q, :].copy()
-                work[p, :] = c * rp - s * rq
-                work[q, :] = s * rp + c * rq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vp = vectors[:, p].copy()
-                vq = vectors[:, q].copy()
-                vectors[:, p] = c * vp - s * vq
-                vectors[:, q] = s * vp + c * vq
-    return _finish_eigen(np.diagonal(work).copy(), vectors)
+    values, vectors = np.linalg.eigh(check_symmetric(a))
+    return _finish_eigen(values, vectors)
 
 
 def _finish_eigen(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
@@ -202,20 +129,8 @@ def solve_least_squares(design, response, names: tuple[str, ...] | None = None) 
         bad = 0 if scale == 0.0 else int(np.argmax(diag < RANK_TOL * scale))
         name = names[bad] if names is not None and bad < len(names) else None
         raise RankDeficiencyError(column=bad, pivot=float(diag[bad]), name=name)
-    return solve_triangular(r, q.T @ y, lower=False)
+    beta = q.T @ y
+    for i in range(n - 1, -1, -1):
+        beta[i] = (beta[i] - r[i, i + 1 :] @ beta[i + 1 :]) / r[i, i]
+    return beta
 
-
-def invert_spd(a, context: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix.
-
-    Goes through the Jacobi eigendecomposition so the same convergence
-    and symmetry guarantees apply.  Any eigenvalue at or below
-    ``SPD_EIGENVALUE_MIN`` raises :class:`NotPositiveDefiniteError`
-    carrying the smallest eigenvalue.
-    """
-    eig = eigen_symmetric(a)
-    smallest = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
-    if eig.eigenvalues.size == 0 or smallest <= SPD_EIGENVALUE_MIN:
-        raise NotPositiveDefiniteError(smallest, context)
-    inv = (eig.eigenvectors / eig.eigenvalues) @ eig.eigenvectors.T
-    return (inv + inv.T) / 2.0

@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ComponentCountError,
-    ConvergenceError,
-    NameMismatchError,
-    NotPositiveDefiniteError,
-    SingularCorrelationError,
-)
-from .linalg import eigen_symmetric, invert_spd
+from .errors import ComponentCountError, ConvergenceError, NameMismatchError
 from .preprocess import CorrelationMatrix, StandardizedMatrix
 
 # Kaiser criterion: keep components whose eigenvalue exceeds this.
@@ -30,9 +23,9 @@ KAISER_THRESHOLD = 1.0
 # this relative amount.
 VARIMAX_TOL = 1e-12
 VARIMAX_MAX_SWEEPS = 100
-# Ridge added to the correlation diagonal when score weights are
-# requested on a numerically singular matrix.
-RIDGE = 1e-8
+# A retained component whose eigenvalue is at or below this has no
+# variance to score: its weights would divide by it.
+SCORE_EIGENVALUE_MIN = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +96,7 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         because no eigenvalue clears the threshold.
     """
     p = r.p
-    eig = _eigen_of(r)
-    values, vectors = eig
+    values, vectors = r.eigen.eigenvalues, r.eigen.eigenvectors
     if components == "auto":
         k = int(np.sum(values > KAISER_THRESHOLD))
         if k == 0:
@@ -135,13 +127,6 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         communality=communality,
         uniqueness=1.0 - communality,
     )
-
-
-def _eigen_of(r: CorrelationMatrix):
-    # CorrelationMatrix already ran the eigensolver for its PSD check,
-    # but it only kept the eigenvalues; rerun for the vectors.
-    eig = eigen_symmetric(r.values)
-    return eig.eigenvalues, eig.eigenvectors
 
 
 def _varimax_criterion(b: np.ndarray) -> float:
@@ -247,8 +232,9 @@ class ScoreWeights:
     """Regression-method weights mapping standardized data to scores.
 
     ``weights`` is p x k: component scores are ``Z @ weights``.  The
-    weights solve R @ W = L for the effective loadings L, so on the data
-    that produced R the scores are the least-squares projections of the
+    weights solve R @ W = L for the effective loadings L (the
+    minimum-norm solution when R is singular), so on the data that
+    produced R the scores are the least-squares projections of the
     components.
     """
 
@@ -258,30 +244,32 @@ class ScoreWeights:
     method: str = "regression"
 
 
-def score_weights(
-    r: CorrelationMatrix, solution: PcaSolution, ridge: bool = False
-) -> ScoreWeights:
+def score_weights(r: CorrelationMatrix, solution: PcaSolution) -> ScoreWeights:
     """Regression-method component score weights W = R^-1 L.
 
-    ``r`` must carry exactly the variables of ``solution`` in the same
-    order.  A numerically singular correlation matrix raises
-    :class:`SingularCorrelationError`; passing ``ridge=True`` adds
-    ``RIDGE`` to the diagonal first, which is enough to score data whose
-    collinearity is exact (duplicated columns) at the cost of a
-    negligible bias in the weights.
+    ``solution`` must have been extracted from ``r``, which must carry
+    exactly its variables in the same order.  The loadings are
+    L = V_k Lambda_k^(1/2) T, with T the varimax rotation (the identity
+    when unrotated), so R^-1 L = (loadings / lambda_k) @ T and nothing
+    is inverted.  A retained eigenvalue at or below
+    ``SCORE_EIGENVALUE_MIN`` raises :class:`ComponentCountError` naming
+    the component and the largest count that can be scored.
     """
     if r.names != solution.names:
         missing = tuple(n for n in solution.names if n not in r.names)
         extra = tuple(n for n in r.names if n not in solution.names)
         raise NameMismatchError(missing=missing, extra=extra)
-    values = r.values
-    if ridge:
-        values = values + RIDGE * np.eye(r.p)
-    try:
-        r_inv = invert_spd(values, context="correlation matrix")
-    except NotPositiveDefiniteError as err:
-        raise SingularCorrelationError(err.smallest) from err
-    weights = r_inv @ solution.effective_loadings
+    lam = solution.eigenvalues[: solution.n_components]
+    null = np.flatnonzero(lam <= SCORE_EIGENVALUE_MIN)
+    if null.size:
+        j = int(null[0])
+        raise ComponentCountError(
+            f"component {j + 1} has eigenvalue {float(lam[j])!r}, which leaves "
+            f"no variance to score; retain at most {j} components"
+        )
+    weights = solution.loadings / lam
+    if solution.rotation is not None:
+        weights = weights @ solution.rotation
     return ScoreWeights(
         names=r.names,
         component_names=solution.component_names,

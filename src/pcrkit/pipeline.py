@@ -74,7 +74,6 @@ class RunConfig:
     scores: str = "regression"
     out: str | Path | None = None
     format: str = "text"
-    ridge: bool = False
 
     def validate(self) -> None:
         if (self.input_path is None) == (self.fixture is None):
@@ -114,7 +113,6 @@ class Report:
     components_requested: str = ""
     rotation_mode: str = ""
     score_method: str = ""
-    ridge: bool = False
     names: tuple[str, ...] = ()
     predictor_names: tuple[str, ...] = ()
     years: np.ndarray | None = None
@@ -236,7 +234,6 @@ def run_pipeline(config: RunConfig) -> Report:
         components_requested=str(config.components),
         rotation_mode=config.rotation,
         score_method=config.scores,
-        ridge=config.ridge,
     )
 
     table: TimeSeriesTable | None = None
@@ -285,7 +282,7 @@ def run_pipeline(config: RunConfig) -> Report:
         if config.rotation == "varimax":
             solution = rotate_varimax(solution)
         report.solution = solution
-        weights = score_weights(subset, solution, ridge=config.ridge)
+        weights = score_weights(subset, solution)
         report.weights = weights
         if report.mode == "table":
             report.scores = component_scores(
@@ -358,7 +355,6 @@ def render_report_text(report: Report) -> str:
     lines.append(f"components: {report.components_requested}")
     lines.append(f"rotation: {report.rotation_mode}")
     lines.append(f"scores: {report.score_method}")
-    lines.append(f"ridge: {'on' if report.ridge else 'off'}")
 
     if report.names:
         lines.append("")
@@ -525,7 +521,6 @@ def render_report_delim(report: Report) -> str:
     row("run", "components", "", report.components_requested)
     row("run", "rotation", "", report.rotation_mode)
     row("run", "scores", "", report.score_method)
-    row("run", "ridge", "", "on" if report.ridge else "off")
 
     for i, name in enumerate(report.names, start=1):
         row("variables", str(i), "", name)

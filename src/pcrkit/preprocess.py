@@ -22,7 +22,12 @@ from .errors import (
     PreprocessError,
     ZeroVarianceError,
 )
-from .linalg import as_checked_array, check_symmetric, eigen_symmetric
+from .linalg import (
+    EigenDecomposition,
+    as_checked_array,
+    check_symmetric,
+    eigen_symmetric,
+)
 
 # A correlation matrix may dip this far below zero in its smallest
 # eigenvalue before it is rejected as indefinite.
@@ -221,12 +226,13 @@ class CorrelationMatrix:
 
     Construction enforces symmetry, a unit diagonal, entries in
     [-1, 1], and positive semidefiniteness up to ``PSD_TOL``.  The
-    eigenvalues found during validation are kept for reuse.
+    eigendecomposition that validation computes is kept in ``eigen``,
+    so component extraction never decomposes the matrix again.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigen: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         values = check_symmetric(self.values, where="correlation matrix")
@@ -253,7 +259,7 @@ class CorrelationMatrix:
             raise NotPositiveDefiniteError(smallest, "correlation matrix")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "eigenvalues", eig.eigenvalues)
+        object.__setattr__(self, "eigen", eig)
 
     @property
     def p(self) -> int:

@@ -23,8 +23,6 @@ def report_differences(
     """Describe every way ``new`` departs from the golden ``old``; empty if none."""
     new_lines = new.split("\n")
     old_lines = old.split("\n")
-    if exact and new == old:
-        return []
     if len(new_lines) != len(old_lines):
         return [f"{len(new_lines)} lines, golden has {len(old_lines)}"]
     problems = []

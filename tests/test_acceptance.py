@@ -61,13 +61,13 @@ def fixture_predictor_solution(rotate=True):
     return fx, sub, sol
 
 
-def pcr_fit_for(x, y, k, ridge=False):
+def pcr_fit_for(x, y, k):
     names = tuple(f"X{i + 1}" for i in range(x.shape[1]))
     table = make_table(np.column_stack([y, x]), names=("Y",) + names)
     z = standardize(table)
     r = correlation_matrix(z).submatrix(names)
     sol = rotate_varimax(extract(r, k))
-    w = score_weights(r, sol, ridge=ridge)
+    w = score_weights(r, sol)
     scores = component_scores(z.select(names), w)
     return fit_pcr(scores, table.column("Y"), w.component_names), sol
 
@@ -81,7 +81,7 @@ def test_01_fixture_integrity():
         assert np.array_equal(values, values.T)
         assert np.array_equal(np.diagonal(values), np.ones(9))
         assert np.abs(values).max() <= 1.0
-        assert float(fx.matrix.eigenvalues[-1]) >= -1e-8
+        assert float(fx.matrix.eigen.eigenvalues[-1]) >= -1e-8
 
     run_criterion(1, "embedded fixture matches the printed table and is valid", 0.1, body)
 
@@ -195,7 +195,7 @@ def test_07_collinearity_demonstration():
             fit_ols(duplicated, y, names=("A", "B", "C", "D", "B2"))
         assert excinfo.value.name == "B2"
         clean_fit, _ = pcr_fit_for(x, y, k=4)
-        dup_fit, dup_sol = pcr_fit_for(duplicated, y, k=4, ridge=True)
+        dup_fit, dup_sol = pcr_fit_for(duplicated, y, k=4)
         assert np.all(np.isfinite(dup_fit.coefficients))
         assert abs(dup_fit.r_squared - clean_fit.r_squared) <= 1e-8
         # The duplicate adds exactly one near-zero eigenvalue.

@@ -41,7 +41,7 @@ class TestRepair:
 
     def test_repaired_is_positive_definite(self):
         fx = load_fixture("fig3")
-        assert fx.matrix.eigenvalues[-1] > 0.0
+        assert fx.matrix.eigen.eigenvalues[-1] > 0.0
 
     def test_adjustment_is_small_and_recorded(self):
         fx = load_fixture("fig3")

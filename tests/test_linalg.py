@@ -8,7 +8,6 @@ from pcrkit.errors import (
     AsymmetryError,
     NonFiniteError,
     NonSquareError,
-    NotPositiveDefiniteError,
     RankDeficiencyError,
     ShapeMismatchError,
 )
@@ -16,7 +15,6 @@ from pcrkit.linalg import (
     EigenDecomposition,
     check_symmetric,
     eigen_symmetric,
-    invert_spd,
     solve_least_squares,
 )
 
@@ -278,32 +276,3 @@ class TestLeastSquares:
         with pytest.raises(NonFiniteError):
             solve_least_squares(np.ones((3, 1)), np.array([1.0, np.nan, 2.0]))
 
-
-class TestInvertSpd:
-    def test_hand_inverse(self):
-        inv = invert_spd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        assert np.abs(inv - expected).max() <= 1e-12
-
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            x = rng.standard_normal((n + 5, n))
-            spd = x.T @ x / (n + 5) + 0.1 * np.eye(n)
-            inv = invert_spd(spd)
-            assert np.abs(inv @ spd - np.eye(n)).max() <= 1e-9
-            assert np.abs(inv - inv.T).max() == 0.0
-
-    def test_indefinite_rejected_with_eigenvalue(self):
-        with pytest.raises(NotPositiveDefiniteError) as excinfo:
-            invert_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert excinfo.value.smallest == pytest.approx(-1.0, abs=1e-10)
-
-    def test_numerically_singular_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            invert_spd(np.diag([1.0, 1e-12]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(AsymmetryError):
-            invert_spd(np.array([[1.0, 0.2], [0.1, 1.0]]))

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from pcrkit.errors import (
-    ComponentCountError,
-    NameMismatchError,
-    SingularCorrelationError,
-)
+from pcrkit.errors import ComponentCountError, NameMismatchError
+from pcrkit.fixtures import load_fixture
 from pcrkit.pca import (
     component_scores,
     extract,
@@ -231,13 +228,34 @@ class TestScoreWeights:
             score_weights(other, sol)
 
     def test_singular_matrix_needs_ridge(self):
+        # No ridge is needed: the weights never invert R, so a singular R
+        # scores every component with variance; only a retained null
+        # direction fails, naming its eigenvalue.
         r = corr([[1.0, 1.0], [1.0, 1.0]])
-        sol = extract(r, 1)
-        with pytest.raises(SingularCorrelationError) as excinfo:
-            score_weights(r, sol)
-        assert "ridge" in str(excinfo.value)
-        w = score_weights(r, sol, ridge=True)
+        w = score_weights(r, extract(r, 1))
         assert np.all(np.isfinite(w.weights))
+        assert (w.weights.T @ r.values @ w.weights)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        sol = extract(r, 2)
+        with pytest.raises(ComponentCountError) as excinfo:
+            score_weights(r, sol)
+        message = str(excinfo.value)
+        assert repr(float(sol.eigenvalues[1])) in message
+        assert "component 2" in message
+        assert "at most 1" in message
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_closed_form_equals_solve(self, rotate):
+        fx = load_fixture("fig3")
+        matrices = [fx.matrix.submatrix(fx.matrix.names[1:])]
+        matrices += [correlation_matrix(random_z(seed, p=6)) for seed in range(20)]
+        for r in matrices:
+            for k in range(1, r.p + 1):
+                sol = extract(r, k)
+                if rotate:
+                    sol = rotate_varimax(sol)
+                expected = np.linalg.solve(r.values, sol.effective_loadings)
+                got = score_weights(r, sol).weights
+                assert np.abs(got - expected).max() <= 1e-10
 
     def test_component_labels_follow_rotation(self):
         r = correlation_matrix(random_z(17))

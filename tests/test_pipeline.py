@@ -1,10 +1,15 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcrkit import cli
+import pcrkit
+from pcrkit import cli, linalg
 from pcrkit.errors import ConfigError, StageError, TableFormatError
 from pcrkit.fixtures import INDICATOR_NAMES
 from pcrkit.pca import tucker_congruence
@@ -229,9 +234,7 @@ class TestTableMode:
     def test_duplicate_predictor_baseline_fails_pcr_completes(self, tmp_path):
         table = planted_panel_table(7, duplicate="GVA")
         path = write_table(table, tmp_path / "t.csv")
-        report = run_pipeline(
-            RunConfig(input_path=path, components=2, ridge=True)
-        )
+        report = run_pipeline(RunConfig(input_path=path, components=2))
         assert report.baseline is None
         assert "rank deficient" in report.baseline_error
         assert "GVA" in report.baseline_error
@@ -239,13 +242,19 @@ class TestTableMode:
         assert np.all(np.isfinite(report.pcr.coefficients))
 
     def test_duplicate_predictor_without_ridge_fails_pca_stage(self, tmp_path):
+        # A duplicate no longer fails the pca stage; only retaining its
+        # zero-variance component does.
         table = planted_panel_table(8, duplicate="GVA")
         path = write_table(table, tmp_path / "t.csv")
+        report = run_pipeline(RunConfig(input_path=path, components=2))
+        assert "GVA" in report.baseline_error
+        assert report.pcr is not None
         with pytest.raises(StageError) as excinfo:
-            run_pipeline(RunConfig(input_path=path, components=2))
+            run_pipeline(RunConfig(input_path=path, components=9))
         assert excinfo.value.stage == "pca"
         assert excinfo.value.exit_code == 4
-        assert "ridge" in str(excinfo.value)
+        assert "ridge" not in str(excinfo.value)
+        assert "retain at most 8 components" in str(excinfo.value)
 
 
 class TestStageErrors:
@@ -396,6 +405,35 @@ class TestEmitAndDeterminism:
         assert len(rows) - 1 == 36 * 20
 
 
+class TestDecompositionCount:
+    @staticmethod
+    def count_eigen_calls(monkeypatch):
+        """Record the order of every matrix passed to the eigensolver."""
+        orders = []
+        original = linalg.eigen_symmetric
+
+        def counted(a):
+            orders.append(np.shape(a)[0])
+            return original(a)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "eigen_symmetric", None)
+            if name.split(".")[0] == "pcrkit" and bound is original:
+                monkeypatch.setattr(module, "eigen_symmetric", counted)
+        return orders
+
+    def test_table_run_decomposes_two_matrices(self, tmp_path, monkeypatch):
+        source = write_table(planted_panel_table(19), tmp_path / "t.csv")
+        orders = self.count_eigen_calls(monkeypatch)
+        run_pipeline(RunConfig(input_path=source))
+        assert orders == [9, 8]
+
+    def test_fixture_run_decomposes_three_matrices(self, monkeypatch):
+        orders = self.count_eigen_calls(monkeypatch)
+        run_pipeline(RunConfig(fixture="fig3"))
+        assert orders == [9, 9, 8]
+
+
 class TestCli:
     def test_fixture_run_to_files(self, tmp_path, capsys):
         code = cli.main(
@@ -480,13 +518,21 @@ class TestCli:
         assert "stage: pca" in text
 
     def test_ridge_flag_unblocks_duplicate(self, tmp_path, capsys):
+        # The duplicate runs without any flag, and --ridge no longer exists.
         table = planted_panel_table(18, duplicate="GVA")
         source = write_table(table, tmp_path / "t.csv")
-        assert cli.main(["--input", str(source), "--components", "2"]) == 4
-        capsys.readouterr()
-        assert (
-            cli.main(["--input", str(source), "--components", "2", "--ridge"]) == 0
+        assert cli.main(["--input", str(source), "--components", "2"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--input", str(source), "--components", "2", "--ridge"])
+        assert excinfo.value.code == 2
+
+    def test_import_does_not_load_scipy(self):
+        probe = "import sys, pcrkit.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        env = dict(os.environ, PYTHONPATH=str(Path(pcrkit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
+        assert done.stdout.strip() == "[]"
 
     def test_rotation_none_flag(self, capsys):
         assert cli.main(["--fixture", "fig3", "--rotation", "none"]) == 0

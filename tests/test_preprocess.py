@@ -235,8 +235,8 @@ class TestCorrelation:
         assert np.array_equal(r.values, r.values.T)
         assert np.array_equal(np.diagonal(r.values), np.ones(6))
         assert np.abs(r.values).max() <= 1.0
-        assert r.eigenvalues[-1] >= -1e-8
-        assert np.all(np.diff(r.eigenvalues) <= 0.0)
+        assert r.eigen.eigenvalues[-1] >= -1e-8
+        assert np.all(np.diff(r.eigen.eigenvalues) <= 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
