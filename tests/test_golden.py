@@ -3,7 +3,8 @@
 ``golden/README.md`` says how each golden was produced.  A change that
 only rearranges code must leave the reports byte-identical; a change to
 the floating-point path must stay within the token-wise tolerance of
-:mod:`golden_compare`.
+:mod:`golden_compare`.  Scatter-pair files carry input values only, so
+they must match byte for byte.
 """
 
 from pathlib import Path
@@ -11,7 +12,13 @@ from pathlib import Path
 import pytest
 
 from golden_compare import report_differences
-from pcrkit.pipeline import RunConfig, render_report_delim, render_report_text, run_pipeline
+from pcrkit.pipeline import (
+    RunConfig,
+    emit_report,
+    render_report_delim,
+    render_report_text,
+    run_pipeline,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,6 +39,19 @@ def test_report_matches_golden(golden, config, render, monkeypatch):
     assert report_differences(second, first, exact=True) == []
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert report_differences(first, expected) == []
+
+
+SCATTER_CASES = [("panel9_scatter_pairs.txt", "text"), ("panel9_scatter_pairs.csv", "delim")]
+
+
+@pytest.mark.parametrize("golden, format", SCATTER_CASES, ids=[c[0] for c in SCATTER_CASES])
+def test_scatter_pairs_match_golden_exactly(golden, format, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    report = run_pipeline(RunConfig(input_path="panel9.csv"))
+    written = emit_report(report, tmp_path, format=format)[-1]
+    assert written.name == "scatter_pairs" + Path(golden).suffix
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert report_differences(written.read_text(encoding="utf-8"), expected, exact=True) == []
 
 
 class TestComparator:
