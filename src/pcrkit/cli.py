@@ -110,26 +110,24 @@ def main(argv=None) -> int:
         components=args.components,
         rotation=args.rotation,
         scores=args.scores,
-        out=args.out,
-        format=args.format,
     )
     try:
         report = run_pipeline(config)
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
-        if config.out is not None and err.report is not None:
+        if args.out is not None and err.report is not None:
             # Best effort: preserve the stages that completed.
             try:
-                emit_report(err.report, config.out, config.format)
+                emit_report(err.report, args.out, args.format)
             except PcrError:
                 pass
         return err.exit_code
 
-    if config.out is None:
+    if args.out is None:
         print(render_report_text(report), end="")
         return 0
     try:
-        paths = emit_report(report, config.out, config.format)
+        paths = emit_report(report, args.out, args.format)
     except PcrError as err:
         print(f"error: [output] {err}", file=sys.stderr)
         return STAGE_EXIT_CODES["output"]

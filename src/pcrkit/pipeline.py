@@ -72,8 +72,6 @@ class RunConfig:
     components: int | str = "auto"
     rotation: str = "varimax"
     scores: str = "regression"
-    out: str | Path | None = None
-    format: str = "text"
 
     def validate(self) -> None:
         if (self.input_path is None) == (self.fixture is None):
@@ -89,10 +87,6 @@ class RunConfig:
         if self.scores not in SCORE_METHODS:
             raise ConfigError(
                 f"scores must be one of {SCORE_METHODS}, got {self.scores!r}"
-            )
-        if self.format not in REPORT_FORMATS:
-            raise ConfigError(
-                f"format must be one of {REPORT_FORMATS}, got {self.format!r}"
             )
         if self.components != "auto":
             if not isinstance(self.components, int) or self.components < 1:
@@ -621,30 +615,59 @@ def render_report_delim(report: Report) -> str:
     return buffer.getvalue()
 
 
-def render_scatter_text(report: Report) -> str:
-    lines = ["scatter pairs", "============="]
+def _scatter_rows(report: Report):
+    """Yield each scatter pair with its ``(year, x, y)`` rows as strings.
+
+    Every distinct array is formatted once per render, so the p+1
+    columns that all pairs share cost O(p*n) formatting, not O(p^2*n).
+    The cache is keyed on the array object, never on the name, so a
+    hand-built report whose pairs carry separate arrays still renders
+    each pair's own values.
+    """
+    formatted: dict[int, list[str]] = {}
+
+    def cells(values: np.ndarray) -> list[str]:
+        key = id(values)  # the report keeps every array alive while rendering
+        if key not in formatted:
+            formatted[key] = [
+                repr(v) for v in np.asarray(values, dtype=np.float64).tolist()
+            ]
+        return formatted[key]
+
+    n = max((pair.x.shape[0] for pair in report.scatter), default=0)
+    if report.years is None:
+        years = [str(i) for i in range(1, n + 1)]
+    else:
+        years = [str(int(y)) for y in report.years[:n]]
     for pair in report.scatter:
-        lines.append("")
-        lines.append(f"pair {pair.x_name} {pair.y_name}")
-        lines.append("year x y")
-        for i in range(pair.x.shape[0]):
-            year = int(report.years[i]) if report.years is not None else i + 1
-            lines.append(f"{year} {_fmt(pair.x[i])} {_fmt(pair.y[i])}")
-    lines.append("")
-    return "\n".join(lines)
+        xs = cells(pair.x)
+        yield pair, zip(years[: len(xs)], xs, cells(pair.y), strict=True)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[: -len(",\n")]
+
+
+def render_scatter_text(report: Report) -> str:
+    parts = ["scatter pairs\n============="]
+    for pair, rows in _scatter_rows(report):
+        parts.append(f"\n\npair {pair.x_name} {pair.y_name}\nyear x y")
+        parts.append("".join(f"\n{year} {x} {y}" for year, x, y in rows))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def render_scatter_delim(report: Report) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("x_name", "y_name", "year", "x", "y"))
-    for pair in report.scatter:
-        for i in range(pair.x.shape[0]):
-            year = int(report.years[i]) if report.years is not None else i + 1
-            writer.writerow(
-                (pair.x_name, pair.y_name, str(year), _fmt(pair.x[i]), _fmt(pair.y[i]))
-            )
-    return buffer.getvalue()
+    names = {name for pair in report.scatter for name in (pair.x_name, pair.y_name)}
+    quoted = {name: _csv_field(name) for name in names}
+    parts = ["x_name,y_name,year,x,y\n"]
+    for pair, rows in _scatter_rows(report):
+        prefix = f"{quoted[pair.x_name]},{quoted[pair.y_name]},"
+        parts.append("".join(f"{prefix}{year},{x},{y}\n" for year, x, y in rows))
+    return "".join(parts)
 
 
 def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ...]:

@@ -10,6 +10,7 @@ on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -319,24 +320,25 @@ class ScatterPair:
 
 
 def scatter_pairs(table: TimeSeriesTable) -> tuple[ScatterPair, ...]:
-    """All p(p-1)/2 variable pairs, ordered lexicographically by name.
+    """All pairs of the table's variables, ordered lexicographically by name.
 
     This is the flat-file counterpart of a scatterplot matrix: each pair
-    appears once, x carrying the alphabetically earlier variable.
+    appears once, x carrying the alphabetically earlier variable.  With
+    p predictors plus the response that is (p+1)p/2 pairs, each as long
+    as the table; the pipeline passes the differenced table, so n years
+    of levels give (p+1)p/2 * (n-1) scatter rows.  Each column is copied
+    once and marked read-only, and every pair naming a variable holds
+    that same array, so a write into one pair cannot change the others.
     """
-    ordered = sorted(table.names)
-    pairs = []
-    for a in range(len(ordered) - 1):
-        for b in range(a + 1, len(ordered)):
-            pairs.append(
-                ScatterPair(
-                    x_name=ordered[a],
-                    y_name=ordered[b],
-                    x=table.column(ordered[a]),
-                    y=table.column(ordered[b]),
-                )
-            )
-    return tuple(pairs)
+    columns = {}
+    for name in sorted(table.names):
+        column = table.column(name)
+        column.flags.writeable = False
+        columns[name] = column
+    return tuple(
+        ScatterPair(x_name=a, y_name=b, x=columns[a], y=columns[b])
+        for a, b in itertools.combinations(columns, 2)
+    )
 
 
 def vif(z: StandardizedMatrix) -> dict[str, float]:

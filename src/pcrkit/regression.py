@@ -19,8 +19,10 @@ from .linalg import as_checked_array, solve_least_squares
 from .pca import ScoreWeights
 from .preprocess import StandardizedMatrix
 
-# Residual variance below this fraction of the response variance is
-# treated as an exact fit when guarding the R^2 division.
+# A centered response sum of squares at or below this fraction of the
+# raw sum of squares is rounding residue: the response is treated as
+# constant when guarding the R^2 division.  The test is relative, so it
+# does not depend on the units of the response.
 ZERO_VARIANCE_TOL = 1e-30
 
 
@@ -78,7 +80,7 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
     ss_res = float(residuals @ residuals)
     centered = y - y.mean()
     ss_tot = float(centered @ centered)
-    if ss_tot <= ZERO_VARIANCE_TOL:
+    if ss_tot <= ZERO_VARIANCE_TOL * float(y @ y):
         warnings.warn(
             "response has zero variance; R^2 reported as 0.0", stacklevel=2
         )

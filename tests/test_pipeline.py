@@ -20,10 +20,12 @@ from pcrkit.pipeline import (
     load_table,
     render_report_delim,
     render_report_text,
+    render_scatter_delim,
+    render_scatter_text,
     run_pipeline,
     write_table,
 )
-from pcrkit.preprocess import TimeSeriesTable
+from pcrkit.preprocess import ScatterPair, TimeSeriesTable
 
 
 def planted_panel_table(seed=0, n_years=21, noise_sd=0.1, duplicate=None):
@@ -142,8 +144,12 @@ class TestRunConfig:
             RunConfig(fixture="fig3", scores="bartlett").validate()
         with pytest.raises(ConfigError):
             RunConfig(fixture="fig3", components=0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(fixture="fig3", format="json").validate()
+
+    def test_emit_report_rejects_unknown_format(self, tmp_path):
+        report = run_pipeline(RunConfig(fixture="fig3"))
+        with pytest.raises(ConfigError, match="json"):
+            emit_report(report, tmp_path / "out", format="json")
+        assert not (tmp_path / "out").exists()
 
 
 class TestMatrixMode:
@@ -403,6 +409,45 @@ class TestEmitAndDeterminism:
         pairs = {(r[0], r[1]) for r in rows[1:]}
         assert len(pairs) == 36
         assert len(rows) - 1 == 36 * 20
+
+    def test_scatter_renders_each_pairs_own_arrays(self):
+        # Two pairs with the same names but separate arrays: formatted
+        # values are shared per array, never per name.
+        report = Report(
+            years=np.array([2001, 2002]),
+            scatter=(
+                ScatterPair("A", "B", np.array([1.0, 2.0]), np.array([3.0, 4.0])),
+                ScatterPair("A", "B", np.array([5.0, 6.0]), np.array([7.0, 8.0])),
+            ),
+        )
+        assert render_scatter_delim(report) == (
+            "x_name,y_name,year,x,y\n"
+            "A,B,2001,1.0,3.0\nA,B,2002,2.0,4.0\n"
+            "A,B,2001,5.0,7.0\nA,B,2002,6.0,8.0\n"
+        )
+        assert render_scatter_text(report) == (
+            "scatter pairs\n=============\n"
+            "\npair A B\nyear x y\n2001 1.0 3.0\n2002 2.0 4.0\n"
+            "\npair A B\nyear x y\n2001 5.0 7.0\n2002 6.0 8.0\n"
+        )
+
+
+class TestUnits:
+    def test_tiny_levels_keep_pcr_r_squared(self, tmp_path, recwarn):
+        # A relative zero-variance guard: levels in units of 1e-150 are
+        # the same data, not a constant response.
+        table = planted_panel_table(16)
+        tiny = TimeSeriesTable(
+            years=table.years,
+            names=table.names,
+            values=table.values * 1e-150,
+            response=table.response,
+        )
+        base = run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "a.csv")))
+        scaled = run_pipeline(RunConfig(input_path=write_table(tiny, tmp_path / "b.csv")))
+        assert base.pcr.r_squared > 0.5
+        assert abs(scaled.pcr.r_squared - base.pcr.r_squared) <= 1e-12
+        assert len(recwarn) == 0
 
 
 class TestDecompositionCount:

@@ -304,6 +304,22 @@ class TestScatterPairs:
         assert np.array_equal(first.x, t.column("A"))
         assert np.array_equal(first.y, t.column("B"))
 
+    def test_one_array_per_variable(self):
+        t = random_walk_table(12, n_vars=5)
+        pairs = scatter_pairs(t)
+        assert len({id(a) for pair in pairs for a in (pair.x, pair.y)}) == 5
+        by_name = {}
+        for pair in pairs:
+            assert by_name.setdefault(pair.x_name, pair.x) is pair.x
+            assert by_name.setdefault(pair.y_name, pair.y) is pair.y
+
+    def test_pair_arrays_are_read_only(self):
+        pairs = scatter_pairs(random_walk_table(12, n_vars=3))
+        with pytest.raises(ValueError):
+            pairs[0].x[0] = 0.0
+        with pytest.raises(ValueError):
+            pairs[-1].y[:] = 0.0
+
 
 class TestVif:
     def test_two_variable_hand_oracle(self):

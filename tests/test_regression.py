@@ -87,6 +87,15 @@ class TestFitOls:
             fit = fit_ols(x, np.full(8, 3.0))
         assert fit.r_squared == 0.0
 
+    def test_zero_variance_guard_is_relative(self, recwarn):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((12, 2))
+        y = x @ np.array([1.0, 0.5]) + rng.standard_normal(12)
+        base = fit_ols(x, y)
+        tiny = fit_ols(x, y * 1e-150)
+        assert abs(tiny.r_squared - base.r_squared) <= 1e-12
+        assert len(recwarn) == 0
+
     def test_r_squared_invariant_under_predictor_rescale(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((30, 3))
