@@ -4,7 +4,8 @@
 only rearranges code must leave the reports byte-identical; a change to
 the floating-point path must stay within the token-wise tolerance of
 :mod:`golden_compare`.  Scatter-pair files carry input values only, so
-they must match byte for byte.
+they must match byte for byte, and so must the reports written by the
+current floating-point path (``EXACT_CASES``).
 """
 
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from golden_compare import report_differences
+from pcrkit.cli import main
 from pcrkit.pipeline import (
     RunConfig,
     emit_report,
@@ -39,6 +41,40 @@ def test_report_matches_golden(golden, config, render, monkeypatch):
     assert report_differences(second, first, exact=True) == []
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert report_differences(first, expected) == []
+
+
+# (golden, CLI arguments, exit code); each is ``report.txt`` or
+# ``report.csv`` as ``--out DIR`` writes it, so the partial report of a
+# failed run is covered too.
+EXACT_CASES = [
+    ("fig3_varimax.csv", ["--fixture", "fig3"], 0),
+    ("panel9_report.txt", ["--input", "panel9.csv"], 0),
+    ("panel9_report.csv", ["--input", "panel9.csv"], 0),
+    *(
+        (f"panel9_percent.{ext}", ["--input", "panel9.csv", "--diff", "percent",
+                                   "--rotation", "none", "--components", "1"], 0)
+        for ext in ("txt", "csv")
+    ),
+    *(
+        (f"panel9_failure.{ext}", ["--input", "panel9.csv", "--components", "40"], 4)
+        for ext in ("txt", "csv")
+    ),
+    *(
+        (f"panel9_short_report.{ext}", ["--input", "panel9_short.csv"], 0)
+        for ext in ("txt", "csv")
+    ),
+]
+
+
+@pytest.mark.parametrize("golden, args, code", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_report_matches_golden_exactly(golden, args, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    suffix = Path(golden).suffix
+    format = "text" if suffix == ".txt" else "delim"
+    assert main([*args, "--out", str(tmp_path), "--format", format]) == code
+    written = (tmp_path / f"report{suffix}").read_text(encoding="utf-8")
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert report_differences(written, expected, exact=True) == []
 
 
 SCATTER_CASES = [("panel9_scatter_pairs.txt", "text"), ("panel9_scatter_pairs.csv", "delim")]
