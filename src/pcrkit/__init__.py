@@ -53,7 +53,6 @@ from .pca import (
     extract,
     rotate_varimax,
     score_weights,
-    tucker_congruence,
 )
 from .pipeline import (
     Report,
@@ -70,10 +69,8 @@ from .preprocess import (
     ScatterPair,
     StandardizedMatrix,
     TimeSeriesTable,
-    accumulate,
     correlation_matrix,
     difference,
-    pearson,
     scatter_pairs,
     standardize,
     vif,
@@ -124,7 +121,6 @@ __all__ = [
     "TableFormatError",
     "TimeSeriesTable",
     "ZeroVarianceError",
-    "accumulate",
     "component_scores",
     "correlation_matrix",
     "difference",
@@ -136,7 +132,6 @@ __all__ = [
     "load_fixture",
     "load_table",
     "nearest_valid_correlation",
-    "pearson",
     "predict_increment",
     "published_correlations",
     "reconstruct_prices",
@@ -148,7 +143,6 @@ __all__ = [
     "score_weights",
     "solve_least_squares",
     "standardize",
-    "tucker_congruence",
     "vif",
     "write_table",
 ]

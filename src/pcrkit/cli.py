@@ -16,7 +16,6 @@ from .fixtures import FIXTURE_NAMES
 from .pipeline import (
     REPORT_FORMATS,
     ROTATION_MODES,
-    SCORE_METHODS,
     RunConfig,
     emit_report,
     render_report_text,
@@ -81,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="loading rotation (default: varimax)",
     )
     parser.add_argument(
-        "--scores",
-        choices=SCORE_METHODS,
-        default="regression",
-        help="component score method (default: regression)",
-    )
-    parser.add_argument(
         "--out",
         metavar="DIR",
         help="directory for report files; omit to print the report to stdout",
@@ -109,7 +102,6 @@ def main(argv=None) -> int:
         diff=args.diff,
         components=args.components,
         rotation=args.rotation,
-        scores=args.scores,
     )
     try:
         report = run_pipeline(config)

@@ -27,8 +27,9 @@ from .errors import (
 
 # Relative symmetry tolerance for inputs that claim to be symmetric.
 SYMMETRY_TOL = 1e-9
-# A diagonal entry of R below this multiple of the largest one marks the
-# design matrix as rank deficient.
+# A diagonal entry of R at or below this multiple of the norm of its own
+# design column marks that column as dependent on the earlier ones.  The
+# test compares each column with itself, so it does not depend on units.
 RANK_TOL = 1e-12
 
 
@@ -107,9 +108,9 @@ def solve_least_squares(design, response, names: tuple[str, ...] | None = None) 
     """Least-squares coefficients for ``design @ beta ~ response`` via QR.
 
     Requires at least as many rows as columns.  A numerically dependent
-    column (diagonal of R below ``RANK_TOL`` times the largest) raises
-    :class:`RankDeficiencyError` identifying the column, by name when
-    ``names`` is supplied.
+    column (diagonal of R at or below ``RANK_TOL`` times the norm of that
+    column) raises :class:`RankDeficiencyError` identifying the column,
+    by name when ``names`` is supplied.
     """
     x = as_checked_array(design, "design matrix")
     y = as_checked_array(response, "response vector")
@@ -124,9 +125,9 @@ def solve_least_squares(design, response, names: tuple[str, ...] | None = None) 
         )
     q, r = np.linalg.qr(x)
     diag = np.abs(np.diagonal(r))
-    scale = float(diag.max()) if n else 0.0
-    if scale == 0.0 or bool(np.any(diag < RANK_TOL * scale)):
-        bad = 0 if scale == 0.0 else int(np.argmax(diag < RANK_TOL * scale))
+    dependent = np.flatnonzero(diag <= RANK_TOL * np.linalg.norm(x, axis=0))
+    if dependent.size:
+        bad = int(dependent[0])
         name = names[bad] if names is not None and bad < len(names) else None
         raise RankDeficiencyError(column=bad, pivot=float(diag[bad]), name=name)
     beta = q.T @ y

@@ -241,7 +241,6 @@ class ScoreWeights:
     names: tuple[str, ...]
     component_names: tuple[str, ...]
     weights: np.ndarray
-    method: str = "regression"
 
 
 def score_weights(r: CorrelationMatrix, solution: PcaSolution) -> ScoreWeights:
@@ -288,13 +287,3 @@ def component_scores(z: StandardizedMatrix, w: ScoreWeights) -> np.ndarray:
         extra = tuple(n for n in z.names if n not in w.names)
         raise NameMismatchError(missing=missing, extra=extra)
     return z.values @ w.weights
-
-
-def tucker_congruence(a, b) -> float:
-    """Tucker congruence |a.b| / (|a||b|) between two loading vectors."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    denom = np.sqrt(float(av @ av) * float(bv @ bv))
-    if denom == 0.0:
-        return 0.0
-    return float(abs(av @ bv) / denom)

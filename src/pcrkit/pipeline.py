@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +52,6 @@ from .preprocess import (
 from .regression import OlsFit, PricePath, fit_ols, fit_pcr, reconstruct_prices
 
 ROTATION_MODES = ("varimax", "none")
-SCORE_METHODS = ("regression",)
 REPORT_FORMATS = ("text", "delim")
 
 
@@ -71,7 +71,6 @@ class RunConfig:
     diff: str = "absolute"
     components: int | str = "auto"
     rotation: str = "varimax"
-    scores: str = "regression"
 
     def validate(self) -> None:
         if (self.input_path is None) == (self.fixture is None):
@@ -83,10 +82,6 @@ class RunConfig:
         if self.rotation not in ROTATION_MODES:
             raise ConfigError(
                 f"rotation must be one of {ROTATION_MODES}, got {self.rotation!r}"
-            )
-        if self.scores not in SCORE_METHODS:
-            raise ConfigError(
-                f"scores must be one of {SCORE_METHODS}, got {self.scores!r}"
             )
         if self.components != "auto":
             if not isinstance(self.components, int) or self.components < 1:
@@ -106,7 +101,6 @@ class Report:
     diff_mode: str = ""
     components_requested: str = ""
     rotation_mode: str = ""
-    score_method: str = ""
     names: tuple[str, ...] = ()
     predictor_names: tuple[str, ...] = ()
     years: np.ndarray | None = None
@@ -227,7 +221,6 @@ def run_pipeline(config: RunConfig) -> Report:
         diff_mode=config.diff,
         components_requested=str(config.components),
         rotation_mode=config.rotation,
-        score_method=config.scores,
     )
 
     table: TimeSeriesTable | None = None
@@ -321,180 +314,186 @@ def run_pipeline(config: RunConfig) -> Report:
 # rendering
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+@dataclass(frozen=True)
+class _Table:
+    """A labelled grid of floats.
+
+    Text prints a ``corner column...`` header and one ``label value...``
+    line per row; CSV prints one ``section,label,column,value`` row per
+    cell.
+    """
+
+    corner: str
+    columns: tuple[str, ...]
+    labels: Sequence[str]
+    values: np.ndarray
+
+    def rows(self):
+        """Each row label with its cells in ``repr`` form."""
+        cells = np.asarray(self.values, dtype=np.float64).tolist()
+        return zip(self.labels, ([repr(v) for v in row] for row in cells), strict=True)
 
 
-def _pc_labels(k: int) -> tuple[str, ...]:
-    return tuple(f"PC{j + 1}" for j in range(k))
+@dataclass(frozen=True)
+class _Line:
+    """One text line and one ``key,field,value`` CSV row for the same fact.
+
+    Either is ``None`` where only one layout carries the fact.
+    """
+
+    text: str | None
+    row: tuple[str, str, str] | None
 
 
-def _rc_labels(k: int) -> tuple[str, ...]:
-    return tuple(f"RC{j + 1}" for j in range(k))
+def _reprs(values) -> list[str]:
+    return [repr(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _sequence(values: Sequence[str]) -> list[_Line]:
+    """One space-joined text line; one CSV row per value, keyed 1..n."""
+    return [
+        _Line(" ".join(values), None),
+        *(_Line(None, (str(i), "", v)) for i, v in enumerate(values, start=1)),
+    ]
+
+
+def _fit_lines(fit: OlsFit) -> list[_Line]:
+    intercept, r_squared, residual_se = _reprs(
+        (fit.intercept, fit.r_squared, fit.residual_se)
+    )
+    return [
+        _Line(f"intercept {intercept}", ("intercept", "", intercept)),
+        *(
+            _Line(f"{name} {coef}", ("coefficient", name, coef))
+            for name, coef in zip(fit.predictor_names, _reprs(fit.coefficients))
+        ),
+        _Line(f"r_squared {r_squared}", ("r_squared", "", r_squared)),
+        _Line(f"residual_se {residual_se}", ("residual_se", "", residual_se)),
+    ]
+
+
+def _sections(report: Report):
+    """Yield ``(text title, CSV section, items)`` in output order.
+
+    This is the only description of the report; the text and CSV
+    renderers lay the same items out in their own way.
+    """
+    run = {
+        "source": report.source,
+        "mode": report.mode,
+        "response": report.response,
+        "difference": report.diff_mode,
+        "components": report.components_requested,
+        "rotation": report.rotation_mode,
+        "scores": "regression",
+    }
+    yield "run", "run", [_Line(f"{k}: {v}", (k, "", v)) for k, v in run.items()]
+    if report.names:
+        yield "variables", "variables", _sequence(report.names)
+    years = None if report.years is None else [str(int(y)) for y in report.years]
+    if years is not None:
+        yield "years", "years", _sequence(years)
+    if report.fixture_adjustment is not None:
+        shift = repr(float(report.fixture_adjustment))
+        yield "fixture adjustment", "fixture_adjustment", [
+            _Line(f"max entry change after validity repair: {shift}", ("", "", shift))
+        ]
+    if report.correlation is not None:
+        names = report.correlation.names
+        yield "correlation", "correlation", [
+            _Table("name", names, names, report.correlation.values)
+        ]
+    if report.vif is not None:
+        yield "vif", "vif", [
+            _Line(f"{name} {value}", (name, "", value))
+            for name, value in zip(report.vif, _reprs(list(report.vif.values())))
+        ]
+    if report.baseline_error is not None:
+        error = report.baseline_error
+        yield "baseline ols", "baseline", [_Line(f"error: {error}", ("error", "", error))]
+    elif report.baseline is not None:
+        yield "baseline ols", "baseline", _fit_lines(report.baseline)
+
+    solution = report.solution
+    if solution is not None:
+        k, requested = solution.n_components, report.components_requested
+        pc = tuple(f"PC{j + 1}" for j in range(k))
+        rc = solution.component_names
+        share = ("proportion", "cumulative")
+        yield "eigenvalues", "eigenvalues", _sequence(_reprs(solution.eigenvalues))
+        yield "retention", "retention", [
+            _Line(f"retained {k} of {solution.p} components ({requested})", None),
+            _Line(None, ("requested", "", requested)),
+            _Line(None, ("kept", "", str(k))),
+        ]
+        yield "proportion of variance", "proportion", [
+            _Table("component", share, pc, np.column_stack(
+                (solution.proportion, solution.cumulative)))
+        ]
+        if solution.rotated_proportion is not None:
+            yield "rotated proportion of variance", "rotated_proportion", [
+                _Table("component", share, rc, np.column_stack(
+                    (solution.rotated_proportion, solution.rotated_cumulative)))
+            ]
+        yield "loadings", "loadings", [
+            _Table("name", pc, solution.names, solution.loadings)
+        ]
+        if solution.rotated_loadings is not None:
+            yield "rotated loadings", "rotated_loadings", [
+                _Table("name", rc, solution.names, solution.rotated_loadings)
+            ]
+        yield "communality", "communality", [
+            _Table("name", ("h2", "u2"), solution.names, np.column_stack(
+                (solution.communality, solution.uniqueness)))
+        ]
+
+    weights = report.weights
+    if weights is not None:
+        yield "score weights", "score_weights", [
+            _Table("name", weights.component_names, weights.names, weights.weights)
+        ]
+    if report.scores is not None and years is not None:
+        yield "component scores", "scores", [
+            _Table("year", weights.component_names, years, report.scores)
+        ]
+    if report.pcr is not None:
+        yield "pcr", "pcr", _fit_lines(report.pcr)
+    if report.prices is not None:
+        base = repr(float(report.prices.base))
+        yield "price path", "prices", [
+            _Line(f"base {base}", ("base", "", base)),
+            _Line("year level", None),
+            *(
+                _Line(f"{year} {level}", ("level", year, level))
+                for year, level in zip(
+                    (str(int(y)) for y in report.prices.years),
+                    _reprs(report.prices.levels),
+                )
+            ),
+        ]
+    elif report.price_note is not None:
+        note = report.price_note
+        yield "price path", "prices", [_Line(note, ("note", "", note))]
+    if report.failure is not None:
+        stage, message = report.failure
+        yield "failure", "failure", [
+            _Line(f"stage: {stage}", (stage, "", message)),
+            _Line(f"error: {message}", None),
+        ]
 
 
 def render_report_text(report: Report) -> str:
     """Render the report to the human-readable text layout."""
-    lines: list[str] = []
     title = "principal-components regression report"
-    lines.append(title)
-    lines.append("=" * len(title))
-
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"source: {report.source}")
-    lines.append(f"mode: {report.mode}")
-    lines.append(f"response: {report.response}")
-    lines.append(f"difference: {report.diff_mode}")
-    lines.append(f"components: {report.components_requested}")
-    lines.append(f"rotation: {report.rotation_mode}")
-    lines.append(f"scores: {report.score_method}")
-
-    if report.names:
-        lines.append("")
-        lines.append("[variables]")
-        lines.append(" ".join(report.names))
-
-    if report.years is not None:
-        lines.append("")
-        lines.append("[years]")
-        lines.append(" ".join(str(int(y)) for y in report.years))
-
-    if report.fixture_adjustment is not None:
-        lines.append("")
-        lines.append("[fixture adjustment]")
-        lines.append(
-            f"max entry change after validity repair: {_fmt(report.fixture_adjustment)}"
-        )
-
-    if report.correlation is not None:
-        lines.append("")
-        lines.append("[correlation]")
-        names = report.correlation.names
-        lines.append("name " + " ".join(names))
-        for i, name in enumerate(names):
-            row = " ".join(_fmt(v) for v in report.correlation.values[i])
-            lines.append(f"{name} {row}")
-
-    if report.vif is not None:
-        lines.append("")
-        lines.append("[vif]")
-        for name, value in report.vif.items():
-            lines.append(f"{name} {'inf' if value == float('inf') else _fmt(value)}")
-
-    if report.baseline is not None or report.baseline_error is not None:
-        lines.append("")
-        lines.append("[baseline ols]")
-        if report.baseline_error is not None:
-            lines.append(f"error: {report.baseline_error}")
-        else:
-            fit = report.baseline
-            lines.append(f"intercept {_fmt(fit.intercept)}")
-            for name, coef in zip(fit.predictor_names, fit.coefficients):
-                lines.append(f"{name} {_fmt(coef)}")
-            lines.append(f"r_squared {_fmt(fit.r_squared)}")
-            lines.append(f"residual_se {_fmt(fit.residual_se)}")
-
-    solution = report.solution
-    if solution is not None:
-        lines.append("")
-        lines.append("[eigenvalues]")
-        lines.append(" ".join(_fmt(v) for v in solution.eigenvalues))
-
-        lines.append("")
-        lines.append("[retention]")
-        lines.append(
-            f"retained {solution.n_components} of {solution.p} components "
-            f"({report.components_requested})"
-        )
-
-        pc = _pc_labels(solution.n_components)
-        lines.append("")
-        lines.append("[proportion of variance]")
-        lines.append("component proportion cumulative")
-        for j, label in enumerate(pc):
-            lines.append(
-                f"{label} {_fmt(solution.proportion[j])} {_fmt(solution.cumulative[j])}"
-            )
-
-        if solution.rotated_proportion is not None:
-            rc = _rc_labels(solution.n_components)
-            lines.append("")
-            lines.append("[rotated proportion of variance]")
-            lines.append("component proportion cumulative")
-            for j, label in enumerate(rc):
-                lines.append(
-                    f"{label} {_fmt(solution.rotated_proportion[j])} "
-                    f"{_fmt(solution.rotated_cumulative[j])}"
-                )
-
-        lines.append("")
-        lines.append("[loadings]")
-        lines.append("name " + " ".join(pc))
-        for i, name in enumerate(solution.names):
-            row = " ".join(_fmt(v) for v in solution.loadings[i])
-            lines.append(f"{name} {row}")
-
-        if solution.rotated_loadings is not None:
-            lines.append("")
-            lines.append("[rotated loadings]")
-            lines.append("name " + " ".join(_rc_labels(solution.n_components)))
-            for i, name in enumerate(solution.names):
-                row = " ".join(_fmt(v) for v in solution.rotated_loadings[i])
-                lines.append(f"{name} {row}")
-
-        lines.append("")
-        lines.append("[communality]")
-        lines.append("name h2 u2")
-        for i, name in enumerate(solution.names):
-            lines.append(
-                f"{name} {_fmt(solution.communality[i])} {_fmt(solution.uniqueness[i])}"
-            )
-
-    if report.weights is not None:
-        lines.append("")
-        lines.append("[score weights]")
-        lines.append("name " + " ".join(report.weights.component_names))
-        for i, name in enumerate(report.weights.names):
-            row = " ".join(_fmt(v) for v in report.weights.weights[i])
-            lines.append(f"{name} {row}")
-
-    if report.scores is not None and report.years is not None:
-        lines.append("")
-        lines.append("[component scores]")
-        lines.append("year " + " ".join(report.weights.component_names))
-        for i, year in enumerate(report.years):
-            row = " ".join(_fmt(v) for v in report.scores[i])
-            lines.append(f"{int(year)} {row}")
-
-    if report.pcr is not None:
-        lines.append("")
-        lines.append("[pcr]")
-        lines.append(f"intercept {_fmt(report.pcr.intercept)}")
-        for name, coef in zip(report.pcr.predictor_names, report.pcr.coefficients):
-            lines.append(f"{name} {_fmt(coef)}")
-        lines.append(f"r_squared {_fmt(report.pcr.r_squared)}")
-        lines.append(f"residual_se {_fmt(report.pcr.residual_se)}")
-
-    if report.prices is not None:
-        lines.append("")
-        lines.append("[price path]")
-        lines.append(f"base {_fmt(report.prices.base)}")
-        lines.append("year level")
-        for year, level in zip(report.prices.years, report.prices.levels):
-            lines.append(f"{int(year)} {_fmt(level)}")
-    elif report.price_note is not None:
-        lines.append("")
-        lines.append("[price path]")
-        lines.append(report.price_note)
-
-    if report.failure is not None:
-        stage, message = report.failure
-        lines.append("")
-        lines.append("[failure]")
-        lines.append(f"stage: {stage}")
-        lines.append(f"error: {message}")
-
+    lines = [title, "=" * len(title)]
+    for heading, _, items in _sections(report):
+        lines += ("", f"[{heading}]")
+        for item in items:
+            if isinstance(item, _Table):
+                lines.append(" ".join((item.corner, *item.columns)))
+                lines += (f"{label} {' '.join(cells)}" for label, cells in item.rows())
+            elif item.text is not None:
+                lines.append(item.text)
     lines.append("")
     return "\n".join(lines)
 
@@ -504,114 +503,16 @@ def render_report_delim(report: Report) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("section", "key", "field", "value"))
-
-    def row(section, key="", field_="", value=""):
-        writer.writerow((section, key, field_, value))
-
-    row("run", "source", "", report.source)
-    row("run", "mode", "", report.mode)
-    row("run", "response", "", report.response)
-    row("run", "difference", "", report.diff_mode)
-    row("run", "components", "", report.components_requested)
-    row("run", "rotation", "", report.rotation_mode)
-    row("run", "scores", "", report.score_method)
-
-    for i, name in enumerate(report.names, start=1):
-        row("variables", str(i), "", name)
-    if report.years is not None:
-        for i, year in enumerate(report.years, start=1):
-            row("years", str(i), "", str(int(year)))
-    if report.fixture_adjustment is not None:
-        row("fixture_adjustment", "", "", _fmt(report.fixture_adjustment))
-
-    if report.correlation is not None:
-        names = report.correlation.names
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                row("correlation", a, b, _fmt(report.correlation.values[i, j]))
-
-    if report.vif is not None:
-        for name, value in report.vif.items():
-            row("vif", name, "", "inf" if value == float("inf") else _fmt(value))
-
-    if report.baseline_error is not None:
-        row("baseline", "error", "", report.baseline_error)
-    elif report.baseline is not None:
-        fit = report.baseline
-        row("baseline", "intercept", "", _fmt(fit.intercept))
-        for name, coef in zip(fit.predictor_names, fit.coefficients):
-            row("baseline", "coefficient", name, _fmt(coef))
-        row("baseline", "r_squared", "", _fmt(fit.r_squared))
-        row("baseline", "residual_se", "", _fmt(fit.residual_se))
-
-    solution = report.solution
-    if solution is not None:
-        for j, value in enumerate(solution.eigenvalues, start=1):
-            row("eigenvalues", str(j), "", _fmt(value))
-        row("retention", "requested", "", report.components_requested)
-        row("retention", "kept", "", str(solution.n_components))
-        pc = _pc_labels(solution.n_components)
-        for j, label in enumerate(pc):
-            row("proportion", label, "proportion", _fmt(solution.proportion[j]))
-            row("proportion", label, "cumulative", _fmt(solution.cumulative[j]))
-        if solution.rotated_proportion is not None:
-            for j, label in enumerate(_rc_labels(solution.n_components)):
-                row(
-                    "rotated_proportion",
-                    label,
-                    "proportion",
-                    _fmt(solution.rotated_proportion[j]),
+    for _, section, items in _sections(report):
+        for item in items:
+            if isinstance(item, _Table):
+                writer.writerows(
+                    (section, label, column, cell)
+                    for label, cells in item.rows()
+                    for column, cell in zip(item.columns, cells)
                 )
-                row(
-                    "rotated_proportion",
-                    label,
-                    "cumulative",
-                    _fmt(solution.rotated_cumulative[j]),
-                )
-        for i, name in enumerate(solution.names):
-            for j, label in enumerate(pc):
-                row("loadings", name, label, _fmt(solution.loadings[i, j]))
-        if solution.rotated_loadings is not None:
-            for i, name in enumerate(solution.names):
-                for j, label in enumerate(_rc_labels(solution.n_components)):
-                    row(
-                        "rotated_loadings",
-                        name,
-                        label,
-                        _fmt(solution.rotated_loadings[i, j]),
-                    )
-        for i, name in enumerate(solution.names):
-            row("communality", name, "h2", _fmt(solution.communality[i]))
-            row("communality", name, "u2", _fmt(solution.uniqueness[i]))
-
-    if report.weights is not None:
-        for i, name in enumerate(report.weights.names):
-            for j, label in enumerate(report.weights.component_names):
-                row("score_weights", name, label, _fmt(report.weights.weights[i, j]))
-
-    if report.scores is not None and report.years is not None:
-        for i, year in enumerate(report.years):
-            for j, label in enumerate(report.weights.component_names):
-                row("scores", str(int(year)), label, _fmt(report.scores[i, j]))
-
-    if report.pcr is not None:
-        row("pcr", "intercept", "", _fmt(report.pcr.intercept))
-        for name, coef in zip(report.pcr.predictor_names, report.pcr.coefficients):
-            row("pcr", "coefficient", name, _fmt(coef))
-        row("pcr", "r_squared", "", _fmt(report.pcr.r_squared))
-        row("pcr", "residual_se", "", _fmt(report.pcr.residual_se))
-
-    if report.prices is not None:
-        row("prices", "base", "", _fmt(report.prices.base))
-        for year, level in zip(report.prices.years, report.prices.levels):
-            row("prices", "level", str(int(year)), _fmt(level))
-    elif report.price_note is not None:
-        row("prices", "note", "", report.price_note)
-
-    if report.failure is not None:
-        stage, message = report.failure
-        row("failure", stage, "", message)
-
+            elif item.row is not None:
+                writer.writerow((section, *item.row))
     return buffer.getvalue()
 
 

@@ -129,36 +129,6 @@ def difference(table: TimeSeriesTable, mode: str = "absolute") -> TimeSeriesTabl
     )
 
 
-def accumulate(diffed: TimeSeriesTable, base_row, base_year: int) -> TimeSeriesTable:
-    """Inverse of absolute differencing.
-
-    Rebuilds levels from increments by sequential addition, starting
-    from ``base_row`` at ``base_year``.  With increments produced by
-    :func:`difference` in absolute mode and the original first row as
-    base, the reconstruction is bit-exact because each addition replays
-    the subtraction that produced the increment.
-    """
-    base = as_checked_array(base_row, "base row")
-    if base.shape != (len(diffed.names),):
-        raise PreprocessError(
-            f"base row has {base.shape} values for {len(diffed.names)} columns"
-        )
-    if int(diffed.years[0]) != base_year + 1:
-        raise PreprocessError(
-            f"increments start at year {int(diffed.years[0])}, "
-            f"expected {base_year + 1}"
-        )
-    n = diffed.n_years
-    levels = np.empty((n + 1, len(diffed.names)))
-    levels[0] = base
-    for i in range(n):
-        levels[i + 1] = levels[i] + diffed.values[i]
-    years = np.arange(base_year, base_year + n + 1, dtype=np.int64)
-    return TimeSeriesTable(
-        years=years, names=diffed.names, values=levels, response=diffed.response
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class StandardizedMatrix:
     """Columns scaled to zero mean and unit sample variance (ddof=1).
@@ -294,21 +264,6 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(names=z.names, values=r)
 
 
-def pearson(x, y) -> float:
-    """Plain two-variable Pearson correlation (convenience wrapper)."""
-    xv = as_checked_array(x, "x")
-    yv = as_checked_array(y, "y")
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise PreprocessError(f"mismatched series shapes {xv.shape} and {yv.shape}")
-    table = TimeSeriesTable(
-        years=np.arange(xv.shape[0]),
-        names=("x", "y"),
-        values=np.column_stack([xv, yv]),
-        response="x",
-    )
-    return float(correlation_matrix(standardize(table)).values[0, 1])
-
-
 @dataclass(frozen=True, eq=False)
 class ScatterPair:
     """One unordered variable pair with aligned observation vectors."""
@@ -350,13 +305,13 @@ def vif(z: StandardizedMatrix) -> dict[str, float]:
     ``math.inf`` rather than an arbitrary huge float, so perfectly
     collinear blocks are unmistakable in the output.  Minimum-norm least
     squares is used here deliberately: diagnosing collinear data must
-    not itself fall over on collinear data.
+    not itself fall over on collinear data.  With no more observations
+    than variables the others reproduce every column exactly, so every
+    VIF is ``math.inf``.
     """
     n, p = z.values.shape
     if p < 2:
         raise InsufficientDataError(2, p, "vif")
-    if n < p + 1:
-        raise InsufficientDataError(p + 1, n, f"vif over {p} variables")
     out: dict[str, float] = {}
     for j, name in enumerate(z.names):
         target = z.values[:, j]

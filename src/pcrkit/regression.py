@@ -125,9 +125,9 @@ def reconstruct_prices(base: float, increments, years=None) -> PricePath:
     """Rebuild levels from a base level and a series of increments.
 
     ``levels[t] = base + increments[0] + ... + increments[t]``, computed
-    by sequential addition so that reconstructing from exact differences
-    replays the original series bit for bit.  ``years`` labels the
-    increment positions; it defaults to 1..n.
+    by sequential addition (``np.cumsum``) so that reconstructing from
+    exact differences replays the original series bit for bit.
+    ``years`` labels the increment positions; it defaults to 1..n.
     """
     inc = as_checked_array(increments, "increments")
     if inc.ndim != 1:
@@ -140,11 +140,7 @@ def reconstruct_prices(base: float, increments, years=None) -> PricePath:
         years = np.arange(1, n + 1, dtype=np.int64)
     else:
         years = np.asarray(years, dtype=np.int64)
-    levels = np.empty(n)
-    running = base_value
-    for i in range(n):
-        running = running + inc[i]
-        levels[i] = running
+    levels = np.cumsum(np.concatenate(([base_value], inc)))[1:]
     return PricePath(base=base_value, years=years, increments=inc.copy(), levels=levels)
 
 

@@ -19,7 +19,6 @@ from pcrkit.pca import (
     extract,
     rotate_varimax,
     score_weights,
-    tucker_congruence,
 )
 from pcrkit.pipeline import (
     RunConfig,
@@ -31,7 +30,7 @@ from pcrkit.pipeline import (
 from pcrkit.preprocess import correlation_matrix, difference, standardize
 from pcrkit.regression import fit_ols, fit_pcr, reconstruct_prices
 from test_linalg import THREE_BY_THREE_SUITE, eig2_closed_form, suite_oracle
-from test_pca import planted_two_factor
+from test_pca import planted_two_factor, tucker_congruence
 from test_pipeline import planted_panel_table
 from test_preprocess import make_table
 

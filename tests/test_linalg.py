@@ -264,6 +264,14 @@ class TestLeastSquares:
             solve_least_squares(x, rng.standard_normal(15))
         assert excinfo.value.column == 2
 
+    def test_rank_test_is_relative_to_each_column(self):
+        # A unit intercept next to a column of size 1e150 is not dependent.
+        x = np.linspace(-1.0, 2.0, 7) ** 2
+        design = np.column_stack([np.ones(7), 1e150 * x])
+        beta = solve_least_squares(design, 3.0 + 2.0 * x)
+        assert beta[0] == pytest.approx(3.0, rel=1e-12)
+        assert beta[1] * 1e150 == pytest.approx(2.0, rel=1e-12)
+
     def test_underdetermined_rejected(self):
         with pytest.raises(ShapeMismatchError):
             solve_least_squares(np.ones((2, 3)), np.ones(2))

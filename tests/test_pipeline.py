@@ -12,7 +12,6 @@ import pcrkit
 from pcrkit import cli, linalg
 from pcrkit.errors import ConfigError, StageError, TableFormatError
 from pcrkit.fixtures import INDICATOR_NAMES
-from pcrkit.pca import tucker_congruence
 from pcrkit.pipeline import (
     Report,
     RunConfig,
@@ -26,6 +25,7 @@ from pcrkit.pipeline import (
     write_table,
 )
 from pcrkit.preprocess import ScatterPair, TimeSeriesTable
+from test_pca import tucker_congruence
 
 
 def planted_panel_table(seed=0, n_years=21, noise_sd=0.1, duplicate=None):
@@ -140,8 +140,6 @@ class TestRunConfig:
             RunConfig(fixture="fig3", diff="log").validate()
         with pytest.raises(ConfigError):
             RunConfig(fixture="fig3", rotation="promax").validate()
-        with pytest.raises(ConfigError):
-            RunConfig(fixture="fig3", scores="bartlett").validate()
         with pytest.raises(ConfigError):
             RunConfig(fixture="fig3", components=0).validate()
 
@@ -449,6 +447,24 @@ class TestUnits:
         assert abs(scaled.pcr.r_squared - base.pcr.r_squared) <= 1e-12
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_baseline_r_squared_does_not_depend_on_units(self, tmp_path, scale):
+        # The rank test compares each pivot with its own column, so neither
+        # the intercept nor a predictor looks dependent at extreme scales.
+        table = planted_panel_table(16)
+        rescaled = TimeSeriesTable(
+            years=table.years,
+            names=table.names,
+            values=table.values * scale,
+            response=table.response,
+        )
+        base = run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "a.csv")))
+        scaled = run_pipeline(
+            RunConfig(input_path=write_table(rescaled, tmp_path / "b.csv"))
+        )
+        assert base.baseline is not None and scaled.baseline_error is None
+        assert abs(scaled.baseline.r_squared - base.baseline.r_squared) <= 1e-12
+
 
 class TestDecompositionCount:
     @staticmethod
@@ -569,6 +585,27 @@ class TestCli:
         assert cli.main(["--input", str(source), "--components", "2"]) == 0
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--input", str(source), "--components", "2", "--ridge"])
+        assert excinfo.value.code == 2
+
+    def test_wide_panel_completes(self, tmp_path, capsys):
+        # 10 predictors over 9 years: every VIF is infinite and the
+        # baseline has too few observations, but the PCR product runs.
+        rng = np.random.default_rng(23)
+        names = ("IY",) + tuple(f"X{j:02d}" for j in range(1, 11))
+        table = TimeSeriesTable(
+            years=np.arange(2000, 2009),
+            names=names,
+            values=100.0 + np.cumsum(rng.standard_normal((9, 11)), axis=0),
+        )
+        source = write_table(table, tmp_path / "wide.csv")
+        assert cli.main(["--input", str(source), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "report.txt").read_text()
+        assert "X01 inf" in text and "[pcr]" in text and "[failure]" not in text
+
+    def test_scores_flag_is_usage_error(self, capsys):
+        # Regression weights are the only score method, so there is no flag.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--fixture", "fig3", "--scores", "regression"])
         assert excinfo.value.code == 2
 
     def test_import_does_not_load_scipy(self):

@@ -13,10 +13,8 @@ from pcrkit.errors import (
 from pcrkit.preprocess import (
     CorrelationMatrix,
     TimeSeriesTable,
-    accumulate,
     correlation_matrix,
     difference,
-    pearson,
     scatter_pairs,
     standardize,
     vif,
@@ -125,35 +123,6 @@ class TestDifference:
             difference(random_walk_table(2), mode="log")
 
 
-class TestAccumulate:
-    def test_inverse_of_difference_bit_exact(self):
-        # Positive levels with consecutive ratios inside [1/2, 2]: in
-        # this regime every first difference is exact, so sequential
-        # re-addition replays the original bits.
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = int(rng.integers(3, 30))
-            ratios = rng.uniform(0.55, 1.9, size=(n - 1, 2))
-            levels = np.empty((n, 2))
-            levels[0] = rng.uniform(1e2, 1e6, size=2)
-            for i in range(1, n):
-                levels[i] = levels[i - 1] * ratios[i - 1]
-            t = make_table(levels)
-            rebuilt = accumulate(difference(t), t.values[0], int(t.years[0]))
-            assert np.array_equal(rebuilt.values, t.values)
-            assert np.array_equal(rebuilt.years, t.years)
-
-    def test_wrong_base_year_rejected(self):
-        t = random_walk_table(3)
-        with pytest.raises(PreprocessError, match="year"):
-            accumulate(difference(t), t.values[0], int(t.years[0]) + 5)
-
-    def test_wrong_base_shape_rejected(self):
-        t = random_walk_table(4)
-        with pytest.raises(PreprocessError):
-            accumulate(difference(t), t.values[0][:2], int(t.years[0]))
-
-
 class TestStandardize:
     def test_hand_values(self):
         z = standardize(make_table([[1.0], [2.0], [3.0]]))
@@ -218,9 +187,6 @@ class TestCorrelation:
         t = make_table([[1.0, 1.0], [2.0, 3.0], [3.0, 2.0]], names=("x", "y"))
         r = correlation_matrix(standardize(t))
         assert r.values[0, 1] == pytest.approx(0.5, abs=1e-14)
-
-    def test_pearson_wrapper(self):
-        assert pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == pytest.approx(0.5)
 
     def test_perfect_linear_relation(self):
         x = np.arange(10.0)
@@ -372,6 +338,8 @@ class TestVif:
         assert all(v >= 1.0 for v in out.values())
 
     def test_insufficient_observations(self):
+        # Three observations of four variables: the others reproduce
+        # each column exactly, so every VIF is infinite and none raises.
         t = make_table(np.arange(12.0).reshape(3, 4) ** 2)
-        with pytest.raises(InsufficientDataError):
-            vif(standardize(t))
+        out = vif(standardize(t))
+        assert list(out.values()) == [float("inf")] * 4

@@ -151,6 +151,20 @@ class TestReconstructPrices:
             )
             assert np.array_equal(path.levels, levels[1:])
 
+    def test_matches_sequential_addition(self):
+        # Arbitrary increments, where cumulation is not an exact inverse:
+        # the levels still equal a left-to-right running sum bit for bit.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            base = float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6))
+            increments = rng.standard_normal(int(rng.integers(1, 60))) * 1e3
+            running, expected = base, []
+            for step in increments.tolist():
+                running = running + step
+                expected.append(running)
+            path = reconstruct_prices(base, increments)
+            assert path.levels.tolist() == expected
+
     def test_rejects_non_finite_base(self):
         with pytest.raises(NonFiniteError):
             reconstruct_prices(np.nan, [1.0])
