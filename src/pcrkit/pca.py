@@ -135,18 +135,14 @@ def _varimax_criterion(b: np.ndarray) -> float:
     return float(((sq**2).sum(axis=0) - (sq.sum(axis=0) ** 2) / p).sum())
 
 
-def rotate_varimax(
-    solution: PcaSolution,
-    normalize: bool = True,
-    max_sweeps: int = VARIMAX_MAX_SWEEPS,
-) -> PcaSolution:
+def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     """Varimax rotation of the retained loadings.
 
     Classic pairwise formulation: for every column pair the closed-form
     angle maximizing the varimax criterion for that plane is applied,
-    and full sweeps repeat until the criterion stops improving.  Kaiser
-    normalization (rows scaled to unit communality during rotation) is
-    on by default.
+    and full sweeps repeat until the criterion stops improving, at most
+    ``VARIMAX_MAX_SWEEPS`` times.  Rows are Kaiser-normalized (scaled to
+    unit communality) during rotation.
 
     The rotated columns are reordered by descending sum of squared
     loadings and sign-fixed so each column's largest-magnitude loading
@@ -168,7 +164,7 @@ def rotate_varimax(
             rotation_sweeps=0,
         )
 
-    h = np.sqrt((a**2).sum(axis=1)) if normalize else np.ones(p)
+    h = np.sqrt((a**2).sum(axis=1))
     h = np.where(h == 0.0, 1.0, h)
     b = a / h[:, None]
     t = np.eye(k)
@@ -177,7 +173,7 @@ def rotate_varimax(
     improvement = float("inf")
     sweeps = 0
     while True:
-        if sweeps >= max_sweeps:
+        if sweeps >= VARIMAX_MAX_SWEEPS:
             raise ConvergenceError("varimax rotation", sweeps, improvement)
         sweeps += 1
         for i in range(k - 1):

@@ -123,16 +123,20 @@ def load_table(path, response: str = "IY") -> TimeSeriesTable:
     """Read a delimited yearly table.
 
     Expected layout: a header ``year,<name>,...`` followed by one row
-    per year, comma-separated.  Years must parse as integers, values as
-    floats; every structural defect raises :class:`TableFormatError`
-    naming the line.
+    per year, comma-separated, UTF-8 with or without a byte-order mark.
+    Years must parse as 64-bit integers, values as floats; every
+    structural defect raises :class:`TableFormatError` naming the line.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
         raise TableFormatError(f"cannot read {path}: {err}") from err
-    rows = [row for row in csv.reader(io.StringIO(text))]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as err:
+        raise TableFormatError(str(err), line=reader.line_num) from err
     while rows and all(cell.strip() == "" for cell in rows[-1]):
         rows.pop()
     if not rows:
@@ -154,9 +158,11 @@ def load_table(path, response: str = "IY") -> TimeSeriesTable:
                 f"expected {len(header)} fields, got {len(cells)}", line=i
             )
         try:
-            years.append(int(cells[0]))
-        except ValueError as err:
-            raise TableFormatError(f"year {cells[0]!r} is not an integer", line=i) from err
+            years.append(np.int64(int(cells[0])))
+        except (ValueError, OverflowError) as err:
+            raise TableFormatError(
+                f"year {cells[0]!r} is not a 64-bit integer", line=i
+            ) from err
         row_values = []
         for j, cell in enumerate(cells[1:]):
             try:

@@ -36,6 +36,14 @@ PSD_TOL = 1e-8
 
 DIFFERENCE_MODES = ("absolute", "percent", "off")
 
+# VIF from the thin SVD of the standardized data: singular values at or
+# below VIF_RCOND times the largest are treated as zero; a column with
+# more than VIF_SPAN_TOL of its unit weight outside the kept
+# right-singular vectors, or a VIF at or above VIF_MAX, reads inf.
+VIF_RCOND = 1e-10
+VIF_SPAN_TOL = 1e-8
+VIF_MAX = 1e12
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesTable:
@@ -133,9 +141,7 @@ def difference(table: TimeSeriesTable, mode: str = "absolute") -> TimeSeriesTabl
 class StandardizedMatrix:
     """Columns scaled to zero mean and unit sample variance (ddof=1).
 
-    Keeps the means and standard deviations used, so new observations
-    can be placed on the training scale and predictions can be mapped
-    back.
+    Keeps the means and standard deviations used.
     """
 
     names: tuple[str, ...]
@@ -159,14 +165,6 @@ class StandardizedMatrix:
             means=self.means[idx].copy(),
             sds=self.sds[idx].copy(),
         )
-
-    def rescale_row(self, row: dict[str, float]) -> np.ndarray:
-        """Standardize one observation given as a name-to-value mapping."""
-        missing = tuple(n for n in self.names if n not in row)
-        if missing:
-            raise NameMismatchError(missing=missing, extra=())
-        raw = np.array([float(row[n]) for n in self.names])
-        return (raw - self.means) / self.sds
 
 
 def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
@@ -299,30 +297,30 @@ def scatter_pairs(table: TimeSeriesTable) -> tuple[ScatterPair, ...]:
 def vif(z: StandardizedMatrix) -> dict[str, float]:
     """Variance inflation factor of every column against the others.
 
-    Each column is regressed on all remaining columns (no intercept is
-    needed on standardized data) and VIF_j = 1 / (1 - R_j^2).  A column
-    reproduced exactly by the others (R_j^2 within 1e-12 of 1) gets
-    ``math.inf`` rather than an arbitrary huge float, so perfectly
-    collinear blocks are unmistakable in the output.  Minimum-norm least
-    squares is used here deliberately: diagnosing collinear data must
-    not itself fall over on collinear data.  With no more observations
-    than variables the others reproduce every column exactly, so every
-    VIF is ``math.inf``.
+    VIF_j = 1 / (1 - R_j^2), where R_j^2 comes from regressing column j
+    on all the others; for standardized columns that is the j-th
+    diagonal entry of R^-1.  Neither R nor its inverse is formed: with
+    the thin SVD Z = U S V^T of the standardized data, R = V S^2 V^T /
+    (n - 1), so VIF_j = (n - 1) * sum_i V_ji^2 / s_i^2 over the kept
+    singular values (s_i > ``VIF_RCOND`` * s_1).  Working on Z rather
+    than R keeps the condition number from being squared.
+
+    VIF_j is ``math.inf`` when column j keeps more than ``VIF_SPAN_TOL``
+    of its unit weight outside the kept right-singular vectors (it lies
+    in the span of the others; with no more observations than
+    variables this holds for every column), or when the value reaches
+    ``VIF_MAX`` (R_j^2 within 1e-12 of 1), so perfectly collinear blocks
+    are unmistakable in the output.  Finite values are floored at 1.
     """
     n, p = z.values.shape
     if p < 2:
         raise InsufficientDataError(2, p, "vif")
-    out: dict[str, float] = {}
-    for j, name in enumerate(z.names):
-        target = z.values[:, j]
-        others = np.delete(z.values, j, axis=1)
-        beta, *_ = np.linalg.lstsq(others, target, rcond=None)
-        resid = target - others @ beta
-        ss_res = float(resid @ resid)
-        ss_tot = float(target @ target)
-        r2 = 1.0 - ss_res / ss_tot
-        if r2 >= 1.0 - 1e-12:
-            out[name] = math.inf
-        else:
-            out[name] = max(1.0 / (1.0 - r2), 1.0)
-    return out
+    _, s, vt = np.linalg.svd(z.values, full_matrices=False)
+    kept = s > VIF_RCOND * s[0]
+    v = vt[kept]
+    weight = (v * v).sum(axis=0)
+    inflation = (n - 1) * ((v / s[kept, None]) ** 2).sum(axis=0)
+    return {
+        name: math.inf if 1.0 - w > VIF_SPAN_TOL or f >= VIF_MAX else max(f, 1.0)
+        for name, w, f in zip(z.names, weight.tolist(), inflation.tolist())
+    }

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, NonFiniteError, ShapeMismatchError
 from .linalg import as_checked_array, solve_least_squares
-from .pca import ScoreWeights
-from .preprocess import StandardizedMatrix
 
 # A centered response sum of squares at or below this fraction of the
 # raw sum of squares is rounding residue: the response is treated as
@@ -117,7 +115,6 @@ class PricePath:
 
     base: float
     years: np.ndarray
-    increments: np.ndarray
     levels: np.ndarray
 
 
@@ -141,24 +138,5 @@ def reconstruct_prices(base: float, increments, years=None) -> PricePath:
     else:
         years = np.asarray(years, dtype=np.int64)
     levels = np.cumsum(np.concatenate(([base_value], inc)))[1:]
-    return PricePath(base=base_value, years=years, increments=inc.copy(), levels=levels)
+    return PricePath(base=base_value, years=years, levels=levels)
 
-
-def predict_increment(
-    fit: OlsFit,
-    weights: ScoreWeights,
-    scaler: StandardizedMatrix,
-    row: dict[str, float],
-) -> float:
-    """Predict one response increment from raw predictor increments.
-
-    ``row`` maps predictor names to raw (unstandardized) increment
-    values.  The row is standardized with the training means and
-    standard deviations carried by ``scaler``, projected onto the
-    component scores, and pushed through the PCR coefficients.  At the
-    training mean row the prediction is exactly the intercept.
-    """
-    aligned = scaler.select(weights.names)
-    z_row = aligned.rescale_row(row)
-    scores = z_row @ weights.weights
-    return float(fit.intercept + scores @ fit.coefficients)

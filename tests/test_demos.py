@@ -1,0 +1,38 @@
+"""The demos run, and the README's library example imports what it names.
+
+Both read only the package's public surface, so they fail when a name
+the documentation relies on stops being exported from ``pcrkit``.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pcrkit
+
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_names_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"from pcrkit import \((.*?)\)", library, re.S).group(1)
+    names = [name.strip() for name in block.split(",") if name.strip()]
+    assert names
+    for name in names:
+        assert name in pcrkit.__all__ and hasattr(pcrkit, name), name

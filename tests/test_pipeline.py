@@ -127,6 +127,19 @@ class TestLoadTable:
         p.write_text("year,IY\n2000,1\n2001,2\n2002,4\n\n")
         assert load_table(p).n_years == 3
 
+    def test_byte_order_mark_gives_the_same_report(self, tmp_path):
+        # Spreadsheet exports start with a UTF-8 BOM; only the report's
+        # source line, which names the file, may differ.
+        golden = Path(__file__).parent / "golden" / "panel9.csv"
+        marked = tmp_path / "panel9.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+        for render in (render_report_text, render_report_delim):
+            plain = render(run_pipeline(RunConfig(input_path=golden))).split("\n")
+            bom = render(run_pipeline(RunConfig(input_path=marked))).split("\n")
+            differing = [a for a, b in zip(plain, bom) if a != b]
+            assert len(plain) == len(bom)
+            assert len(differing) == 1 and "source" in differing[0]
+
 
 class TestRunConfig:
     def test_requires_exactly_one_source(self):
@@ -539,6 +552,25 @@ class TestCli:
         code = cli.main(["--input", str(tmp_path / "absent.csv")])
         assert code == 2
         assert "[input]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"year,IY,A\n2000,1,\xff\n",
+            b"year,IY,A\n2000,1," + b"7" * 140_000 + b"\n",
+            b"year,IY,A\n" + b"".join(
+                b"%d,%d,%d\n" % (10**19 + i, i * i, i % 3) for i in range(4)
+            ),
+        ],
+        ids=["not_utf8", "field_over_csv_limit", "year_over_int64"],
+    )
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys, content):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(content)
+        assert cli.main(["--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [input] ")
+        assert "Traceback" not in err
 
     def test_preprocess_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "two.csv"

@@ -3,19 +3,13 @@ import pytest
 
 from pcrkit.errors import (
     InsufficientDataError,
-    NameMismatchError,
     NonFiniteError,
     RankDeficiencyError,
     ShapeMismatchError,
 )
 from pcrkit.pca import component_scores, extract, rotate_varimax, score_weights
 from pcrkit.preprocess import correlation_matrix, difference, standardize
-from pcrkit.regression import (
-    fit_ols,
-    fit_pcr,
-    predict_increment,
-    reconstruct_prices,
-)
+from pcrkit.regression import fit_ols, fit_pcr, reconstruct_prices
 from test_preprocess import make_table
 
 
@@ -173,24 +167,3 @@ class TestReconstructPrices:
         with pytest.raises(ShapeMismatchError):
             reconstruct_prices(0.0, np.ones((2, 2)))
 
-
-class TestPredictIncrement:
-    def test_training_mean_row_gives_intercept(self):
-        table, z, w, _, fit = fitted_pipeline(7)
-        scaler = z.select(w.names)
-        row = {name: float(m) for name, m in zip(scaler.names, scaler.means)}
-        assert predict_increment(fit, w, z, row) == pytest.approx(
-            fit.intercept, abs=1e-12
-        )
-
-    def test_training_rows_reproduce_fitted(self):
-        table, z, w, _, fit = fitted_pipeline(8, n=20, p=3)
-        for i in range(table.n_years):
-            row = {name: float(table.column(name)[i]) for name in w.names}
-            predicted = predict_increment(fit, w, z, row)
-            assert predicted == pytest.approx(float(fit.fitted[i]), abs=1e-10)
-
-    def test_missing_variable_rejected(self):
-        _, z, w, _, fit = fitted_pipeline(9)
-        with pytest.raises(NameMismatchError):
-            predict_increment(fit, w, z, {"X1": 1.0})
