@@ -10,8 +10,8 @@ increments onto the first observed level rebuilds the full price path.
 A bundled, repaired correlation fixture allows matrix-only runs where
 no raw observations are available.
 
-The names below are the library surface the README and the demos use;
-everything else is importable from its own module.
+The names below are the library surface the README, the demos and the
+CLI use; everything else is importable from its own module.
 """
 
 from .errors import STAGE_EXIT_CODES, PcrError, RankDeficiencyError, StageError

@@ -36,10 +36,7 @@ PSD_TOL = 1e-8
 
 DIFFERENCE_MODES = ("absolute", "percent", "off")
 
-# VIF from the thin SVD of the standardized data: singular values at or
-# below VIF_RCOND times the largest are treated as zero; a column with
-# more than VIF_SPAN_TOL of its unit weight outside the kept
-# right-singular vectors, or a VIF at or above VIF_MAX, reads inf.
+# Cutoffs of the SVD form of ``vif``; its docstring says how each is used.
 VIF_RCOND = 1e-10
 VIF_SPAN_TOL = 1e-8
 VIF_MAX = 1e12
