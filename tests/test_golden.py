@@ -5,9 +5,11 @@ only rearranges code must leave the reports byte-identical; a change to
 the floating-point path must stay within the token-wise tolerance of
 :mod:`golden_compare`.  Scatter-pair files carry input values only, so
 they must match byte for byte, and so must the reports written by the
-current floating-point path (``EXACT_CASES``).
+current floating-point path (``EXACT_CASES``).  The files written for
+``panel30.csv`` are pinned by their sha256 digests (``panel30.sha256``).
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,22 @@ def test_scatter_pairs_match_golden_exactly(golden, format, tmp_path, monkeypatc
     assert written.name == "scatter_pairs" + Path(golden).suffix
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert report_differences(written.read_text(encoding="utf-8"), expected, exact=True) == []
+
+
+# ``sha256sum`` lines: the digest, two spaces, the file name under ``--out``.
+PANEL30_DIGESTS = dict(
+    line.split()[::-1]
+    for line in (GOLDEN / "panel30.sha256").read_text(encoding="utf-8").splitlines()
+)
+
+
+@pytest.mark.parametrize("name", sorted(PANEL30_DIGESTS))
+def test_panel30_files_match_digests(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    format = "text" if name.endswith(".txt") else "delim"
+    assert main(["--input", "panel30.csv", "--out", str(tmp_path), "--format", format]) == 0
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == PANEL30_DIGESTS[name]
 
 
 class TestComparator:
