@@ -18,7 +18,7 @@ computed correlation matrix satisfies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ def nearest_valid_correlation(values, floor: float = REPAIR_FLOOR) -> np.ndarray
     return rebuilt
 
 
-@dataclass(frozen=True, eq=False)
-class FixtureData:
+class FixtureData(NamedTuple):
     """A bundled correlation table plus its repaired, validated matrix."""
 
     name: str

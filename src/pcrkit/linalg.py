@@ -13,7 +13,7 @@ offending column instead of a silently garbage coefficient vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def check_symmetric(a, tol: float = SYMMETRY_TOL, where: str = "matrix") -> np.n
     return out.copy()
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Eigenvalues in descending order with column-aligned eigenvectors.
 
     ``eigenvectors[:, j]`` belongs to ``eigenvalues[j]``.  Each vector is

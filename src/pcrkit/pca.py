@@ -10,7 +10,7 @@ sum to the eigenvalue down a column and to the communality across a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ VARIMAX_MAX_SWEEPS = 100
 SCORE_EIGENVALUE_MIN = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class PcaSolution:
+class PcaSolution(NamedTuple):
     """Extraction (and optionally rotation) of principal components.
 
     ``eigenvalues`` holds the full spectrum in descending order even
@@ -155,8 +154,7 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     a = solution.loadings
     p, k = a.shape
     if k == 1:
-        return replace(
-            solution,
+        return solution._replace(
             rotated_loadings=a.copy(),
             rotation=np.eye(1),
             rotated_proportion=solution.proportion.copy(),
@@ -213,8 +211,7 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
             rotated[:, j] = -col
             t[:, j] = -t[:, j]
     proportion = (rotated**2).sum(axis=0) / p
-    return replace(
-        solution,
+    return solution._replace(
         rotated_loadings=rotated,
         rotation=t,
         rotated_proportion=proportion,
@@ -223,8 +220,7 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreWeights:
+class ScoreWeights(NamedTuple):
     """Regression-method weights mapping standardized data to scores.
 
     ``weights`` is p x k: component scores are ``Z @ weights``.  The

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,7 +117,7 @@ class Report:
     pcr: OlsFit | None = None
     prices: PricePath | None = None
     price_note: str | None = None
-    scatter: tuple[ScatterPair, ...] = field(default=())
+    scatter: tuple[ScatterPair, ...] = ()
     failure: tuple[str, str] | None = None
 
 
@@ -249,6 +251,11 @@ def run_pipeline(config: RunConfig) -> Report:
             correlation = fixture.matrix
         else:
             table = load_table(config.input_path, response=config.response)
+            if not table.predictor_names:
+                raise TableFormatError(
+                    f"{config.input_path} has no predictor columns besides the "
+                    f"response {config.response!r}"
+                )
             report.mode = "table"
             report.source = f"file {config.input_path}"
             report.names = table.names
@@ -320,8 +327,7 @@ def run_pipeline(config: RunConfig) -> Report:
 # rendering
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """A labelled grid of floats.
 
     Text prints a ``corner column...`` header and one ``label value...``
@@ -340,8 +346,7 @@ class _Table:
         return zip(self.labels, ([repr(v) for v in row] for row in cells), strict=True)
 
 
-@dataclass(frozen=True)
-class _Line:
+class _Line(NamedTuple):
     """One text line and one ``key,field,value`` CSV row for the same fact.
 
     Either is ``None`` where only one layout carries the fact.
@@ -512,43 +517,16 @@ def render_report_delim(report: Report) -> str:
     for _, section, items in _sections(report):
         for item in items:
             if isinstance(item, _Table):
-                writer.writerows(
-                    (section, label, column, cell)
-                    for label, cells in item.rows()
-                    for column, cell in zip(item.columns, cells)
-                )
+                # Values are float reprs, which never need quoting, so each
+                # label and column is quoted once and each row is one join.
+                columns = [f"{_csv_field(column)}," for column in item.columns]
+                for label, cells in item.rows():
+                    lead = f"{section},{_csv_field(label)},"
+                    rows = f"\n{lead}".join(map(operator.add, columns, cells))
+                    buffer.write(f"{lead}{rows}\n")
             elif item.row is not None:
                 writer.writerow((section, *item.row))
     return buffer.getvalue()
-
-
-def _scatter_rows(report: Report):
-    """Yield each scatter pair with its ``(year, x, y)`` rows as strings.
-
-    Every distinct array is formatted once per render, so the p+1
-    columns that all pairs share cost O(p*n) formatting, not O(p^2*n).
-    The cache is keyed on the array object, never on the name, so a
-    hand-built report whose pairs carry separate arrays still renders
-    each pair's own values.
-    """
-    formatted: dict[int, list[str]] = {}
-
-    def cells(values: np.ndarray) -> list[str]:
-        key = id(values)  # the report keeps every array alive while rendering
-        if key not in formatted:
-            formatted[key] = [
-                repr(v) for v in np.asarray(values, dtype=np.float64).tolist()
-            ]
-        return formatted[key]
-
-    n = max((pair.x.shape[0] for pair in report.scatter), default=0)
-    if report.years is None:
-        years = [str(i) for i in range(1, n + 1)]
-    else:
-        years = [str(int(y)) for y in report.years[:n]]
-    for pair in report.scatter:
-        xs = cells(pair.x)
-        yield pair, zip(years[: len(xs)], xs, cells(pair.y), strict=True)
 
 
 def _csv_field(text: str) -> str:
@@ -558,23 +536,63 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[: -len(",\n")]
 
 
+def _scatter_rows(report: Report, x_cell: str, y_cell: str):
+    """Yield each scatter pair with its rows, each ``x_cell + y_cell``.
+
+    ``x_cell`` is a format for a year and an x value, ``y_cell`` one for
+    a y value.  Every distinct array is formatted once per role and per
+    render, so the p+1 columns that all pairs share cost O(p*n)
+    formatting, not O(p^2*n).  The cache is keyed on the array object,
+    never on the name, so a hand-built report whose pairs carry separate
+    arrays still renders each pair's own values.
+    """
+    formatted: dict[tuple[str, int], list[str]] = {}
+
+    def cells(fmt: str, values: np.ndarray, *columns) -> list[str]:
+        key = (fmt, id(values))  # the report keeps every array alive while rendering
+        if key not in formatted:
+            formatted[key] = list(map(fmt.format, *columns, _reprs(values)))
+        return formatted[key]
+
+    n = max((pair.x.shape[0] for pair in report.scatter), default=0)
+    if report.years is None:
+        years = [str(i) for i in range(1, n + 1)]
+    else:
+        years = [str(int(y)) for y in report.years[:n]]
+    for pair in report.scatter:
+        yield pair, map(operator.add, cells(x_cell, pair.x, years), cells(y_cell, pair.y))
+
+
+def _scatter_parts(report: Report, format: str) -> Iterator[str]:
+    """The scatter file of ``report`` in ``format``, one piece per pair."""
+    if format == "text":
+        yield "scatter pairs\n============="
+        for pair, rows in _scatter_rows(report, "\n{} {} ", "{}"):
+            yield "".join((f"\n\npair {pair.x_name} {pair.y_name}\nyear x y", *rows))
+        yield "\n"
+    else:
+        names = {name for pair in report.scatter for name in (pair.x_name, pair.y_name)}
+        quoted = {name: _csv_field(name) for name in names}
+        yield "x_name,y_name,year,x,y\n"
+        for pair, rows in _scatter_rows(report, "{},{},", "{}\n"):
+            yield f"{quoted[pair.x_name]},{quoted[pair.y_name]},".join(("", *rows))
+
+
 def render_scatter_text(report: Report) -> str:
-    parts = ["scatter pairs\n============="]
-    for pair, rows in _scatter_rows(report):
-        parts.append(f"\n\npair {pair.x_name} {pair.y_name}\nyear x y")
-        parts.append("".join(f"\n{year} {x} {y}" for year, x, y in rows))
-    parts.append("\n")
-    return "".join(parts)
+    return "".join(_scatter_parts(report, "text"))
 
 
 def render_scatter_delim(report: Report) -> str:
-    names = {name for pair in report.scatter for name in (pair.x_name, pair.y_name)}
-    quoted = {name: _csv_field(name) for name in names}
-    parts = ["x_name,y_name,year,x,y\n"]
-    for pair, rows in _scatter_rows(report):
-        prefix = f"{quoted[pair.x_name]},{quoted[pair.y_name]},"
-        parts.append("".join(f"{prefix}{year},{x},{y}\n" for year, x, y in rows))
-    return "".join(parts)
+    return "".join(_scatter_parts(report, "delim"))
+
+
+def _write(path: Path, parts: Iterable[str]) -> Path:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            file.writelines(parts)
+    except OSError as err:
+        raise OutputError(str(path), str(err)) from err
+    return path
 
 
 def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ...]:
@@ -582,8 +600,10 @@ def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ..
 
     ``text`` produces ``report.txt`` / ``scatter_pairs.txt``; ``delim``
     produces ``report.csv`` / ``scatter_pairs.csv``.  Matrix-only runs
-    have no observations, so no scatter file is written.  Returns the
-    paths written; any filesystem problem raises :class:`OutputError`.
+    have no observations, so no scatter file is written.  The scatter
+    file is written pair by pair and never held whole in memory.
+    Returns the paths written; any filesystem problem raises
+    :class:`OutputError`.
     """
     if format not in REPORT_FORMATS:
         raise ConfigError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
@@ -593,26 +613,11 @@ def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ..
     except OSError as err:
         raise OutputError(str(out), str(err)) from err
     suffix = "txt" if format == "text" else "csv"
-    written: list[Path] = []
-    report_path = out / f"report.{suffix}"
     content = (
         render_report_text(report) if format == "text" else render_report_delim(report)
     )
-    try:
-        report_path.write_text(content, encoding="utf-8", newline="")
-    except OSError as err:
-        raise OutputError(str(report_path), str(err)) from err
-    written.append(report_path)
+    written = [_write(out / f"report.{suffix}", (content,))]
     if report.scatter:
         scatter_path = out / f"scatter_pairs.{suffix}"
-        scatter_content = (
-            render_scatter_text(report)
-            if format == "text"
-            else render_scatter_delim(report)
-        )
-        try:
-            scatter_path.write_text(scatter_content, encoding="utf-8", newline="")
-        except OSError as err:
-            raise OutputError(str(scatter_path), str(err)) from err
-        written.append(scatter_path)
+        written.append(_write(scatter_path, _scatter_parts(report, format)))
     return tuple(written)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,17 +135,11 @@ def difference(table: TimeSeriesTable, mode: str = "absolute") -> TimeSeriesTabl
     )
 
 
-@dataclass(frozen=True, eq=False)
-class StandardizedMatrix:
-    """Columns scaled to zero mean and unit sample variance (ddof=1).
-
-    Keeps the means and standard deviations used.
-    """
+class StandardizedMatrix(NamedTuple):
+    """Columns scaled to zero mean and unit sample variance (ddof=1)."""
 
     names: tuple[str, ...]
     values: np.ndarray
-    means: np.ndarray
-    sds: np.ndarray
 
     @property
     def n_obs(self) -> int:
@@ -156,12 +151,7 @@ class StandardizedMatrix:
         if missing:
             raise NameMismatchError(missing=missing, extra=())
         idx = [self.names.index(n) for n in names]
-        return StandardizedMatrix(
-            names=tuple(names),
-            values=self.values[:, idx].copy(),
-            means=self.means[idx].copy(),
-            sds=self.sds[idx].copy(),
-        )
+        return StandardizedMatrix(names=tuple(names), values=self.values[:, idx].copy())
 
 
 def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
@@ -178,12 +168,7 @@ def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
     for j, sd in enumerate(sds):
         if sd == 0.0:
             raise ZeroVarianceError(table.names[j])
-    return StandardizedMatrix(
-        names=table.names,
-        values=(values - means) / sds,
-        means=means,
-        sds=sds,
-    )
+    return StandardizedMatrix(names=table.names, values=(values - means) / sds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +244,7 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(names=z.names, values=r)
 
 
-@dataclass(frozen=True, eq=False)
-class ScatterPair:
+class ScatterPair(NamedTuple):
     """One unordered variable pair with aligned observation vectors."""
 
     x_name: str
@@ -286,7 +270,7 @@ def scatter_pairs(table: TimeSeriesTable) -> tuple[ScatterPair, ...]:
         column.flags.writeable = False
         columns[name] = column
     return tuple(
-        ScatterPair(x_name=a, y_name=b, x=columns[a], y=columns[b])
+        ScatterPair(a, b, columns[a], columns[b])
         for a, b in itertools.combinations(columns, 2)
     )
 
@@ -307,11 +291,12 @@ def vif(z: StandardizedMatrix) -> dict[str, float]:
     in the span of the others; with no more observations than
     variables this holds for every column), or when the value reaches
     ``VIF_MAX`` (R_j^2 within 1e-12 of 1), so perfectly collinear blocks
-    are unmistakable in the output.  Finite values are floored at 1.
+    are unmistakable in the output.  Finite values are floored at 1.  A
+    lone column has no others to explain it, so its VIF is exactly 1.
     """
     n, p = z.values.shape
-    if p < 2:
-        raise InsufficientDataError(2, p, "vif")
+    if p == 1:
+        return {z.names[0]: 1.0}
     _, s, vt = np.linalg.svd(z.values, full_matrices=False)
     kept = s > VIF_RCOND * s[0]
     v = vt[kept]

@@ -10,7 +10,7 @@ coefficients on strongly collinear data; the PCR fit is the product.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .linalg import as_checked_array, solve_least_squares
 ZERO_VARIANCE_TOL = 1e-30
 
 
-@dataclass(frozen=True, eq=False)
-class OlsFit:
+class OlsFit(NamedTuple):
     """An ordinary least-squares fit with an intercept.
 
     ``coefficients[j]`` belongs to ``predictor_names[j]``; the intercept
@@ -109,8 +108,7 @@ def fit_pcr(scores, response, component_names: tuple[str, ...]) -> OlsFit:
     return fit_ols(scores, response, names=component_names)
 
 
-@dataclass(frozen=True, eq=False)
-class PricePath:
+class PricePath(NamedTuple):
     """A reconstructed level series: base level plus summed increments."""
 
     base: float

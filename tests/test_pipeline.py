@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pcrkit
-from pcrkit import cli, linalg
+from pcrkit import cli, linalg, pipeline
 from pcrkit.errors import ConfigError, StageError, TableFormatError
 from pcrkit.fixtures import INDICATOR_NAMES
 from pcrkit.pipeline import (
@@ -443,6 +443,102 @@ class TestEmitAndDeterminism:
         )
 
 
+def reference_report_delim(report):
+    """The per-cell CSV report writer: one ``csv.writer`` row per table cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("section", "key", "field", "value"))
+    for _, section, items in pipeline._sections(report):
+        for item in items:
+            if isinstance(item, pipeline._Table):
+                writer.writerows(
+                    (section, label, column, cell)
+                    for label, cells in item.rows()
+                    for column, cell in zip(item.columns, cells, strict=True)
+                )
+            elif item.row is not None:
+                writer.writerow((section, *item.row))
+    return buffer.getvalue()
+
+
+def reference_scatter(report, format):
+    """The per-row scatter writer: every value formatted on its own, one
+    f-string per row, names quoted as ``csv.writer`` quotes them."""
+
+    def quote(name):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((name, ""))
+        return buffer.getvalue()[: -len(",\n")]
+
+    n = max((len(pair.x) for pair in report.scatter), default=0)
+    years = range(1, n + 1) if report.years is None else [int(y) for y in report.years]
+    if format == "text":
+        parts = ["scatter pairs\n============="]
+    else:
+        parts = ["x_name,y_name,year,x,y\n"]
+    for pair in report.scatter:
+        rows = zip(years[: len(pair.x)], pair.x.tolist(), pair.y.tolist(), strict=True)
+        if format == "text":
+            parts.append(f"\n\npair {pair.x_name} {pair.y_name}\nyear x y")
+            parts += (f"\n{year} {x!r} {y!r}" for year, x, y in rows)
+        else:
+            names = f"{quote(pair.x_name)},{quote(pair.y_name)}"
+            parts += (f"{names},{year},{x!r},{y!r}\n" for year, x, y in rows)
+    if format == "text":
+        parts.append("\n")
+    return "".join(parts)
+
+
+def golden_panel9_report(tmp_path):
+    # Its predictor ``X05,"adj"`` needs CSV quoting.
+    return run_pipeline(RunConfig(input_path=Path(__file__).parent / "golden" / "panel9.csv"))
+
+
+def odd_names_report(tmp_path):
+    # Names with a percent sign, spaces, braces and non-ASCII letters.
+    rng = np.random.default_rng(31)
+    table = TimeSeriesTable(
+        years=np.arange(1990, 2002),
+        names=("IY", "growth %", "Zürich index", "Δ {0}", "B"),
+        values=100.0 + np.cumsum(rng.standard_normal((12, 5)), axis=0),
+    )
+    return run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "odd.csv")))
+
+
+def separate_arrays_report(tmp_path):
+    # Two pairs with the same names but their own arrays.
+    return Report(
+        years=np.array([2001, 2002]),
+        scatter=(
+            ScatterPair("A", "B", np.array([1.0, 2.0]), np.array([3.0, 4.0])),
+            ScatterPair("A", "B", np.array([5.0, 6.0]), np.array([7.0, 8.0])),
+        ),
+    )
+
+
+class TestWritersMatchReference:
+    """The joined and streamed writers against the per-cell and per-row ones."""
+
+    REPORTS = [golden_panel9_report, odd_names_report, separate_arrays_report]
+
+    @pytest.mark.parametrize("build", REPORTS, ids=lambda build: build.__name__)
+    def test_report_delim(self, build, tmp_path):
+        report = build(tmp_path)
+        assert render_report_delim(report) == reference_report_delim(report)
+
+    @pytest.mark.parametrize("build", REPORTS, ids=lambda build: build.__name__)
+    @pytest.mark.parametrize(
+        "format, render", [("text", render_scatter_text), ("delim", render_scatter_delim)]
+    )
+    def test_scatter(self, build, format, render, tmp_path):
+        report = build(tmp_path)
+        rendered = render(report)
+        assert rendered == reference_scatter(report, format)
+        written = emit_report(report, tmp_path / "out", format=format)[-1]
+        assert written.name.startswith("scatter_pairs.")
+        assert written.read_bytes() == rendered.encode("utf-8")
+
+
 class TestUnits:
     def test_tiny_levels_keep_pcr_r_squared(self, tmp_path, recwarn):
         # A relative zero-variance guard: levels in units of 1e-150 are
@@ -647,6 +743,48 @@ class TestCli:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+    def test_import_builds_dataclasses_only_for_staged_records(self):
+        # Every other record is a named tuple, which costs less to define
+        # at import time than a dataclass.
+        probe = (
+            "import dataclasses, sys, pcrkit.cli; print(sorted({"
+            "o.__qualname__ for m in list(sys.modules.values()) for o in vars(m).values()"
+            " if isinstance(o, type) and o.__module__.startswith('pcrkit')"
+            " and dataclasses.is_dataclass(o)}))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pcrkit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        staged = ["CorrelationMatrix", "Report", "RunConfig", "TimeSeriesTable"]
+        assert done.stdout.strip() == repr(staged)
+
+    @pytest.mark.parametrize(
+        "components, code", [("1", 0), ("auto", 4)], ids=["fixed", "auto"]
+    )
+    def test_one_predictor(self, tmp_path, capsys, components, code):
+        # The lone predictor's VIF is 1; its only eigenvalue is exactly 1,
+        # so automatic retention stops at the pca stage and says so.
+        p = tmp_path / "one.csv"
+        p.write_text("year,IY,A\n2000,1,5\n2001,4,9\n2002,2,4\n2003,5,8\n2004,3,1\n2005,8,2\n")
+        out = tmp_path / "out"
+        assert cli.main(["--input", str(p), "--components", components, "--out", str(out)]) == code
+        text = (out / "report.txt").read_text()
+        assert "[vif]\nA 1.0\n" in text
+        err = capsys.readouterr().err
+        if code == 0:
+            assert "[pcr]" in text and err == ""
+        else:
+            assert err.startswith("error: [pca] ") and "eigenvalue 1.0" in err
+
+    def test_response_only_table_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "alone.csv"
+        p.write_text("year,IY\n2000,1\n2001,4\n2002,2\n2003,5\n")
+        assert cli.main(["--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [input] ")
+        assert "no predictor columns besides the response 'IY'" in err
 
     def test_rotation_none_flag(self, capsys):
         assert cli.main(["--fixture", "fig3", "--rotation", "none"]) == 0

@@ -172,13 +172,15 @@ class TestStandardize:
     def test_hand_values(self):
         z = standardize(make_table([[1.0], [2.0], [3.0]]))
         assert np.array_equal(z.values[:, 0], np.array([-1.0, 0.0, 1.0]))
-        assert z.means[0] == 2.0
-        assert z.sds[0] == 1.0
+        # By hand: mean 2, sample sd 1.
+        assert np.array_equal(z.values[:, 0], (np.array([1.0, 2.0, 3.0]) - 2.0) / 1.0)
 
     def test_sample_sd_uses_ddof_1(self):
         t = make_table([[1.0], [2.0], [3.0], [4.0]])
         z = standardize(t)
-        assert z.sds[0] == pytest.approx(np.sqrt(5.0 / 3.0), rel=1e-14)
+        # By hand: mean 2.5, squared deviations sum to 5, sample sd sqrt(5/3).
+        oracle = (np.array([1.0, 2.0, 3.0, 4.0]) - 2.5) / np.sqrt(5.0 / 3.0)
+        assert z.values[:, 0] == pytest.approx(oracle, rel=1e-14)
 
     def test_zero_variance_named(self):
         t = make_table([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], names=("A", "B"))
@@ -211,7 +213,9 @@ class TestStandardize:
         sub = z.select(("C", "A"))
         assert sub.names == ("C", "A")
         assert np.array_equal(sub.values[:, 1], z.values[:, 0])
-        assert sub.means[1] == z.means[0]
+        # By hand for C = (5, 6, 9): mean 20/3, sample sd sqrt(13/3).
+        oracle = (np.array([5.0, 6.0, 9.0]) - 20.0 / 3.0) / np.sqrt(13.0 / 3.0)
+        assert sub.values[:, 0] == pytest.approx(oracle, rel=1e-14)
         with pytest.raises(NameMismatchError):
             z.select(("A", "Z"))
 
@@ -333,6 +337,11 @@ class TestVif:
         out = vif(standardize(t))
         assert out["x"] == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert out["y"] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+    def test_single_column_is_one(self):
+        # No other column to regress on: R^2 = 0, so VIF = 1 exactly.
+        out = vif(standardize(make_table([[1.0], [4.0], [2.0], [5.0], [3.0]])))
+        assert list(out.values()) == [1.0]
 
     def test_equicorrelated_oracle(self):
         # Sample correlation colored to exactly 0.9 everywhere; for
