@@ -65,6 +65,18 @@ EXACT_CASES = [
         (f"panel9_short_report.{ext}", ["--input", "panel9_short.csv"], 0)
         for ext in ("txt", "csv")
     ),
+    *(
+        (f"panel9_input_failure.{ext}", ["--input", "panel9.csv", "--response", "NOPE"], 2)
+        for ext in ("txt", "csv")
+    ),
+    *(
+        (f"two_years_failure.{ext}", ["--input", "two_years.csv"], 3)
+        for ext in ("txt", "csv")
+    ),
+    *(
+        (f"panel9_short_failure.{ext}", ["--input", "panel9_short.csv", "--components", "9"], 5)
+        for ext in ("txt", "csv")
+    ),
 ]
 
 
