@@ -18,7 +18,7 @@ from .pipeline import (
     ROTATION_MODES,
     RunConfig,
     emit_report,
-    render_report_text,
+    render_report,
     run_pipeline,
 )
 from .preprocess import DIFFERENCE_MODES
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=REPORT_FORMATS,
         default="text",
-        help="report file format (default: text)",
+        help="report layout, in files and on stdout (default: text)",
     )
     return parser
 
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
         return err.exit_code
 
     if args.out is None:
-        print(render_report_text(report), end="")
+        print(render_report(report, args.format), end="")
         return 0
     try:
         paths = emit_report(report, args.out, args.format)

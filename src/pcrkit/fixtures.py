@@ -56,11 +56,11 @@ def published_correlations() -> np.ndarray:
     return out
 
 
-def nearest_valid_correlation(values, floor: float = REPAIR_FLOOR) -> np.ndarray:
+def nearest_valid_correlation(values) -> np.ndarray:
     """Project a slightly indefinite correlation matrix to a valid one.
 
-    Eigenvalues below ``floor`` times the largest eigenvalue are raised
-    to that floor, the matrix is rebuilt, and the diagonal is
+    Eigenvalues below ``REPAIR_FLOOR`` times the largest eigenvalue are
+    raised to that floor, the matrix is rebuilt, and the diagonal is
     renormalized back to exactly 1.  The congruence renormalization
     preserves definiteness, so the result is strictly positive definite
     with unit diagonal.  For matrices that are only indefinite through
@@ -69,7 +69,7 @@ def nearest_valid_correlation(values, floor: float = REPAIR_FLOOR) -> np.ndarray
     """
     sym = check_symmetric(values, where="correlation fixture")
     eig = eigen_symmetric(sym)
-    lifted = np.maximum(eig.eigenvalues, floor * float(eig.eigenvalues.max()))
+    lifted = np.maximum(eig.eigenvalues, REPAIR_FLOOR * float(eig.eigenvalues.max()))
     rebuilt = (eig.eigenvectors * lifted) @ eig.eigenvectors.T
     scale = np.sqrt(np.diagonal(rebuilt))
     rebuilt = rebuilt / np.outer(scale, scale)
@@ -88,20 +88,7 @@ class FixtureData(NamedTuple):
     max_adjustment: float
 
 
-def _build_fig3() -> FixtureData:
-    printed = published_correlations()
-    repaired = nearest_valid_correlation(printed)
-    return FixtureData(
-        name="fig3",
-        printed=printed,
-        matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired),
-        max_adjustment=float(np.abs(repaired - printed).max()),
-    )
-
-
-_BUILDERS = {"fig3": _build_fig3}
-
-FIXTURE_NAMES = tuple(sorted(_BUILDERS))
+FIXTURE_NAMES = ("fig3",)
 
 
 def load_fixture(name: str = "fig3") -> FixtureData:
@@ -111,8 +98,15 @@ def load_fixture(name: str = "fig3") -> FixtureData:
     docstring.  Unknown names raise :class:`TableFormatError` listing
     what is available.
     """
-    if name not in _BUILDERS:
+    if name not in FIXTURE_NAMES:
         raise TableFormatError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
-    return _BUILDERS[name]()
+    printed = published_correlations()
+    repaired = nearest_valid_correlation(printed)
+    return FixtureData(
+        name=name,
+        printed=printed,
+        matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired),
+        max_adjustment=float(np.abs(repaired - printed).max()),
+    )

@@ -42,11 +42,11 @@ def as_checked_array(a, where: str = "matrix") -> np.ndarray:
     return out
 
 
-def check_symmetric(a, tol: float = SYMMETRY_TOL, where: str = "matrix") -> np.ndarray:
+def check_symmetric(a, where: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is a square, finite, symmetric 2-d array.
 
-    Symmetry is relative: |a_ij - a_ji| must not exceed ``tol`` times the
-    largest absolute entry.  Returns a float64 copy.
+    Symmetry is relative: |a_ij - a_ji| must not exceed ``SYMMETRY_TOL``
+    times the largest absolute entry.  Returns a float64 copy.
     """
     out = as_checked_array(a, where)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
@@ -54,7 +54,7 @@ def check_symmetric(a, tol: float = SYMMETRY_TOL, where: str = "matrix") -> np.n
     scale = np.abs(out).max() if out.size else 0.0
     gap = np.abs(out - out.T)
     worst = gap.max() if gap.size else 0.0
-    if worst > tol * max(scale, 1.0):
+    if worst > SYMMETRY_TOL * max(scale, 1.0):
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise AsymmetryError(int(i), int(j), float(gap[i, j]))
     return out.copy()
@@ -88,19 +88,24 @@ def eigen_symmetric(a) -> EigenDecomposition:
         the order ``numpy.linalg.eigh`` returns them in.
     """
     values, vectors = np.linalg.eigh(check_symmetric(a))
-    return _finish_eigen(values, vectors)
+    return EigenDecomposition(*canonical_columns(values, vectors))
 
 
-def _finish_eigen(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0.0:
-            vectors[:, j] = -col
-    return EigenDecomposition(values, vectors)
+def canonical_columns(key: np.ndarray, columns: np.ndarray, *others: np.ndarray):
+    """Order ``columns`` by descending ``key`` and fix each column's sign.
+
+    The sort is stable, so tied keys keep their order.  Each column is
+    then flipped so that its largest-magnitude entry (the lowest index on
+    ties) is non-negative.  The columns of every matrix in ``others`` get
+    the same permutation and signs.  Multiplying by +-1.0 is exact, so
+    no bits change beyond the sign.  Returns the sorted ``key``, the
+    columns and then ``others``.
+    """
+    order = np.argsort(-key, kind="stable")
+    columns = columns[:, order]
+    pivots = np.abs(columns).argmax(axis=0) if columns.size else order
+    signs = np.where(columns[pivots, np.arange(order.size)] < 0.0, -1.0, 1.0)
+    return (key[order], columns * signs, *(m[:, order] * signs for m in others))
 
 
 def solve_least_squares(design, response, names: tuple[str, ...] | None = None) -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComponentCountError, ConvergenceError, NameMismatchError
+from .linalg import canonical_columns
 from .preprocess import CorrelationMatrix, StandardizedMatrix
 
 # Kaiser criterion: keep components whose eigenvalue exceeds this.
@@ -68,13 +69,6 @@ class PcaSolution(NamedTuple):
         prefix = "PC" if self.rotated_loadings is None else "RC"
         return tuple(f"{prefix}{j + 1}" for j in range(self.n_components))
 
-    @property
-    def effective_loadings(self) -> np.ndarray:
-        """Rotated loadings when present, otherwise the unrotated ones."""
-        if self.rotated_loadings is not None:
-            return self.rotated_loadings
-        return self.loadings
-
 
 def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution:
     """Extract principal components from a correlation matrix.
@@ -101,7 +95,7 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         if k == 0:
             raise ComponentCountError(
                 "automatic retention kept no components: largest eigenvalue "
-                f"{float(values[0]) if p else 0.0!r} does not exceed "
+                f"{float(values[0])!r} does not exceed "
                 f"{KAISER_THRESHOLD}"
             )
     else:
@@ -200,16 +194,7 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     rotated = b * h[:, None]
     # Order by explained variance and fix signs; fold both into t so the
     # factorization loadings @ t == rotated stays exact.
-    ss = (rotated**2).sum(axis=0)
-    order = np.argsort(-ss, kind="stable")
-    rotated = rotated[:, order]
-    t = t[:, order]
-    for j in range(k):
-        col = rotated[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0.0:
-            rotated[:, j] = -col
-            t[:, j] = -t[:, j]
+    _, rotated, t = canonical_columns((rotated**2).sum(axis=0), rotated, t)
     proportion = (rotated**2).sum(axis=0) / p
     return solution._replace(
         rotated_loadings=rotated,

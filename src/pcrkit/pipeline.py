@@ -18,7 +18,7 @@ import csv
 import io
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,14 +95,14 @@ class RunConfig:
 
 @dataclass
 class Report:
-    """Accumulated products of a pipeline run, filled stage by stage."""
+    """Accumulated products of a pipeline run, filled stage by stage.
 
+    ``config`` is the configuration the run used; the report echoes it.
+    """
+
+    config: RunConfig = field(default_factory=RunConfig)
     source: str = ""
     mode: str = ""
-    response: str = ""
-    diff_mode: str = ""
-    components_requested: str = ""
-    rotation_mode: str = ""
     names: tuple[str, ...] = ()
     predictor_names: tuple[str, ...] = ()
     years: np.ndarray | None = None
@@ -203,11 +203,6 @@ def write_table(table: TimeSeriesTable, path) -> Path:
     return path
 
 
-def _fail(report: Report, stage: str, err: PcrError):
-    report.failure = (stage, str(err))
-    raise StageError(stage, err, report) from err
-
-
 def run_pipeline(config: RunConfig) -> Report:
     """Execute the full analysis described by ``config``.
 
@@ -224,18 +219,8 @@ def run_pipeline(config: RunConfig) -> Report:
     attribute carries all products of the stages that completed.
     """
     config.validate()
-    report = Report(
-        response=config.response,
-        diff_mode=config.diff,
-        components_requested=str(config.components),
-        rotation_mode=config.rotation,
-    )
-
-    table: TimeSeriesTable | None = None
-    correlation: CorrelationMatrix | None = None
-    diffed: TimeSeriesTable | None = None
-    z = None
-
+    report = Report(config=config)
+    stage = "input"
     try:
         if config.fixture is not None:
             fixture = load_fixture(config.fixture)
@@ -259,67 +244,56 @@ def run_pipeline(config: RunConfig) -> Report:
             report.mode = "table"
             report.source = f"file {config.input_path}"
             report.names = table.names
-    except PcrError as err:
-        _fail(report, "input", err)
+        predictors = tuple(n for n in report.names if n != config.response)
+        report.predictor_names = predictors
 
-    report.predictor_names = tuple(n for n in report.names if n != config.response)
-
-    if report.mode == "table":
-        try:
+        if report.mode == "table":
+            stage = "preprocess"
             diffed = difference(table, config.diff)
             z = standardize(diffed)
             correlation = correlation_matrix(z)
             report.years = diffed.years
-            report.vif = vif(z.select(report.predictor_names))
+            z = z.select(predictors)
+            report.vif = vif(z)
             report.scatter = scatter_pairs(diffed)
-        except PcrError as err:
-            _fail(report, "preprocess", err)
-    report.correlation = correlation
+        report.correlation = correlation
 
-    try:
-        subset = correlation.submatrix(report.predictor_names)
+        stage = "pca"
+        subset = correlation.submatrix(predictors)
         solution = extract(subset, config.components)
         if config.rotation == "varimax":
             solution = rotate_varimax(solution)
         report.solution = solution
-        weights = score_weights(subset, solution)
-        report.weights = weights
-        if report.mode == "table":
-            report.scores = component_scores(
-                z.select(report.predictor_names), weights
+        report.weights = score_weights(subset, solution)
+        if report.mode == "matrix":
+            return report
+        report.scores = component_scores(z, report.weights)
+
+        stage = "regression"
+        response_inc = diffed.column(config.response)
+        predictor_values = np.column_stack([diffed.column(n) for n in predictors])
+        try:
+            report.baseline = fit_ols(
+                predictor_values, response_inc, names=predictors
+            )
+        except PcrError as err:
+            report.baseline_error = str(err)
+        report.pcr = fit_pcr(
+            report.scores, response_inc, report.weights.component_names
+        )
+        if config.diff == "absolute":
+            base = float(table.column(config.response)[0])
+            report.prices = reconstruct_prices(
+                base, report.pcr.fitted, years=diffed.years
+            )
+        else:
+            report.price_note = (
+                f"price path omitted: {config.diff!r} increments are not "
+                "additive differences of levels"
             )
     except PcrError as err:
-        _fail(report, "pca", err)
-
-    if report.mode == "table":
-        try:
-            response_inc = diffed.column(config.response)
-            predictor_values = np.column_stack(
-                [diffed.column(n) for n in report.predictor_names]
-            )
-            try:
-                report.baseline = fit_ols(
-                    predictor_values, response_inc, names=report.predictor_names
-                )
-            except PcrError as err:
-                report.baseline_error = str(err)
-            pcr_fit = fit_pcr(
-                report.scores, response_inc, report.weights.component_names
-            )
-            report.pcr = pcr_fit
-            if config.diff == "absolute":
-                base = float(table.column(config.response)[0])
-                report.prices = reconstruct_prices(
-                    base, pcr_fit.fitted, years=diffed.years
-                )
-            else:
-                report.price_note = (
-                    f"price path omitted: {config.diff!r} increments are not "
-                    "additive differences of levels"
-                )
-        except PcrError as err:
-            _fail(report, "regression", err)
-
+        report.failure = (stage, str(err))
+        raise StageError(stage, err, report) from err
     return report
 
 
@@ -389,13 +363,15 @@ def _sections(report: Report):
     This is the only description of the report; the text and CSV
     renderers lay the same items out in their own way.
     """
+    config = report.config
+    requested = str(config.components)
     run = {
         "source": report.source,
         "mode": report.mode,
-        "response": report.response,
-        "difference": report.diff_mode,
-        "components": report.components_requested,
-        "rotation": report.rotation_mode,
+        "response": config.response,
+        "difference": config.diff,
+        "components": requested,
+        "rotation": config.rotation,
         "scores": "regression",
     }
     yield "run", "run", [_Line(f"{k}: {v}", (k, "", v)) for k, v in run.items()]
@@ -427,7 +403,7 @@ def _sections(report: Report):
 
     solution = report.solution
     if solution is not None:
-        k, requested = solution.n_components, report.components_requested
+        k = solution.n_components
         pc = tuple(f"PC{j + 1}" for j in range(k))
         rc = solution.component_names
         share = ("proportion", "cumulative")
@@ -491,6 +467,15 @@ def _sections(report: Report):
             _Line(f"stage: {stage}", (stage, "", message)),
             _Line(f"error: {message}", None),
         ]
+
+
+def render_report(report: Report, format: str = "text") -> str:
+    """Render the report in ``format``: ``text`` or ``delim`` (CSV)."""
+    if format not in REPORT_FORMATS:
+        raise ConfigError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+    if format == "text":
+        return render_report_text(report)
+    return render_report_delim(report)
 
 
 def render_report_text(report: Report) -> str:
@@ -578,14 +563,6 @@ def _scatter_parts(report: Report, format: str) -> Iterator[str]:
             yield f"{quoted[pair.x_name]},{quoted[pair.y_name]},".join(("", *rows))
 
 
-def render_scatter_text(report: Report) -> str:
-    return "".join(_scatter_parts(report, "text"))
-
-
-def render_scatter_delim(report: Report) -> str:
-    return "".join(_scatter_parts(report, "delim"))
-
-
 def _write(path: Path, parts: Iterable[str]) -> Path:
     try:
         with open(path, "w", encoding="utf-8", newline="") as file:
@@ -605,17 +582,13 @@ def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ..
     Returns the paths written; any filesystem problem raises
     :class:`OutputError`.
     """
-    if format not in REPORT_FORMATS:
-        raise ConfigError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+    content = render_report(report, format)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise OutputError(str(out), str(err)) from err
     suffix = "txt" if format == "text" else "csv"
-    content = (
-        render_report_text(report) if format == "text" else render_report_delim(report)
-    )
     written = [_write(out / f"report.{suffix}", (content,))]
     if report.scatter:
         scatter_path = out / f"scatter_pairs.{suffix}"

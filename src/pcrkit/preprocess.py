@@ -292,11 +292,12 @@ def vif(z: StandardizedMatrix) -> dict[str, float]:
     variables this holds for every column), or when the value reaches
     ``VIF_MAX`` (R_j^2 within 1e-12 of 1), so perfectly collinear blocks
     are unmistakable in the output.  Finite values are floored at 1.  A
-    lone column has no others to explain it, so its VIF is exactly 1.
+    lone column has no others to explain it, so its VIF is exactly 1; a
+    matrix with no columns gives an empty mapping.
     """
     n, p = z.values.shape
-    if p == 1:
-        return {z.names[0]: 1.0}
+    if p < 2:
+        return dict.fromkeys(z.names, 1.0)
     _, s, vt = np.linalg.svd(z.values, full_matrices=False)
     kept = s > VIF_RCOND * s[0]
     v = vt[kept]

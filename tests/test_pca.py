@@ -259,9 +259,11 @@ class TestScoreWeights:
         for r in matrices:
             for k in range(1, r.p + 1):
                 sol = extract(r, k)
+                loadings = sol.loadings
                 if rotate:
                     sol = rotate_varimax(sol)
-                expected = np.linalg.solve(r.values, sol.effective_loadings)
+                    loadings = sol.rotated_loadings
+                expected = np.linalg.solve(r.values, loadings)
                 got = score_weights(r, sol).weights
                 assert np.abs(got - expected).max() <= 1e-10
 

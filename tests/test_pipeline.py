@@ -19,13 +19,21 @@ from pcrkit.pipeline import (
     load_table,
     render_report_delim,
     render_report_text,
-    render_scatter_delim,
-    render_scatter_text,
     run_pipeline,
     write_table,
 )
 from pcrkit.preprocess import ScatterPair, TimeSeriesTable
 from test_pca import tucker_congruence
+
+
+def render_scatter_text(report, out_dir):
+    """The scatter file ``emit_report`` writes in the text layout."""
+    return emit_report(report, out_dir, format="text")[-1].read_text(encoding="utf-8")
+
+
+def render_scatter_delim(report, out_dir):
+    """The scatter file ``emit_report`` writes in the CSV layout."""
+    return emit_report(report, out_dir, format="delim")[-1].read_text(encoding="utf-8")
 
 
 def planted_panel_table(seed=0, n_years=21, noise_sd=0.1, duplicate=None):
@@ -421,7 +429,7 @@ class TestEmitAndDeterminism:
         assert len(pairs) == 36
         assert len(rows) - 1 == 36 * 20
 
-    def test_scatter_renders_each_pairs_own_arrays(self):
+    def test_scatter_renders_each_pairs_own_arrays(self, tmp_path):
         # Two pairs with the same names but separate arrays: formatted
         # values are shared per array, never per name.
         report = Report(
@@ -431,12 +439,12 @@ class TestEmitAndDeterminism:
                 ScatterPair("A", "B", np.array([5.0, 6.0]), np.array([7.0, 8.0])),
             ),
         )
-        assert render_scatter_delim(report) == (
+        assert render_scatter_delim(report, tmp_path) == (
             "x_name,y_name,year,x,y\n"
             "A,B,2001,1.0,3.0\nA,B,2002,2.0,4.0\n"
             "A,B,2001,5.0,7.0\nA,B,2002,6.0,8.0\n"
         )
-        assert render_scatter_text(report) == (
+        assert render_scatter_text(report, tmp_path) == (
             "scatter pairs\n=============\n"
             "\npair A B\nyear x y\n2001 1.0 3.0\n2002 2.0 4.0\n"
             "\npair A B\nyear x y\n2001 5.0 7.0\n2002 6.0 8.0\n"
@@ -532,11 +540,7 @@ class TestWritersMatchReference:
     )
     def test_scatter(self, build, format, render, tmp_path):
         report = build(tmp_path)
-        rendered = render(report)
-        assert rendered == reference_scatter(report, format)
-        written = emit_report(report, tmp_path / "out", format=format)[-1]
-        assert written.name.startswith("scatter_pairs.")
-        assert written.read_bytes() == rendered.encode("utf-8")
+        assert render(report, tmp_path / "out") == reference_scatter(report, format)
 
 
 class TestUnits:
@@ -618,6 +622,11 @@ class TestCli:
         assert cli.main(["--fixture", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "[score weights]" in out
+
+    def test_stdout_report_follows_format(self, capsys):
+        assert cli.main(["--fixture", "fig3", "--format", "delim"]) == 0
+        golden = Path(__file__).parent / "golden" / "fig3_varimax.csv"
+        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
     def test_table_run_delim(self, tmp_path):
         table = planted_panel_table(15)

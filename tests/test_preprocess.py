@@ -16,6 +16,7 @@ from pcrkit.errors import (
 from pcrkit.pipeline import load_table
 from pcrkit.preprocess import (
     CorrelationMatrix,
+    StandardizedMatrix,
     TimeSeriesTable,
     correlation_matrix,
     difference,
@@ -342,6 +343,9 @@ class TestVif:
         # No other column to regress on: R^2 = 0, so VIF = 1 exactly.
         out = vif(standardize(make_table([[1.0], [4.0], [2.0], [5.0], [3.0]])))
         assert list(out.values()) == [1.0]
+
+    def test_no_columns_is_empty(self):
+        assert vif(StandardizedMatrix((), np.zeros((5, 0)))) == {}
 
     def test_equicorrelated_oracle(self):
         # Sample correlation colored to exactly 0.9 everywhere; for
