@@ -521,23 +521,30 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[: -len(",\n")]
 
 
-def _scatter_rows(report: Report, x_cell: str, y_cell: str):
-    """Yield each scatter pair with its rows, each ``x_cell + y_cell``.
+def _scatter_rows(report: Report, x_cells, y_cells):
+    """Yield each scatter pair with its x cells and its y cells, equally many.
 
-    ``x_cell`` is a format for a year and an x value, ``y_cell`` one for
-    a y value.  Every distinct array is formatted once per role and per
-    render, so the p+1 columns that all pairs share cost O(p*n)
-    formatting, not O(p^2*n).  The cache is keyed on the array object,
-    never on the name, so a hand-built report whose pairs carry separate
-    arrays still renders each pair's own values.
+    ``x_cells(years, xs)`` turns the years and the ``repr`` strings of an
+    x array into that array's x cells, ``y_cells(ys)`` the strings of a y
+    array into its y cells.  Every distinct array goes through ``_reprs``
+    once per render, both roles build their cells from that one list, and
+    each role's cells are built once per array, so the p+1 columns that
+    all pairs share cost O(p*n) formatting, not O(p^2*n).  The caches are
+    keyed on the array object, never on the name, so a hand-built report
+    whose pairs carry separate arrays still renders each pair's own
+    values.  A pair whose arrays differ in length is cut to the shorter.
     """
-    formatted: dict[tuple[str, int], list[str]] = {}
+    reprs: dict[int, list[str]] = {}
+    cells: dict[tuple[bool, int], list[str]] = {}
 
-    def cells(fmt: str, values: np.ndarray, *columns) -> list[str]:
-        key = (fmt, id(values))  # the report keeps every array alive while rendering
-        if key not in formatted:
-            formatted[key] = list(map(fmt.format, *columns, _reprs(values)))
-        return formatted[key]
+    def role(is_x: bool, values: np.ndarray) -> list[str]:
+        key = (is_x, id(values))  # the report keeps every array alive while rendering
+        if key not in cells:
+            if id(values) not in reprs:
+                reprs[id(values)] = _reprs(values)
+            strings = reprs[id(values)]
+            cells[key] = x_cells(years, strings) if is_x else y_cells(strings)
+        return cells[key]
 
     n = max((pair.x.shape[0] for pair in report.scatter), default=0)
     if report.years is None:
@@ -545,27 +552,47 @@ def _scatter_rows(report: Report, x_cell: str, y_cell: str):
     else:
         years = [str(int(y)) for y in report.years[:n]]
     for pair in report.scatter:
-        yield pair, map(operator.add, cells(x_cell, pair.x, years), cells(y_cell, pair.y))
+        xs, ys = role(True, pair.x), role(False, pair.y)
+        if len(xs) != len(ys):
+            m = min(len(xs), len(ys))
+            xs, ys = xs[:m], ys[:m]
+        yield pair, xs, ys
 
 
 def _scatter_parts(report: Report, format: str) -> Iterator[str]:
-    """The scatter file of ``report`` in ``format``, one piece per pair."""
+    """The scatter file of ``report`` in ``format``, one piece per pair.
+
+    Each piece is one join over a list that slice assignment fills with
+    the shared cells, so no row becomes a string of its own.
+    """
     if format == "text":
         yield "scatter pairs\n============="
-        for pair, rows in _scatter_rows(report, "\n{} {} ", "{}"):
-            yield "".join((f"\n\npair {pair.x_name} {pair.y_name}\nyear x y", *rows))
+        for pair, xs, ys in _scatter_rows(
+            report,
+            lambda years, xs: [f"\n{year} {x} " for year, x in zip(years, xs)],
+            lambda ys: ys,
+        ):
+            parts = [f"\n\npair {pair.x_name} {pair.y_name}\nyear x y"] * (2 * len(xs) + 1)
+            parts[1::2], parts[2::2] = xs, ys
+            yield "".join(parts)
         yield "\n"
     else:
         names = {name for pair in report.scatter for name in (pair.x_name, pair.y_name)}
         quoted = {name: _csv_field(name) for name in names}
         yield "x_name,y_name,year,x,y\n"
-        for pair, rows in _scatter_rows(report, "{},{},", "{}\n"):
-            yield f"{quoted[pair.x_name]},{quoted[pair.y_name]},".join(("", *rows))
+        for pair, xs, ys in _scatter_rows(
+            report,
+            lambda years, xs: [f"{year},{x}," for year, x in zip(years, xs)],
+            lambda ys: [f"{y}\n" for y in ys],
+        ):
+            parts = [f"{quoted[pair.x_name]},{quoted[pair.y_name]},"] * (3 * len(xs))
+            parts[1::3], parts[2::3] = xs, ys
+            yield "".join(parts)
 
 
 def _write(path: Path, parts: Iterable[str]) -> Path:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as file:
+        with open(path, "w", buffering=1 << 20, encoding="utf-8", newline="") as file:
             file.writelines(parts)
     except OSError as err:
         raise OutputError(str(path), str(err)) from err
