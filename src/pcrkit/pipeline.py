@@ -223,26 +223,24 @@ def run_pipeline(config: RunConfig) -> Report:
     stage = "input"
     try:
         if config.fixture is not None:
+            report.source, report.mode = f"fixture {config.fixture}", "matrix"
             fixture = load_fixture(config.fixture)
             if config.response not in fixture.matrix.names:
                 raise TableFormatError(
                     f"response {config.response!r} is not a fixture variable; "
                     f"available: {', '.join(fixture.matrix.names)}"
                 )
-            report.mode = "matrix"
-            report.source = f"fixture {fixture.name}"
             report.names = fixture.matrix.names
             report.fixture_adjustment = fixture.max_adjustment
             correlation = fixture.matrix
         else:
+            report.source, report.mode = f"file {config.input_path}", "table"
             table = load_table(config.input_path, response=config.response)
             if not table.predictor_names:
                 raise TableFormatError(
                     f"{config.input_path} has no predictor columns besides the "
                     f"response {config.response!r}"
                 )
-            report.mode = "table"
-            report.source = f"file {config.input_path}"
             report.names = table.names
         predictors = tuple(n for n in report.names if n != config.response)
         report.predictor_names = predictors
