@@ -590,6 +590,8 @@ def _scatter_parts(report: Report, format: str) -> Iterator[str]:
 
 def _write(path: Path, parts: Iterable[str]) -> Path:
     try:
+        # A 1 MiB buffer sends a wide scatter file (6.9 MB at p = 60) to the
+        # system in a few writes instead of one per default 8 KiB buffer.
         with open(path, "w", buffering=1 << 20, encoding="utf-8", newline="") as file:
             file.writelines(parts)
     except OSError as err:

@@ -800,3 +800,52 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[rotated loadings]" not in out
         assert "PC1" in out
+
+
+class TestScatterWriter:
+    @pytest.mark.parametrize("format", ["text", "delim"])
+    def test_each_array_is_formatted_once(self, format, tmp_path, monkeypatch):
+        # The report renderer calls _reprs too; count only the scatter arrays.
+        report = golden_panel9_report(tmp_path)
+        arrays = {id(a) for pair in report.scatter for a in (pair.x, pair.y)}
+        assert len(arrays) == 10
+        calls = []
+        reprs = pipeline._reprs
+
+        def counting(values):
+            if id(values) in arrays:
+                calls.append(id(values))
+            return reprs(values)
+
+        monkeypatch.setattr(pipeline, "_reprs", counting)
+        emit_report(report, tmp_path / "out", format=format)
+        assert sorted(calls) == sorted(arrays)
+
+    def test_unequal_pair_is_cut_to_the_shorter_array(self, tmp_path):
+        # Each array is longer in one role than the other array of its pair.
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
+        report = Report(
+            years=np.array([2001, 2002, 2003]),
+            scatter=(ScatterPair("A", "B", a, b), ScatterPair("B", "A", b, a)),
+        )
+        assert render_scatter_delim(report, tmp_path) == (
+            "x_name,y_name,year,x,y\n"
+            "A,B,2001,1.0,4.0\nA,B,2002,2.0,5.0\n"
+            "B,A,2001,4.0,1.0\nB,A,2002,5.0,2.0\n"
+        )
+        assert render_scatter_text(report, tmp_path) == (
+            "scatter pairs\n=============\n"
+            "\npair A B\nyear x y\n2001 1.0 4.0\n2002 2.0 5.0\n"
+            "\npair B A\nyear x y\n2001 4.0 1.0\n2002 5.0 2.0\n"
+        )
+
+    def test_pair_of_one_array_with_itself(self, tmp_path):
+        a = np.array([0.1, -2.5])
+        report = Report(years=np.array([1999, 2000]), scatter=(ScatterPair("A", "A", a, a),))
+        assert render_scatter_delim(report, tmp_path) == (
+            "x_name,y_name,year,x,y\nA,A,1999,0.1,0.1\nA,A,2000,-2.5,-2.5\n"
+        )
+        assert render_scatter_text(report, tmp_path) == (
+            "scatter pairs\n=============\n"
+            "\npair A A\nyear x y\n1999 0.1 0.1\n2000 -2.5 -2.5\n"
+        )
