@@ -532,6 +532,11 @@ def _scatter_rows(report: Report, x_cells, y_cells):
     whose pairs carry separate arrays still renders each pair's own
     values.  A pair whose arrays differ in length is cut to the shorter.
     """
+    n = max((pair.x.shape[0] for pair in report.scatter), default=0)
+    if report.years is None:
+        years = [str(i) for i in range(1, n + 1)]
+    else:
+        years = [str(int(y)) for y in report.years[:n]]
     reprs: dict[int, list[str]] = {}
     cells: dict[tuple[bool, int], list[str]] = {}
 
@@ -544,11 +549,6 @@ def _scatter_rows(report: Report, x_cells, y_cells):
             cells[key] = x_cells(years, strings) if is_x else y_cells(strings)
         return cells[key]
 
-    n = max((pair.x.shape[0] for pair in report.scatter), default=0)
-    if report.years is None:
-        years = [str(i) for i in range(1, n + 1)]
-    else:
-        years = [str(int(y)) for y in report.years[:n]]
     for pair in report.scatter:
         xs, ys = role(True, pair.x), role(False, pair.y)
         if len(xs) != len(ys):
