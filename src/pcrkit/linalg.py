@@ -17,13 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AsymmetryError,
-    NonFiniteError,
-    NonSquareError,
-    RankDeficiencyError,
-    ShapeMismatchError,
-)
+from .errors import PcrError, RankDeficiencyError
 
 # Relative symmetry tolerance for inputs that claim to be symmetric.
 SYMMETRY_TOL = 1e-9
@@ -37,8 +31,8 @@ def as_checked_array(a, where: str = "matrix") -> np.ndarray:
     """Return ``a`` as a float64 array, rejecting NaN and infinity."""
     out = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise NonFiniteError(where, tuple(int(i) for i in bad))
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
+        raise PcrError(f"non-finite entry in {where} at index {bad}")
     return out
 
 
@@ -50,13 +44,15 @@ def check_symmetric(a, where: str = "matrix") -> np.ndarray:
     """
     out = as_checked_array(a, where)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise NonSquareError(out.shape)
+        raise PcrError(f"expected a square 2-d matrix, got shape {out.shape}")
     scale = np.abs(out).max() if out.size else 0.0
     gap = np.abs(out - out.T)
     worst = gap.max() if gap.size else 0.0
     if worst > SYMMETRY_TOL * max(scale, 1.0):
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise AsymmetryError(int(i), int(j), float(gap[i, j]))
+        raise PcrError(
+            f"matrix is not symmetric: |a[{i},{j}] - a[{j},{i}]| = {float(gap[i, j])!r}"
+        )
     return out.copy()
 
 
@@ -108,28 +104,43 @@ def canonical_columns(key: np.ndarray, columns: np.ndarray, *others: np.ndarray)
     return (key[order], columns * signs, *(m[:, order] * signs for m in others))
 
 
+def column_exponents(x: np.ndarray) -> np.ndarray:
+    """The power of two that brings each column's largest magnitude into [0.5, 1).
+
+    ``np.ldexp(x, -column_exponents(x))`` scales each column exactly, so
+    sums, squares and square roots of the scaled columns are those of
+    the originals times a power of two, bit for bit, but cannot overflow
+    or underflow to zero.  Subnormal inputs have already lost precision
+    that no scaling restores.
+    """
+    return np.frexp(np.abs(x).max(axis=0, initial=0.0))[1]
+
+
 def solve_least_squares(design, response, names: tuple[str, ...] | None = None) -> np.ndarray:
     """Least-squares coefficients for ``design @ beta ~ response`` via QR.
 
     Requires at least as many rows as columns.  A numerically dependent
     column (diagonal of R at or below ``RANK_TOL`` times the norm of that
-    column) raises :class:`RankDeficiencyError` identifying the column,
+    column, both scaled by ``column_exponents`` so the norm cannot
+    overflow) raises :class:`RankDeficiencyError` identifying the column,
     by name when ``names`` is supplied.
     """
     x = as_checked_array(design, "design matrix")
     y = as_checked_array(response, "response vector")
     if x.ndim != 2:
-        raise ShapeMismatchError("design matrix", "(m, n)", x.shape)
+        raise PcrError(f"design matrix: expected shape (m, n), got {x.shape}")
     m, n = x.shape
     if y.shape != (m,):
-        raise ShapeMismatchError("response vector", f"({m},)", y.shape)
+        raise PcrError(f"response vector: expected shape ({m},), got {y.shape}")
     if m < n:
-        raise ShapeMismatchError(
-            "design matrix", "at least as many rows as columns", x.shape
+        raise PcrError(
+            f"design matrix: expected shape at least as many rows as columns, got {x.shape}"
         )
     q, r = np.linalg.qr(x)
     diag = np.abs(np.diagonal(r))
-    dependent = np.flatnonzero(diag <= RANK_TOL * np.linalg.norm(x, axis=0))
+    e = column_exponents(x)
+    norms = np.linalg.norm(np.ldexp(x, -e), axis=0)
+    dependent = np.flatnonzero(np.ldexp(diag, -e) <= RANK_TOL * norms)
     if dependent.size:
         bad = int(dependent[0])
         name = names[bad] if names is not None and bad < len(names) else None

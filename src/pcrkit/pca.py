@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ComponentCountError, ConvergenceError, NameMismatchError
+from .errors import PcrError
 from .linalg import canonical_columns
 from .preprocess import CorrelationMatrix, StandardizedMatrix
 
@@ -84,7 +84,7 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
 
     Raises
     ------
-    ComponentCountError
+    PcrError
         If the count is out of range, or if ``"auto"`` retains nothing
         because no eigenvalue clears the threshold.
     """
@@ -93,17 +93,14 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
     if components == "auto":
         k = int(np.sum(values > KAISER_THRESHOLD))
         if k == 0:
-            raise ComponentCountError(
+            raise PcrError(
                 "automatic retention kept no components: largest eigenvalue "
-                f"{float(values[0])!r} does not exceed "
-                f"{KAISER_THRESHOLD}"
+                f"{float(values[0])!r} does not exceed {KAISER_THRESHOLD}"
             )
     else:
         k = int(components)
         if not 1 <= k <= p:
-            raise ComponentCountError(
-                f"component count must be in [1, {p}], got {components!r}"
-            )
+            raise PcrError(f"component count must be in [1, {p}], got {components!r}")
     # Eigenvalues can round a hair below zero on a semidefinite matrix;
     # clamp only for the square root.
     lam = values[:k]
@@ -166,7 +163,10 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     sweeps = 0
     while True:
         if sweeps >= VARIMAX_MAX_SWEEPS:
-            raise ConvergenceError("varimax rotation", sweeps, improvement)
+            raise PcrError(
+                f"varimax rotation did not converge in {sweeps} sweeps, "
+                f"residual {improvement!r}"
+            )
         sweeps += 1
         for i in range(k - 1):
             for j in range(i + 1, k):
@@ -205,6 +205,13 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     )
 
 
+def _check_names(expected: tuple[str, ...], got: tuple[str, ...]) -> None:
+    if got != expected:
+        missing = [n for n in expected if n not in got]
+        extra = [n for n in got if n not in expected]
+        raise PcrError(f"variable names do not match: missing {missing}, extra {extra}")
+
+
 class ScoreWeights(NamedTuple):
     """Regression-method weights mapping standardized data to scores.
 
@@ -228,18 +235,15 @@ def score_weights(r: CorrelationMatrix, solution: PcaSolution) -> ScoreWeights:
     L = V_k Lambda_k^(1/2) T, with T the varimax rotation (the identity
     when unrotated), so R^-1 L = (loadings / lambda_k) @ T and nothing
     is inverted.  A retained eigenvalue at or below
-    ``SCORE_EIGENVALUE_MIN`` raises :class:`ComponentCountError` naming
+    ``SCORE_EIGENVALUE_MIN`` raises :class:`~pcrkit.errors.PcrError` naming
     the component and the largest count that can be scored.
     """
-    if r.names != solution.names:
-        missing = tuple(n for n in solution.names if n not in r.names)
-        extra = tuple(n for n in r.names if n not in solution.names)
-        raise NameMismatchError(missing=missing, extra=extra)
+    _check_names(solution.names, r.names)
     lam = solution.eigenvalues[: solution.n_components]
     null = np.flatnonzero(lam <= SCORE_EIGENVALUE_MIN)
     if null.size:
         j = int(null[0])
-        raise ComponentCountError(
+        raise PcrError(
             f"component {j + 1} has eigenvalue {float(lam[j])!r}, which leaves "
             f"no variance to score; retain at most {j} components"
         )
@@ -259,8 +263,5 @@ def component_scores(z: StandardizedMatrix, w: ScoreWeights) -> np.ndarray:
     The columns of ``z`` must match the weight rows exactly (use
     ``StandardizedMatrix.select`` to align a wider matrix first).
     """
-    if z.names != w.names:
-        missing = tuple(n for n in w.names if n not in z.names)
-        extra = tuple(n for n in z.names if n not in w.names)
-        raise NameMismatchError(missing=missing, extra=extra)
+    _check_names(w.names, z.names)
     return z.values @ w.weights

@@ -24,13 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    OutputError,
-    PcrError,
-    StageError,
-    TableFormatError,
-)
+from .errors import PcrError, StageError, TableFormatError
 from .fixtures import load_fixture
 from .pca import (
     PcaSolution,
@@ -76,18 +70,14 @@ class RunConfig:
 
     def validate(self) -> None:
         if (self.input_path is None) == (self.fixture is None):
-            raise ConfigError("exactly one of input_path and fixture must be set")
+            raise PcrError("exactly one of input_path and fixture must be set")
         if self.diff not in DIFFERENCE_MODES:
-            raise ConfigError(
-                f"diff must be one of {DIFFERENCE_MODES}, got {self.diff!r}"
-            )
+            raise PcrError(f"diff must be one of {DIFFERENCE_MODES}, got {self.diff!r}")
         if self.rotation not in ROTATION_MODES:
-            raise ConfigError(
-                f"rotation must be one of {ROTATION_MODES}, got {self.rotation!r}"
-            )
+            raise PcrError(f"rotation must be one of {ROTATION_MODES}, got {self.rotation!r}")
         if self.components != "auto":
             if not isinstance(self.components, int) or self.components < 1:
-                raise ConfigError(
+                raise PcrError(
                     f'components must be "auto" or a positive integer, '
                     f"got {self.components!r}"
                 )
@@ -199,7 +189,7 @@ def write_table(table: TimeSeriesTable, path) -> Path:
     try:
         path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
     except OSError as err:
-        raise OutputError(str(path), str(err)) from err
+        raise PcrError(f"cannot write {path}: {err}") from err
     return path
 
 
@@ -470,7 +460,7 @@ def _sections(report: Report):
 def render_report(report: Report, format: str = "text") -> str:
     """Render the report in ``format``: ``text`` or ``delim`` (CSV)."""
     if format not in REPORT_FORMATS:
-        raise ConfigError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+        raise PcrError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
     if format == "text":
         return render_report_text(report)
     return render_report_delim(report)
@@ -595,7 +585,7 @@ def _write(path: Path, parts: Iterable[str]) -> Path:
         with open(path, "w", buffering=1 << 20, encoding="utf-8", newline="") as file:
             file.writelines(parts)
     except OSError as err:
-        raise OutputError(str(path), str(err)) from err
+        raise PcrError(f"cannot write {path}: {err}") from err
     return path
 
 
@@ -606,15 +596,15 @@ def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ..
     produces ``report.csv`` / ``scatter_pairs.csv``.  Matrix-only runs
     have no observations, so no scatter file is written.  The scatter
     file is written pair by pair and never held whole in memory.
-    Returns the paths written; any filesystem problem raises
-    :class:`OutputError`.
+    Returns the paths written; any filesystem problem raises a
+    :class:`~pcrkit.errors.PcrError` naming the path.
     """
     content = render_report(report, format)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise OutputError(str(out), str(err)) from err
+        raise PcrError(f"cannot write {out}: {err}") from err
     suffix = "txt" if format == "text" else "csv"
     written = [_write(out / f"report.{suffix}", (content,))]
     if report.scatter:

@@ -17,17 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    NameMismatchError,
-    NotPositiveDefiniteError,
-    PreprocessError,
-    ZeroVarianceError,
-)
+from .errors import PcrError
 from .linalg import (
     EigenDecomposition,
     as_checked_array,
     check_symmetric,
+    column_exponents,
     eigen_symmetric,
 )
 
@@ -61,27 +56,23 @@ class TimeSeriesTable:
         years = np.asarray(self.years, dtype=np.int64)
         values = as_checked_array(self.values, "table values")
         if values.ndim != 2:
-            raise PreprocessError(f"table values must be 2-d, got shape {values.shape}")
+            raise PcrError(f"table values must be 2-d, got shape {values.shape}")
         if years.ndim != 1 or years.shape[0] != values.shape[0]:
-            raise PreprocessError(
+            raise PcrError(
                 f"{years.shape[0] if years.ndim == 1 else '?'} years for "
                 f"{values.shape[0]} rows"
             )
         if len(self.names) != values.shape[1]:
-            raise PreprocessError(
-                f"{len(self.names)} names for {values.shape[1]} columns"
-            )
+            raise PcrError(f"{len(self.names)} names for {values.shape[1]} columns")
         if len(set(self.names)) != len(self.names):
-            raise PreprocessError("duplicate column names")
+            raise PcrError("duplicate column names")
         if years.size > 1 and not np.all(np.diff(years) == 1):
             gap = int(np.argmax(np.diff(years) != 1))
-            raise PreprocessError(
+            raise PcrError(
                 f"years must be consecutive: {years[gap]} is followed by {years[gap + 1]}"
             )
         if self.response not in self.names:
-            raise PreprocessError(
-                f"response column {self.response!r} not among {list(self.names)}"
-            )
+            raise PcrError(f"response column {self.response!r} not among {list(self.names)}")
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
@@ -96,7 +87,7 @@ class TimeSeriesTable:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.names:
-            raise NameMismatchError(missing=(name,), extra=())
+            raise PcrError(f"variable names do not match: missing [{name!r}], extra []")
         return self.values[:, self.names.index(name)].copy()
 
 
@@ -107,26 +98,36 @@ def difference(table: TimeSeriesTable, mode: str = "absolute") -> TimeSeriesTabl
     difference by the previous level; ``off`` returns the table as is
     for data that already arrives in increments.  The output drops the
     first year.  Needs at least three years so downstream statistics
-    have two increments to work with.
+    have two increments to work with.  An increment too large for a
+    float raises, naming the year and column it belongs to.
     """
     if mode not in DIFFERENCE_MODES:
-        raise PreprocessError(f"unknown difference mode {mode!r}")
+        raise PcrError(f"unknown difference mode {mode!r}")
     if mode == "off":
         return table
     if table.n_years < 3:
-        raise InsufficientDataError(3, table.n_years, "differencing")
+        raise PcrError(f"differencing needs at least 3 observations, got {table.n_years}")
     current = table.values[1:, :]
     previous = table.values[:-1, :]
-    deltas = current - previous
     if mode == "percent":
         zero = np.argwhere(previous == 0.0)
         if zero.size:
             i, j = zero[0]
-            raise PreprocessError(
+            raise PcrError(
                 f"percent differencing divides by zero at year "
                 f"{int(table.years[int(i)])}, column {table.names[int(j)]!r}"
             )
-        deltas = deltas / previous
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        deltas = current - previous
+        if mode == "percent":
+            deltas = deltas / previous
+    finite = np.isfinite(deltas)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise PcrError(
+            f"{mode} differencing overflows at year {int(table.years[i + 1])}, "
+            f"column {table.names[j]!r}"
+        )
     return TimeSeriesTable(
         years=table.years[1:],
         names=table.names,
@@ -147,9 +148,9 @@ class StandardizedMatrix(NamedTuple):
 
     def select(self, names: tuple[str, ...]) -> "StandardizedMatrix":
         """Subset (and reorder) columns by name."""
-        missing = tuple(n for n in names if n not in self.names)
+        missing = [n for n in names if n not in self.names]
         if missing:
-            raise NameMismatchError(missing=missing, extra=())
+            raise PcrError(f"variable names do not match: missing {missing}, extra []")
         idx = [self.names.index(n) for n in names]
         return StandardizedMatrix(names=tuple(names), values=self.values[:, idx].copy())
 
@@ -157,17 +158,23 @@ class StandardizedMatrix(NamedTuple):
 def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
     """Standardize every column of ``table`` to mean 0, sample sd 1.
 
-    Raises :class:`ZeroVarianceError` naming the first constant column
-    and :class:`InsufficientDataError` below two rows.
+    Each column is first divided by the power of two nearest its
+    largest magnitude (``column_exponents``).  That is exact, so the
+    result is bit-identical, but the squared deviations can neither
+    overflow nor underflow: columns of any normal scale, 1e-300 to
+    1e300, standardize alike.  A constant column, or fewer than two
+    rows, raises :class:`~pcrkit.errors.PcrError` naming the cause.
     """
     if table.n_years < 2:
-        raise InsufficientDataError(2, table.n_years, "standardization")
-    values = table.values
+        raise PcrError(f"standardization needs at least 2 observations, got {table.n_years}")
+    values = np.ldexp(table.values, -column_exponents(table.values))
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=1)
     for j, sd in enumerate(sds):
         if sd == 0.0:
-            raise ZeroVarianceError(table.names[j])
+            raise PcrError(
+                f"column {table.names[j]!r} has zero variance and cannot be standardized"
+            )
     return StandardizedMatrix(names=table.names, values=(values - means) / sds)
 
 
@@ -188,26 +195,26 @@ class CorrelationMatrix:
     def __post_init__(self):
         values = check_symmetric(self.values, where="correlation matrix")
         if values.shape[0] == 0:
-            raise PreprocessError("correlation matrix has no variables")
+            raise PcrError("correlation matrix has no variables")
         if len(self.names) != values.shape[0]:
-            raise PreprocessError(
-                f"{len(self.names)} names for a {values.shape[0]}-row matrix"
-            )
+            raise PcrError(f"{len(self.names)} names for a {values.shape[0]}-row matrix")
         if not np.allclose(np.diagonal(values), 1.0, rtol=0.0, atol=1e-12):
             j = int(np.argmax(np.abs(np.diagonal(values) - 1.0)))
-            raise PreprocessError(
+            raise PcrError(
                 f"diagonal entry for {self.names[j]!r} is {values[j, j]!r}, not 1.0"
             )
         if np.abs(values).max() > 1.0 + 1e-12:
             i, j = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
-            raise PreprocessError(
+            raise PcrError(
                 f"correlation out of [-1, 1] at ({self.names[i]}, {self.names[j]}): "
                 f"{values[i, j]!r}"
             )
         eig = eigen_symmetric(values)
         smallest = float(eig.eigenvalues[-1])
         if smallest < -PSD_TOL:
-            raise NotPositiveDefiniteError(smallest, "correlation matrix")
+            raise PcrError(
+                f"correlation matrix is not positive definite: smallest eigenvalue {smallest!r}"
+            )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "eigen", eig)
@@ -218,9 +225,9 @@ class CorrelationMatrix:
 
     def submatrix(self, names: tuple[str, ...]) -> "CorrelationMatrix":
         """Principal submatrix for the given variable names, in that order."""
-        missing = tuple(n for n in names if n not in self.names)
+        missing = [n for n in names if n not in self.names]
         if missing:
-            raise NameMismatchError(missing=missing, extra=())
+            raise PcrError(f"variable names do not match: missing {missing}, extra []")
         idx = [self.names.index(n) for n in names]
         return CorrelationMatrix(
             names=tuple(names), values=self.values[np.ix_(idx, idx)].copy()
@@ -236,7 +243,7 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     """
     n = z.n_obs
     if n < 2:
-        raise InsufficientDataError(2, n, "correlation")
+        raise PcrError(f"correlation needs at least 2 observations, got {n}")
     r = z.values.T @ z.values / (n - 1)
     r = np.clip(r, -1.0, 1.0)
     r = (r + r.T) / 2.0

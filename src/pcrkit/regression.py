@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, NonFiniteError, ShapeMismatchError
+from .errors import PcrError
 from .linalg import as_checked_array, solve_least_squares
 
 # A centered response sum of squares at or below this fraction of the
@@ -54,7 +54,7 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
 
     Raises
     ------
-    InsufficientDataError
+    PcrError
         Fewer than p + 2 observations (no residual degree of freedom).
     RankDeficiencyError
         A predictor is linearly dependent on earlier ones (or constant,
@@ -68,7 +68,7 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
     if names is None:
         names = tuple(f"X{j + 1}" for j in range(p))
     if n < p + 2:
-        raise InsufficientDataError(p + 2, n, f"ols with {p} predictors")
+        raise PcrError(f"ols with {p} predictors needs at least {p + 2} observations, got {n}")
     design = np.column_stack([np.ones(n), x])
     design_names = ("intercept",) + tuple(names)
     beta = solve_least_squares(design, y, names=design_names)
@@ -126,10 +126,10 @@ def reconstruct_prices(base: float, increments, years=None) -> PricePath:
     """
     inc = as_checked_array(increments, "increments")
     if inc.ndim != 1:
-        raise ShapeMismatchError("increments", "(n,)", inc.shape)
+        raise PcrError(f"increments: expected shape (n,), got {inc.shape}")
     base_value = float(base)
     if not np.isfinite(base_value):
-        raise NonFiniteError("base level", (0,))
+        raise PcrError("non-finite entry in base level at index (0,)")
     n = inc.shape[0]
     if years is None:
         years = np.arange(1, n + 1, dtype=np.int64)

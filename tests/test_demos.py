@@ -1,7 +1,9 @@
 """The demos run, and the README's library example imports what it names.
 
 Both read only the package's public surface, so they fail when a name
-the documentation relies on stops being exported from ``pcrkit``.
+the documentation relies on stops being exported from ``pcrkit``.  The
+demos run with warnings as errors, and the error classes are pinned to
+the four that callers catch or read.
 """
 
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import pcrkit
+from pcrkit import errors
 
 ROOT = Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,7 +25,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True,
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -36,3 +39,11 @@ def test_readme_library_names_resolve():
     assert names
     for name in names:
         assert name in pcrkit.__all__ and hasattr(pcrkit, name), name
+
+
+def test_errors_defines_only_the_classes_callers_use():
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert classes == {"PcrError", "RankDeficiencyError", "StageError", "TableFormatError"}

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcrkit.errors import (
-    AsymmetryError,
-    NonFiniteError,
-    NonSquareError,
-    RankDeficiencyError,
-    ShapeMismatchError,
-)
+from pcrkit.errors import PcrError, RankDeficiencyError
 from pcrkit.linalg import (
     EigenDecomposition,
     check_symmetric,
@@ -193,26 +187,25 @@ class TestEigenProperties:
 
 class TestEigenValidation:
     def test_rejects_asymmetric(self):
-        with pytest.raises(AsymmetryError) as excinfo:
+        with pytest.raises(PcrError) as excinfo:
             eigen_symmetric(np.array([[1.0, 2.0], [0.5, 1.0]]))
-        assert {excinfo.value.i, excinfo.value.j} == {0, 1}
-        assert excinfo.value.delta == pytest.approx(1.5)
+        assert str(excinfo.value) == "matrix is not symmetric: |a[0,1] - a[1,0]| = 1.5"
 
     def test_rejects_non_square(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(PcrError, match="square"):
             eigen_symmetric(np.ones((2, 3)))
 
     def test_rejects_nan(self):
         m = np.eye(3)
         m[1, 2] = m[2, 1] = np.nan
-        with pytest.raises(NonFiniteError) as excinfo:
+        with pytest.raises(PcrError) as excinfo:
             eigen_symmetric(m)
-        assert excinfo.value.index == (1, 2)
+        assert str(excinfo.value) == "non-finite entry in matrix at index (1, 2)"
 
     def test_rejects_infinity(self):
         m = np.eye(2)
         m[0, 0] = np.inf
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(PcrError, match="non-finite entry in matrix"):
             eigen_symmetric(m)
 
     def test_check_symmetric_tolerates_roundoff(self):
@@ -272,15 +265,25 @@ class TestLeastSquares:
         assert beta[0] == pytest.approx(3.0, rel=1e-12)
         assert beta[1] * 1e150 == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_rank_test_holds_at_the_ends_of_the_float_range(self, scale):
+        # The column norms are taken on exactly rescaled columns, so neither
+        # overflows to inf nor underflows to 0.
+        x = np.linspace(-1.0, 2.0, 7) ** 2
+        design = np.column_stack([np.ones(7), scale * x])
+        beta = solve_least_squares(design, 3.0 + 2.0 * x)
+        assert beta[0] == pytest.approx(3.0, rel=1e-12)
+        assert beta[1] * scale == pytest.approx(2.0, rel=1e-12)
+
     def test_underdetermined_rejected(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(PcrError, match="at least as many rows as columns"):
             solve_least_squares(np.ones((2, 3)), np.ones(2))
 
     def test_response_shape_checked(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(PcrError, match="response vector: expected shape"):
             solve_least_squares(np.ones((3, 1)), np.ones(4))
 
     def test_rejects_non_finite_response(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(PcrError, match="non-finite entry in response vector"):
             solve_least_squares(np.ones((3, 1)), np.array([1.0, np.nan, 2.0]))
 

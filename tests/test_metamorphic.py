@@ -11,7 +11,11 @@ The largest deviations measured on this panel are 6.5e-14 for the
 weights, 1.3e-14 for the eigenvalues (a shift of 1e3; absolute
 differencing cancels the shift, so the deviation grows with it, to
 1.1e-8 at 1e9), 6.7e-16 for the R² values and 7.2e-14 relative for the
-VIFs.  A sign flip gives exactly the negated rows.
+VIFs.  Rescaling holds from 1e-300 to 1e300, because standardization
+and the baseline's rank test first divide each column by a power of
+two; subnormal scales such as 1e-310 have lost precision in the data
+itself, and the baseline's back-substitution overflows on them.  A sign
+flip gives exactly the negated rows.
 
 The last test feeds arbitrary bytes to the command line: every file is
 either a report or an error message naming the stage, never a
@@ -78,7 +82,7 @@ def test_permuting_predictors_permutes_rows(panel9, rotation, tmp_path):
     assert abs(other.baseline.r_squared - base.baseline.r_squared) <= 1e-12
 
 
-@pytest.mark.parametrize("scale", [1e6, 1e-6])
+@pytest.mark.parametrize("scale", [1e6, 1e-6, 1e150, 1e160, 1e300, 1e-300])
 @pytest.mark.parametrize("rotation", ROTATIONS)
 def test_rescaling_predictors_keeps_unit_free_results(panel9, rotation, scale, tmp_path):
     factors = np.where(np.array(panel9.names) == panel9.response, 1.0, scale)

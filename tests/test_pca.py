@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcrkit.errors import ComponentCountError, NameMismatchError
+from pcrkit.errors import PcrError
 from pcrkit.fixtures import load_fixture
 from pcrkit.pca import (
     component_scores,
@@ -68,14 +68,14 @@ class TestExtract:
         assert sol.n_components == 1
 
     def test_kaiser_rejects_when_nothing_retained(self):
-        with pytest.raises(ComponentCountError, match="no components"):
+        with pytest.raises(PcrError, match="no components"):
             extract(corr(np.eye(3)), "auto")
 
     def test_component_count_bounds(self):
         r = corr(np.eye(3))
-        with pytest.raises(ComponentCountError):
+        with pytest.raises(PcrError, match=r"must be in \[1, 3\], got 0"):
             extract(r, 0)
-        with pytest.raises(ComponentCountError):
+        with pytest.raises(PcrError, match=r"must be in \[1, 3\], got 4"):
             extract(r, 4)
 
     def test_column_ss_equals_eigenvalue(self):
@@ -232,7 +232,7 @@ class TestScoreWeights:
         r = corr([[1.0, 0.8], [0.8, 1.0]], names=("a", "b"))
         sol = extract(r, 1)
         other = corr([[1.0, 0.8], [0.8, 1.0]], names=("a", "c"))
-        with pytest.raises(NameMismatchError):
+        with pytest.raises(PcrError, match="variable names do not match"):
             score_weights(other, sol)
 
     def test_singular_matrix_needs_ridge(self):
@@ -244,7 +244,7 @@ class TestScoreWeights:
         assert np.all(np.isfinite(w.weights))
         assert (w.weights.T @ r.values @ w.weights)[0, 0] == pytest.approx(1.0, abs=1e-12)
         sol = extract(r, 2)
-        with pytest.raises(ComponentCountError) as excinfo:
+        with pytest.raises(PcrError) as excinfo:
             score_weights(r, sol)
         message = str(excinfo.value)
         assert repr(float(sol.eigenvalues[1])) in message
@@ -280,7 +280,7 @@ class TestComponentScores:
         r = correlation_matrix(z)
         w = score_weights(r, extract(r, 1))
         narrowed = z.select(z.names[:2])
-        with pytest.raises(NameMismatchError):
+        with pytest.raises(PcrError, match="variable names do not match"):
             component_scores(narrowed, w)
 
     def test_scores_shape(self):

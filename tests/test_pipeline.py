@@ -10,7 +10,7 @@ import pytest
 
 import pcrkit
 from pcrkit import cli, linalg, pipeline
-from pcrkit.errors import ConfigError, StageError, TableFormatError
+from pcrkit.errors import PcrError, StageError, TableFormatError
 from pcrkit.fixtures import INDICATOR_NAMES
 from pcrkit.pipeline import (
     Report,
@@ -151,22 +151,22 @@ class TestLoadTable:
 
 class TestRunConfig:
     def test_requires_exactly_one_source(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcrError, match="exactly one of input_path and fixture"):
             RunConfig().validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcrError, match="exactly one of input_path and fixture"):
             RunConfig(input_path="x", fixture="fig3").validate()
 
     def test_rejects_unknown_modes(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcrError, match="diff must be one of"):
             RunConfig(fixture="fig3", diff="log").validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcrError, match="rotation must be one of"):
             RunConfig(fixture="fig3", rotation="promax").validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcrError, match="components must be"):
             RunConfig(fixture="fig3", components=0).validate()
 
     def test_emit_report_rejects_unknown_format(self, tmp_path):
         report = run_pipeline(RunConfig(fixture="fig3"))
-        with pytest.raises(ConfigError, match="json"):
+        with pytest.raises(PcrError, match="json"):
             emit_report(report, tmp_path / "out", format="json")
         assert not (tmp_path / "out").exists()
 
@@ -676,6 +676,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: [input] ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "diff, a",
+        [("absolute", (0, 1.7e308, -1.7e308, 1.7e308)), ("percent", (1, 1e-320, 1e300, 1))],
+    )
+    def test_overflowing_increment_is_preprocess_error(self, tmp_path, diff, a):
+        # A separate process, so that a numpy warning would reach stderr.
+        p = tmp_path / "huge.csv"
+        p.write_text(
+            "year,IY,A,B\n"
+            + "".join(f"{2000 + i},{i * i + 1},{v!r},{i % 3 + 1}\n" for i, v in enumerate(a))
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pcrkit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "pcrkit", "--input", str(p), "--diff", diff],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 3
+        assert done.stderr == (
+            f"error: [preprocess] {diff} differencing overflows at year 2002, column 'A'\n"
+        )
 
     def test_preprocess_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "two.csv"

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcrkit.errors import (
-    InsufficientDataError,
-    NameMismatchError,
-    NotPositiveDefiniteError,
-    PreprocessError,
-    ZeroVarianceError,
-)
+from pcrkit.errors import PcrError
 from pcrkit.pipeline import load_table
 from pcrkit.preprocess import (
     CorrelationMatrix,
@@ -87,7 +81,7 @@ def exact_vif(z):
 
 class TestTableValidation:
     def test_years_must_be_consecutive(self):
-        with pytest.raises(PreprocessError, match="consecutive"):
+        with pytest.raises(PcrError, match="consecutive"):
             TimeSeriesTable(
                 years=np.array([2000, 2002, 2003]),
                 names=("A",),
@@ -96,11 +90,11 @@ class TestTableValidation:
             )
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(PreprocessError, match="duplicate"):
+        with pytest.raises(PcrError, match="duplicate"):
             make_table(np.ones((3, 2)), names=("A", "A"))
 
     def test_response_must_exist(self):
-        with pytest.raises(PreprocessError, match="response"):
+        with pytest.raises(PcrError, match="response"):
             make_table(np.ones((3, 2)), names=("A", "B"), response="C")
 
     def test_non_finite_rejected(self):
@@ -108,7 +102,7 @@ class TestTableValidation:
             make_table([[1.0, 2.0], [np.nan, 3.0], [4.0, 5.0]])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(PreprocessError):
+        with pytest.raises(PcrError):
             TimeSeriesTable(
                 years=np.arange(2),
                 names=("A",),
@@ -119,7 +113,7 @@ class TestTableValidation:
     def test_column_lookup(self):
         t = make_table([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]], names=("A", "B"))
         assert np.array_equal(t.column("B"), np.array([10.0, 20.0, 30.0]))
-        with pytest.raises(NameMismatchError):
+        with pytest.raises(PcrError, match="variable names do not match"):
             t.column("Z")
 
     def test_predictor_names_exclude_response(self):
@@ -144,10 +138,22 @@ class TestDifference:
 
     def test_needs_three_years(self):
         t = make_table([[1.0], [2.0]])
-        with pytest.raises(InsufficientDataError) as excinfo:
+        with pytest.raises(PcrError) as excinfo:
             difference(t)
-        assert excinfo.value.needed == 3
-        assert excinfo.value.got == 2
+        assert str(excinfo.value) == "differencing needs at least 3 observations, got 2"
+
+    @pytest.mark.parametrize(
+        ("mode", "levels", "year"),
+        [
+            ("absolute", [0.0, 1.7e308, -1.7e308, 1.7e308], 2002),
+            ("percent", [1.0, 1e-320, 1e300, 1.0], 2002),
+        ],
+    )
+    def test_overflow_names_year_and_column(self, mode, levels, year):
+        t = make_table(np.column_stack([[1.0, 2.0, 4.0, 7.0], levels]), names=("IY", "A"))
+        with pytest.raises(PcrError) as excinfo:
+            difference(t, mode=mode)
+        assert str(excinfo.value) == f"{mode} differencing overflows at year {year}, column 'A'"
 
     def test_percent_hand_values(self):
         t = make_table([[100.0], [110.0], [99.0]])
@@ -156,7 +162,7 @@ class TestDifference:
 
     def test_percent_rejects_zero_level(self):
         t = make_table([[1.0], [0.0], [2.0]])
-        with pytest.raises(PreprocessError, match="zero"):
+        with pytest.raises(PcrError, match="zero"):
             difference(t, mode="percent")
 
     def test_off_returns_table_unchanged(self):
@@ -165,7 +171,7 @@ class TestDifference:
         assert d is t
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(PreprocessError, match="mode"):
+        with pytest.raises(PcrError, match="mode"):
             difference(random_walk_table(2), mode="log")
 
 
@@ -185,9 +191,24 @@ class TestStandardize:
 
     def test_zero_variance_named(self):
         t = make_table([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], names=("A", "B"))
-        with pytest.raises(ZeroVarianceError) as excinfo:
+        with pytest.raises(PcrError) as excinfo:
             standardize(t)
-        assert excinfo.value.name == "B"
+        assert str(excinfo.value) == "column 'B' has zero variance and cannot be standardized"
+
+    @pytest.mark.parametrize("exponent", [-1000, -60, 60, 1000])
+    def test_power_of_two_scale_changes_no_bit(self, exponent):
+        t = random_walk_table(9)
+        scaled = TimeSeriesTable(
+            years=t.years, names=t.names, values=np.ldexp(t.values, exponent),
+            response=t.response,
+        )
+        assert np.array_equal(standardize(scaled).values, standardize(t).values)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales_standardize(self, scale):
+        t = make_table([[1.0], [2.0], [4.0], [7.0]])
+        z = standardize(make_table(t.values * scale))
+        assert z.values == pytest.approx(standardize(t).values, abs=1e-14)
 
     def test_moments_within_tolerance(self):
         t = random_walk_table(7, n_years=30)
@@ -217,11 +238,11 @@ class TestStandardize:
         # By hand for C = (5, 6, 9): mean 20/3, sample sd sqrt(13/3).
         oracle = (np.array([5.0, 6.0, 9.0]) - 20.0 / 3.0) / np.sqrt(13.0 / 3.0)
         assert sub.values[:, 0] == pytest.approx(oracle, rel=1e-14)
-        with pytest.raises(NameMismatchError):
+        with pytest.raises(PcrError, match="variable names do not match"):
             z.select(("A", "Z"))
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PcrError, match="needs at least 2 observations"):
             standardize(make_table([[1.0]]))
 
 
@@ -268,29 +289,29 @@ class TestCorrelation:
         sub = r.submatrix(("V3", "V1"))
         assert sub.names == ("V3", "V1")
         assert sub.values[0, 1] == r.values[2, 0]
-        with pytest.raises(NameMismatchError):
+        with pytest.raises(PcrError, match="variable names do not match"):
             r.submatrix(("V1", "nope"))
 
     def test_validation_rejects_bad_diagonal(self):
-        with pytest.raises(PreprocessError, match="diagonal"):
+        with pytest.raises(PcrError, match="diagonal"):
             CorrelationMatrix(
                 names=("a", "b"), values=np.array([[1.0, 0.2], [0.2, 0.9]])
             )
 
     def test_validation_rejects_out_of_range(self):
         bad = np.array([[1.0, 1.2], [1.2, 1.0]])
-        with pytest.raises(PreprocessError, match="out of"):
+        with pytest.raises(PcrError, match="out of"):
             CorrelationMatrix(names=("a", "b"), values=bad)
 
     def test_validation_rejects_indefinite(self):
         bad = np.array(
             [[1.0, 0.99, -0.99], [0.99, 1.0, 0.99], [-0.99, 0.99, 1.0]]
         )
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(PcrError, match="not positive definite"):
             CorrelationMatrix(names=("a", "b", "c"), values=bad)
 
     def test_empty_rejected(self):
-        with pytest.raises(PreprocessError, match="no variables"):
+        with pytest.raises(PcrError, match="no variables"):
             CorrelationMatrix(names=(), values=np.empty((0, 0)))
 
 
