@@ -60,7 +60,7 @@ z_dup = standardize(
     )
 )
 print("variance inflation with the duplicate on board:")
-for name, value in vif(z_dup).items():
+for name, value in vif(correlation_matrix(z_dup)).items():
     print(f"  {name:>7}: {value}")
 print()
 

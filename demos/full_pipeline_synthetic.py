@@ -67,12 +67,14 @@ r = correlation_matrix(z)
 print(f"differenced to {diffed.n_years} increments; "
       f"|r| max off-diagonal = {np.abs(r.values - np.eye(len(NAMES))).max():.3f}")
 
-inflation = vif(z.select(table.predictor_names))
+# The predictor submatrix keeps its standardized columns; one thin SVD
+# of them gives both the VIF and the component spectrum.
+sub = r.submatrix(table.predictor_names)
+inflation = vif(sub)
 worst = max(inflation, key=inflation.get)
 print(f"variance inflation peaks at {worst} = {inflation[worst]:.1f}")
 
 # Stage 2: components from the predictor correlations only.
-sub = r.submatrix(table.predictor_names)
 rot = rotate_varimax(extract(sub, "auto"))
 print(f"retained {rot.n_components} components, rotated proportions "
       f"{rot.rotated_proportion}")

@@ -123,7 +123,9 @@ def solve_least_squares(design, response, names: tuple[str, ...] | None = None) 
     column (diagonal of R at or below ``RANK_TOL`` times the norm of that
     column, both scaled by ``column_exponents`` so the norm cannot
     overflow) raises :class:`RankDeficiencyError` identifying the column,
-    by name when ``names`` is supplied.
+    by name when ``names`` is supplied.  A coefficient too large for a
+    float (a pivot tiny next to the response, as with subnormal data)
+    raises :class:`PcrError` naming its column.
     """
     x = as_checked_array(design, "design matrix")
     y = as_checked_array(response, "response vector")
@@ -145,8 +147,20 @@ def solve_least_squares(design, response, names: tuple[str, ...] | None = None) 
         bad = int(dependent[0])
         name = names[bad] if names is not None and bad < len(names) else None
         raise RankDeficiencyError(column=bad, pivot=float(diag[bad]), name=name)
-    beta = q.T @ y
-    for i in range(n - 1, -1, -1):
-        beta[i] = (beta[i] - r[i, i + 1 :] @ beta[i + 1 :]) / r[i, i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = q.T @ y
+        for i in range(n - 1, -1, -1):
+            beta[i] = (beta[i] - r[i, i + 1 :] @ beta[i + 1 :]) / r[i, i]
+    finite = np.isfinite(beta)
+    if not finite.all():
+        # Back-substitution runs from the last column: the highest
+        # non-finite coefficient is where the overflow began.
+        bad = int(np.flatnonzero(~finite)[-1])
+        named = names is not None and bad < len(names)
+        label = f"column {bad} ({names[bad]})" if named else f"column {bad}"
+        raise PcrError(
+            f"least-squares coefficient of {label} is not finite: dividing by "
+            f"its pivot {float(r[bad, bad])!r} overflows"
+        )
     return beta
 

@@ -1,8 +1,10 @@
 """Principal components of a correlation matrix, varimax, score weights.
 
-Components are extracted from the correlation matrix, not the data, so
-the same code drives both the full data pipeline and matrix-only runs
-where a published correlation table is all that survives of a study.
+Components are extracted from the spectrum of a correlation matrix
+(``CorrelationMatrix.eigen``: from the SVD of the standardized data on
+a table run, from the matrix itself otherwise), so the same code drives
+both the full data pipeline and matrix-only runs where a published
+correlation table is all that survives of a study.
 Loadings follow the factor-analysis convention: column j of the loading
 matrix is sqrt(lambda_j) times the j-th eigenvector, so squared loadings
 sum to the eigenvalue down a column and to the communality across a row.
@@ -101,8 +103,8 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         k = int(components)
         if not 1 <= k <= p:
             raise PcrError(f"component count must be in [1, {p}], got {components!r}")
-    # Eigenvalues can round a hair below zero on a semidefinite matrix;
-    # clamp only for the square root.
+    # A spectrum taken from the matrix itself can round a hair below
+    # zero on a semidefinite matrix; clamp only for the square root.
     lam = values[:k]
     loadings = vectors[:, :k] * np.sqrt(np.maximum(lam, 0.0))
     communality = (loadings**2).sum(axis=1)

@@ -196,11 +196,12 @@ def write_table(table: TimeSeriesTable, path) -> Path:
 def run_pipeline(config: RunConfig) -> Report:
     """Execute the full analysis described by ``config``.
 
-    Table mode: difference, standardize, correlate, diagnose (VIF and
-    scatter pairs), extract and rotate components, score, regress the
-    response increment on the scores, rebuild the price path from the
-    fitted increments.  Matrix mode (fixture input): extraction,
-    rotation and weights only.
+    Table mode: difference, standardize, correlate, pair the variables
+    for the scatter file, take the VIF and the component spectrum from
+    one thin SVD of the standardized predictors, extract and rotate
+    components, score, regress the response increment on the scores,
+    rebuild the price path from the fitted increments.  Matrix mode
+    (fixture input): extraction, rotation and weights only.
 
     The raw-variable baseline regression is deliberately non-fatal: on
     strongly collinear data it is expected to fail, and its verbatim
@@ -238,16 +239,15 @@ def run_pipeline(config: RunConfig) -> Report:
         if report.mode == "table":
             stage = "preprocess"
             diffed = difference(table, config.diff)
-            z = standardize(diffed)
-            correlation = correlation_matrix(z)
+            correlation = correlation_matrix(standardize(diffed))
             report.years = diffed.years
-            z = z.select(predictors)
-            report.vif = vif(z)
             report.scatter = scatter_pairs(diffed)
         report.correlation = correlation
 
         stage = "pca"
         subset = correlation.submatrix(predictors)
+        if report.mode == "table":
+            report.vif = vif(subset)
         solution = extract(subset, config.components)
         if config.rotation == "varimax":
             solution = rotate_varimax(solution)
@@ -255,7 +255,7 @@ def run_pipeline(config: RunConfig) -> Report:
         report.weights = score_weights(subset, solution)
         if report.mode == "matrix":
             return report
-        report.scores = component_scores(z, report.weights)
+        report.scores = component_scores(subset.data, report.weights)
 
         stage = "regression"
         response_inc = diffed.column(config.response)

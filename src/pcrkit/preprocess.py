@@ -10,6 +10,7 @@ on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .errors import PcrError
 from .linalg import (
     EigenDecomposition,
     as_checked_array,
+    canonical_columns,
     check_symmetric,
     column_exponents,
     eigen_symmetric,
@@ -32,7 +34,7 @@ PSD_TOL = 1e-8
 
 DIFFERENCE_MODES = ("absolute", "percent", "off")
 
-# Cutoffs of the SVD form of ``vif``; its docstring says how each is used.
+# Cutoffs of ``vif``; its docstring says how each is used.
 VIF_RCOND = 1e-10
 VIF_SPAN_TOL = 1e-8
 VIF_MAX = 1e12
@@ -182,15 +184,18 @@ def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
 class CorrelationMatrix:
     """A validated Pearson correlation matrix with named rows/columns.
 
-    Construction enforces symmetry, a unit diagonal, entries in
-    [-1, 1], and positive semidefiniteness up to ``PSD_TOL``.  The
-    eigendecomposition that validation computes is kept in ``eigen``,
-    so component extraction never decomposes the matrix again.
+    Construction enforces symmetry, a unit diagonal and entries in
+    [-1, 1].  ``eigen`` holds the spectrum, computed once.  Built from
+    bare values, the matrix is decomposed by ``eigen_symmetric`` on
+    construction and rejected unless positive semidefinite up to
+    ``PSD_TOL``.  Built with ``data``, the standardized columns Z it is
+    Z'Z / (n - 1) of, it is semidefinite by construction, and ``eigen``
+    comes from one thin SVD of Z when first read.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
-    eigen: EigenDecomposition = field(init=False, repr=False)
+    data: StandardizedMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
         values = check_symmetric(self.values, where="correlation matrix")
@@ -198,39 +203,70 @@ class CorrelationMatrix:
             raise PcrError("correlation matrix has no variables")
         if len(self.names) != values.shape[0]:
             raise PcrError(f"{len(self.names)} names for a {values.shape[0]}-row matrix")
-        if not np.allclose(np.diagonal(values), 1.0, rtol=0.0, atol=1e-12):
-            j = int(np.argmax(np.abs(np.diagonal(values) - 1.0)))
+        diagonal_gap = np.abs(np.diagonal(values) - 1.0)
+        if diagonal_gap.max() > 1e-12:
+            j = int(np.argmax(diagonal_gap))
             raise PcrError(
-                f"diagonal entry for {self.names[j]!r} is {values[j, j]!r}, not 1.0"
+                f"diagonal entry for {self.names[j]!r} is {float(values[j, j])!r}, not 1.0"
             )
         if np.abs(values).max() > 1.0 + 1e-12:
             i, j = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
             raise PcrError(
                 f"correlation out of [-1, 1] at ({self.names[i]}, {self.names[j]}): "
-                f"{values[i, j]!r}"
+                f"{float(values[i, j])!r}"
             )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "names", tuple(self.names))
+        if self.data is not None:
+            if self.data.names != self.names:
+                raise PcrError(f"data columns {self.data.names} do not match {self.names}")
+            return
         eig = eigen_symmetric(values)
         smallest = float(eig.eigenvalues[-1])
         if smallest < -PSD_TOL:
             raise PcrError(
                 f"correlation matrix is not positive definite: smallest eigenvalue {smallest!r}"
             )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "eigen", eig)
+
+    @functools.cached_property
+    def eigen(self) -> EigenDecomposition:
+        """Spectrum from Z = U S V^T: eigenvalues s_i^2 / (n - 1), eigenvectors V.
+
+        Working on Z keeps R's condition number from being squared.
+        With fewer rows than columns, exact zeros pad the spectrum to p
+        and the full V completes the basis.  The s_i^2 are scaled to sum
+        to p rather than divided by n - 1: the two agree in exact
+        arithmetic, where every column's squared norm is n - 1, but only
+        the first matches the trace of R's pinned unit diagonal and
+        gives a lone variable exactly 1.
+        """
+        n, p = self.data.values.shape
+        _, s, vt = np.linalg.svd(self.data.values, full_matrices=n < p)
+        squares = s**2
+        eigenvalues = np.zeros(p)
+        eigenvalues[: s.size] = squares * p / squares.sum()
+        return EigenDecomposition(*canonical_columns(eigenvalues, vt.T))
 
     @property
     def p(self) -> int:
         return int(self.values.shape[0])
 
     def submatrix(self, names: tuple[str, ...]) -> "CorrelationMatrix":
-        """Principal submatrix for the given variable names, in that order."""
+        """Principal submatrix for the given variable names, in that order.
+
+        With ``data``, the submatrix keeps those columns of it.
+        """
         missing = [n for n in names if n not in self.names]
         if missing:
             raise PcrError(f"variable names do not match: missing {missing}, extra []")
         idx = [self.names.index(n) for n in names]
         return CorrelationMatrix(
-            names=tuple(names), values=self.values[np.ix_(idx, idx)].copy()
+            names=tuple(names),
+            values=self.values[np.ix_(idx, idx)].copy(),
+            data=None if self.data is None else StandardizedMatrix(
+                tuple(names), self.data.values[:, idx]
+            ),
         )
 
 
@@ -239,7 +275,8 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
 
     With unit-variance columns the matrix is Z'Z / (n - 1).  Entries are
     clipped to [-1, 1] against rounding spill, the result is exactly
-    symmetrized, and the diagonal is pinned to 1 before validation.
+    symmetrized, and the diagonal is pinned to 1 before validation.  The
+    result keeps ``z`` for its spectrum.
     """
     n = z.n_obs
     if n < 2:
@@ -248,7 +285,7 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     r = np.clip(r, -1.0, 1.0)
     r = (r + r.T) / 2.0
     np.fill_diagonal(r, 1.0)
-    return CorrelationMatrix(names=z.names, values=r)
+    return CorrelationMatrix(names=z.names, values=r, data=z)
 
 
 class ScatterPair(NamedTuple):
@@ -282,35 +319,34 @@ def scatter_pairs(table: TimeSeriesTable) -> tuple[ScatterPair, ...]:
     )
 
 
-def vif(z: StandardizedMatrix) -> dict[str, float]:
-    """Variance inflation factor of every column against the others.
+def vif(r: CorrelationMatrix) -> dict[str, float]:
+    """Variance inflation factor of every variable against the others.
 
-    VIF_j = 1 / (1 - R_j^2), where R_j^2 comes from regressing column j
-    on all the others; for standardized columns that is the j-th
-    diagonal entry of R^-1.  Neither R nor its inverse is formed: with
-    the thin SVD Z = U S V^T of the standardized data, R = V S^2 V^T /
-    (n - 1), so VIF_j = (n - 1) * sum_i V_ji^2 / s_i^2 over the kept
-    singular values (s_i > ``VIF_RCOND`` * s_1).  Working on Z rather
-    than R keeps the condition number from being squared.
+    VIF_j = 1 / (1 - R_j^2), where R_j^2 comes from regressing variable
+    j on all the others; for a correlation matrix that is the j-th
+    diagonal entry of R^-1.  R is not inverted: from its spectrum
+    R = V Lambda V^T (``r.eigen``), VIF_j = sum_i V_ji^2 / lambda_i over
+    the kept eigenvalues, lambda_i > ``VIF_RCOND``^2 * lambda_1.  For a
+    matrix built from data the lambda_i are the scaled s_i^2 of the thin
+    SVD of Z, so the cut is s_i > ``VIF_RCOND`` * s_1, and one SVD serves
+    both this diagnostic and the component analysis.
 
-    VIF_j is ``math.inf`` when column j keeps more than ``VIF_SPAN_TOL``
-    of its unit weight outside the kept right-singular vectors (it lies
-    in the span of the others; with no more observations than
-    variables this holds for every column), or when the value reaches
+    VIF_j is ``math.inf`` when variable j keeps more than
+    ``VIF_SPAN_TOL`` of its unit weight outside the kept eigenvectors
+    (it lies in the span of the others; with no more observations than
+    variables this holds for every one), or when the value reaches
     ``VIF_MAX`` (R_j^2 within 1e-12 of 1), so perfectly collinear blocks
     are unmistakable in the output.  Finite values are floored at 1.  A
-    lone column has no others to explain it, so its VIF is exactly 1; a
-    matrix with no columns gives an empty mapping.
+    lone variable has no others to explain it, so its VIF is exactly 1.
     """
-    n, p = z.values.shape
-    if p < 2:
-        return dict.fromkeys(z.names, 1.0)
-    _, s, vt = np.linalg.svd(z.values, full_matrices=False)
-    kept = s > VIF_RCOND * s[0]
-    v = vt[kept]
-    weight = (v * v).sum(axis=0)
-    inflation = (n - 1) * ((v / s[kept, None]) ** 2).sum(axis=0)
+    if r.p < 2:
+        return dict.fromkeys(r.names, 1.0)
+    lam, vectors = r.eigen
+    kept = lam > VIF_RCOND**2 * lam[0]
+    v = vectors[:, kept] ** 2
+    weight = v.sum(axis=1)
+    inflation = (v / lam[kept]).sum(axis=1)
     return {
         name: math.inf if 1.0 - w > VIF_SPAN_TOL or f >= VIF_MAX else max(f, 1.0)
-        for name, w, f in zip(z.names, weight.tolist(), inflation.tolist())
+        for name, w, f in zip(r.names, weight.tolist(), inflation.tolist())
     }

@@ -77,6 +77,14 @@ CASES = {
         lambda: solve_least_squares(np.ones((2, 3)), np.ones(2)),
         "design matrix: expected shape at least as many rows as columns, got (2, 3)",
     ),
+    # 2**-1029 is the exact pivot; the coefficient beyond it overflows.
+    "coefficient-overflow": (
+        lambda: solve_least_squares(
+            [[1.0, -(2.0**-1030)], [1.0, 2.0**-1030]] * 2, [0.0, 1.0] * 2, names=("i", "x")
+        ),
+        "least-squares coefficient of column 1 (x) is not finite: dividing by its "
+        "pivot -1.73833895195875e-310 overflows",
+    ),
     "increments-shape": (
         lambda: reconstruct_prices(0.0, np.ones((2, 2))),
         "increments: expected shape (n,), got (2, 2)",
@@ -152,14 +160,19 @@ CASES = {
         lambda: CorrelationMatrix(("a",), np.eye(2)),
         "1 names for a 2-row matrix",
     ),
-    # These two print a numpy scalar with numpy's own repr, as they do today.
     "diagonal": (
         lambda: CorrelationMatrix(("a", "b"), [[1.0, 0.0], [0.0, 0.5]]),
-        "diagonal entry for 'b' is np.float64(0.5), not 1.0",
+        "diagonal entry for 'b' is 0.5, not 1.0",
     ),
     "out-of-range": (
         lambda: CorrelationMatrix(("a", "b"), [[1.0, 1.5], [1.5, 1.0]]),
-        "correlation out of [-1, 1] at (a, b): np.float64(1.5)",
+        "correlation out of [-1, 1] at (a, b): 1.5",
+    ),
+    "data-names": (
+        lambda: CorrelationMatrix(
+            ("a", "b"), np.eye(2), data=StandardizedMatrix(("b", "a"), np.zeros((3, 2)))
+        ),
+        "data columns ('b', 'a') do not match ('a', 'b')",
     ),
     "submatrix-unknown": (
         lambda: EQUICORRELATED.submatrix(("a", "z")),

