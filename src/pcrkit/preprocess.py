@@ -238,8 +238,8 @@ class CorrelationMatrix:
         and the full V completes the basis.  The s_i^2 are scaled to sum
         to p rather than divided by n - 1: the two agree in exact
         arithmetic, where every column's squared norm is n - 1, but only
-        the first matches the trace of R's pinned unit diagonal and
-        gives a lone variable exactly 1.
+        the scaled form sums to the trace of R's pinned unit diagonal
+        and gives a lone variable exactly 1.
         """
         n, p = self.data.values.shape
         _, s, vt = np.linalg.svd(self.data.values, full_matrices=n < p)
