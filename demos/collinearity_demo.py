@@ -43,7 +43,7 @@ def pcr_r_squared(matrix, columns):
     r = correlation_matrix(z).submatrix(columns)
     sol = rotate_varimax(extract(r, 4))  # keep all four directions
     w = score_weights(r, sol)
-    scores = component_scores(z.select(columns), w)
+    scores = component_scores(r.data, w)
     fit = fit_pcr(scores, y, w.component_names)
     return fit.r_squared, sol.eigenvalues
 

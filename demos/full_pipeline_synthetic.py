@@ -82,7 +82,7 @@ print(f"retained {rot.n_components} components, rotated proportions "
 # Stage 3: scores, then ordinary least squares of the response
 # increment on them.
 w = score_weights(sub, rot)
-scores = component_scores(z.select(table.predictor_names), w)
+scores = component_scores(sub.data, w)
 fit = fit_pcr(scores, diffed.column("IY"), w.component_names)
 coefs = {n: round(float(c), 3) for n, c in zip(fit.predictor_names, fit.coefficients)}
 print(f"PCR R^2 = {fit.r_squared:.4f}; coefficients {coefs}")

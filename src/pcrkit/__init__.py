@@ -30,7 +30,6 @@ from .preprocess import (
     TimeSeriesTable,
     correlation_matrix,
     difference,
-    scatter_pairs,
     standardize,
     vif,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "render_report_text",
     "rotate_varimax",
     "run_pipeline",
-    "scatter_pairs",
     "score_weights",
     "standardize",
     "vif",

@@ -262,8 +262,9 @@ def score_weights(r: CorrelationMatrix, solution: PcaSolution) -> ScoreWeights:
 def component_scores(z: StandardizedMatrix, w: ScoreWeights) -> np.ndarray:
     """Component scores of standardized observations, one row per year.
 
-    The columns of ``z`` must match the weight rows exactly (use
-    ``StandardizedMatrix.select`` to align a wider matrix first).
+    The columns of ``z`` must match the weight rows exactly; for a
+    wider matrix, ``correlation_matrix(z).submatrix(names).data`` holds
+    those columns.
     """
     _check_names(w.names, z.names)
     return z.values @ w.weights

@@ -37,7 +37,6 @@ from .pca import (
 from .preprocess import (
     DIFFERENCE_MODES,
     CorrelationMatrix,
-    ScatterPair,
     TimeSeriesTable,
     correlation_matrix,
     difference,
@@ -88,6 +87,9 @@ class Report:
     """Accumulated products of a pipeline run, filled stage by stage.
 
     ``config`` is the configuration the run used; the report echoes it.
+    ``increments`` is the differenced table of a table run, once its
+    correlation matrix exists: it gives the report its years and the
+    scatter file its columns.
     """
 
     config: RunConfig = field(default_factory=RunConfig)
@@ -95,7 +97,7 @@ class Report:
     mode: str = ""
     names: tuple[str, ...] = ()
     predictor_names: tuple[str, ...] = ()
-    years: np.ndarray | None = None
+    increments: TimeSeriesTable | None = None
     fixture_adjustment: float | None = None
     correlation: CorrelationMatrix | None = None
     vif: dict[str, float] | None = None
@@ -107,7 +109,6 @@ class Report:
     pcr: OlsFit | None = None
     prices: PricePath | None = None
     price_note: str | None = None
-    scatter: tuple[ScatterPair, ...] = ()
     failure: tuple[str, str] | None = None
 
 
@@ -196,11 +197,11 @@ def write_table(table: TimeSeriesTable, path) -> Path:
 def run_pipeline(config: RunConfig) -> Report:
     """Execute the full analysis described by ``config``.
 
-    Table mode: difference, standardize, correlate, pair the variables
-    for the scatter file, take the VIF and the component spectrum from
-    one thin SVD of the standardized predictors, extract and rotate
-    components, score, regress the response increment on the scores,
-    rebuild the price path from the fitted increments.  Matrix mode
+    Table mode: difference, standardize, correlate, take the VIF and the
+    component spectrum from one thin SVD of the standardized predictors,
+    extract and rotate components, score, regress the response increment
+    on the scores, rebuild the price path from the fitted increments.
+    The report keeps the increments for the scatter file.  Matrix mode
     (fixture input): extraction, rotation and weights only.
 
     The raw-variable baseline regression is deliberately non-fatal: on
@@ -240,8 +241,7 @@ def run_pipeline(config: RunConfig) -> Report:
             stage = "preprocess"
             diffed = difference(table, config.diff)
             correlation = correlation_matrix(standardize(diffed))
-            report.years = diffed.years
-            report.scatter = scatter_pairs(diffed)
+            report.increments = diffed
         report.correlation = correlation
 
         stage = "pca"
@@ -365,8 +365,9 @@ def _sections(report: Report):
     yield "run", "run", [_Line(f"{k}: {v}", (k, "", v)) for k, v in run.items()]
     if report.names:
         yield "variables", "variables", _sequence(report.names)
-    years = None if report.years is None else [str(int(y)) for y in report.years]
-    if years is not None:
+    years = None
+    if report.increments is not None:
+        years = [str(y) for y in report.increments.years.tolist()]
         yield "years", "years", _sequence(years)
     if report.fixture_adjustment is not None:
         shift = repr(float(report.fixture_adjustment))
@@ -509,72 +510,35 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[: -len(",\n")]
 
 
-def _scatter_rows(report: Report, x_cells, y_cells):
-    """Yield each scatter pair with its x cells and its y cells, equally many.
+def _scatter_parts(table: TimeSeriesTable, format: str) -> Iterator[str]:
+    """The scatter file of ``table`` in ``format``, one piece per pair.
 
-    ``x_cells(years, xs)`` turns the years and the ``repr`` strings of an
-    x array into that array's x cells, ``y_cells(ys)`` the strings of a y
-    array into its y cells.  Every distinct array goes through ``_reprs``
-    once per render, both roles build their cells from that one list, and
-    each role's cells are built once per array, so the p+1 columns that
-    all pairs share cost O(p*n) formatting, not O(p^2*n).  The caches are
-    keyed on the array object, never on the name, so a hand-built report
-    whose pairs carry separate arrays still renders each pair's own
-    values.  A pair whose arrays differ in length is cut to the shorter.
+    Each column is formatted once and its x cells and y cells are built
+    once, so the p+1 columns that all pairs share cost O(p*n)
+    formatting, not O(p^2*n).  Each piece is one join over a list that
+    slice assignment fills with those cells, so no row becomes a string
+    of its own.
     """
-    n = max((pair.x.shape[0] for pair in report.scatter), default=0)
-    if report.years is None:
-        years = [str(i) for i in range(1, n + 1)]
-    else:
-        years = [str(int(y)) for y in report.years[:n]]
-    reprs: dict[int, list[str]] = {}
-    cells: dict[tuple[bool, int], list[str]] = {}
-
-    def role(is_x: bool, values: np.ndarray) -> list[str]:
-        key = (is_x, id(values))  # the report keeps every array alive while rendering
-        if key not in cells:
-            if id(values) not in reprs:
-                reprs[id(values)] = _reprs(values)
-            strings = reprs[id(values)]
-            cells[key] = x_cells(years, strings) if is_x else y_cells(strings)
-        return cells[key]
-
-    for pair in report.scatter:
-        xs, ys = role(True, pair.x), role(False, pair.y)
-        if len(xs) != len(ys):
-            m = min(len(xs), len(ys))
-            xs, ys = xs[:m], ys[:m]
-        yield pair, xs, ys
-
-
-def _scatter_parts(report: Report, format: str) -> Iterator[str]:
-    """The scatter file of ``report`` in ``format``, one piece per pair.
-
-    Each piece is one join over a list that slice assignment fills with
-    the shared cells, so no row becomes a string of its own.
-    """
+    names, n = table.names, table.n_years
+    years = [str(y) for y in table.years.tolist()]
+    columns = [[repr(v) for v in column] for column in table.values.T.tolist()]
+    pairs = scatter_pairs(names)
     if format == "text":
+        xs = [[f"\n{year} {x} " for year, x in zip(years, column)] for column in columns]
         yield "scatter pairs\n============="
-        for pair, xs, ys in _scatter_rows(
-            report,
-            lambda years, xs: [f"\n{year} {x} " for year, x in zip(years, xs)],
-            lambda ys: ys,
-        ):
-            parts = [f"\n\npair {pair.x_name} {pair.y_name}\nyear x y"] * (2 * len(xs) + 1)
-            parts[1::2], parts[2::2] = xs, ys
+        for i, j in pairs:
+            parts = [f"\n\npair {names[i]} {names[j]}\nyear x y"] * (2 * n + 1)
+            parts[1::2], parts[2::2] = xs[i], columns[j]
             yield "".join(parts)
         yield "\n"
     else:
-        names = {name for pair in report.scatter for name in (pair.x_name, pair.y_name)}
-        quoted = {name: _csv_field(name) for name in names}
+        quoted = [_csv_field(name) for name in names]
+        xs = [[f"{year},{x}," for year, x in zip(years, column)] for column in columns]
+        ys = [[f"{y}\n" for y in column] for column in columns]
         yield "x_name,y_name,year,x,y\n"
-        for pair, xs, ys in _scatter_rows(
-            report,
-            lambda years, xs: [f"{year},{x}," for year, x in zip(years, xs)],
-            lambda ys: [f"{y}\n" for y in ys],
-        ):
-            parts = [f"{quoted[pair.x_name]},{quoted[pair.y_name]},"] * (3 * len(xs))
-            parts[1::3], parts[2::3] = xs, ys
+        for i, j in pairs:
+            parts = [f"{quoted[i]},{quoted[j]},"] * (3 * n)
+            parts[1::3], parts[2::3] = xs[i], ys[j]
             yield "".join(parts)
 
 
@@ -607,7 +571,7 @@ def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ..
         raise PcrError(f"cannot write {out}: {err}") from err
     suffix = "txt" if format == "text" else "csv"
     written = [_write(out / f"report.{suffix}", (content,))]
-    if report.scatter:
+    if report.increments is not None:
         scatter_path = out / f"scatter_pairs.{suffix}"
-        written.append(_write(scatter_path, _scatter_parts(report, format)))
+        written.append(_write(scatter_path, _scatter_parts(report.increments, format)))
     return tuple(written)

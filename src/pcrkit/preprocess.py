@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -148,14 +149,6 @@ class StandardizedMatrix(NamedTuple):
     def n_obs(self) -> int:
         return int(self.values.shape[0])
 
-    def select(self, names: tuple[str, ...]) -> "StandardizedMatrix":
-        """Subset (and reorder) columns by name."""
-        missing = [n for n in names if n not in self.names]
-        if missing:
-            raise PcrError(f"variable names do not match: missing {missing}, extra []")
-        idx = [self.names.index(n) for n in names]
-        return StandardizedMatrix(names=tuple(names), values=self.values[:, idx].copy())
-
 
 def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
     """Standardize every column of ``table`` to mean 0, sample sd 1.
@@ -288,35 +281,17 @@ def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(names=z.names, values=r, data=z)
 
 
-class ScatterPair(NamedTuple):
-    """One unordered variable pair with aligned observation vectors."""
+def scatter_pairs(names: Sequence[str]) -> list[tuple[int, int]]:
+    """Index pairs of ``names``, ordered lexicographically by name.
 
-    x_name: str
-    y_name: str
-    x: np.ndarray
-    y: np.ndarray
-
-
-def scatter_pairs(table: TimeSeriesTable) -> tuple[ScatterPair, ...]:
-    """All pairs of the table's variables, ordered lexicographically by name.
-
-    This is the flat-file counterpart of a scatterplot matrix: each pair
-    appears once, x carrying the alphabetically earlier variable.  With
-    p predictors plus the response that is (p+1)p/2 pairs, each as long
-    as the table; the pipeline passes the differenced table, so n years
-    of levels give (p+1)p/2 * (n-1) scatter rows.  Each column is copied
-    once and marked read-only, and every pair naming a variable holds
-    that same array, so a write into one pair cannot change the others.
+    This is the pair order of the flat-file counterpart of a scatterplot
+    matrix: each pair appears once, x indexing the alphabetically
+    earlier name.  With p predictors plus the response that is
+    (p+1)p/2 pairs; the pipeline writes one scatter row per pair and
+    increment.
     """
-    columns = {}
-    for name in sorted(table.names):
-        column = table.column(name)
-        column.flags.writeable = False
-        columns[name] = column
-    return tuple(
-        ScatterPair(a, b, columns[a], columns[b])
-        for a, b in itertools.combinations(columns, 2)
-    )
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return list(itertools.combinations(order, 2))
 
 
 def vif(r: CorrelationMatrix) -> dict[str, float]:

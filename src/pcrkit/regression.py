@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PcrError
-from .linalg import as_checked_array, solve_least_squares
+from .linalg import as_checked_array, column_exponents, solve_least_squares
 
 # A centered response sum of squares at or below this fraction of the
 # raw sum of squares is rounding residue: the response is treated as
@@ -74,17 +74,21 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
     beta = solve_least_squares(design, y, names=design_names)
     fitted = design @ beta
     residuals = y - fitted
-    ss_res = float(residuals @ residuals)
-    centered = y - y.mean()
+    # Scaled by a power of two, exactly, the sums of squares can neither
+    # overflow nor underflow, so R^2 does not depend on the response's units.
+    e = int(column_exponents(y))
+    scaled_y, scaled_residuals = np.ldexp(y, -e), np.ldexp(residuals, -e)
+    ss_res = float(scaled_residuals @ scaled_residuals)
+    centered = scaled_y - scaled_y.mean()
     ss_tot = float(centered @ centered)
-    if ss_tot <= ZERO_VARIANCE_TOL * float(y @ y):
+    if ss_tot <= ZERO_VARIANCE_TOL * float(scaled_y @ scaled_y):
         warnings.warn(
             "response has zero variance; R^2 reported as 0.0", stacklevel=2
         )
         r_squared = 0.0
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    residual_se = float(np.sqrt(ss_res / (n - p - 1)))
+    residual_se = float(np.ldexp(np.sqrt(ss_res / (n - p - 1)), e))
     return OlsFit(
         predictor_names=tuple(names),
         intercept=float(beta[0]),

@@ -67,7 +67,7 @@ def pcr_fit_for(x, y, k):
     r = correlation_matrix(z).submatrix(names)
     sol = rotate_varimax(extract(r, k))
     w = score_weights(r, sol)
-    scores = component_scores(z.select(names), w)
+    scores = component_scores(r.data, w)
     return fit_pcr(scores, table.column("Y"), w.component_names), sol
 
 

@@ -2,8 +2,9 @@
 
 Both read only the package's public surface, so they fail when a name
 the documentation relies on stops being exported from ``pcrkit``.  The
-demos run with warnings as errors, and the error classes are pinned to
-the four that callers catch or read.
+demos run with warnings as errors, the error classes are pinned to the
+four that callers catch or read, and every exported name has a reader
+outside the tests.
 """
 
 import os
@@ -47,3 +48,15 @@ def test_errors_defines_only_the_classes_callers_use():
         if isinstance(value, type) and issubclass(value, Exception)
     }
     assert classes == {"PcrError", "RankDeficiencyError", "StageError", "TableFormatError"}
+
+
+def test_every_export_has_a_user():
+    # Export nothing that only tests use: the README's code, a demo or
+    # the CLI names every entry of ``__all__``.  README prose does not
+    # count, since names such as ``difference`` are also plain words.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    code += [path.read_text(encoding="utf-8") for path in (ROOT / "src/pcrkit/cli.py", *DEMOS)]
+    text = "\n".join(code)
+    unused = [name for name in pcrkit.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []

@@ -144,10 +144,6 @@ CASES = {
         lambda: standardize(table([[1.0, 5.0], [2.0, 5.0], [4.0, 5.0]])),
         "column 'A' has zero variance and cannot be standardized",
     ),
-    "select-unknown": (
-        lambda: StandardizedMatrix(NAMES, np.zeros((3, 2))).select(("A", "B")),
-        "variable names do not match: missing ['B'], extra []",
-    ),
     "correlation-rows": (
         lambda: correlation_matrix(StandardizedMatrix(("A",), np.zeros((1, 1)))),
         "correlation needs at least 2 observations, got 1",

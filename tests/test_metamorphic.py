@@ -11,12 +11,15 @@ The largest deviations measured on this panel are 6.5e-14 for the
 weights, 1.3e-14 for the eigenvalues (a shift of 1e3; absolute
 differencing cancels the shift, so the deviation grows with it, to
 1.1e-8 at 1e9), 6.7e-16 for the R² values and 7.2e-14 relative for the
-VIFs.  Rescaling holds from 1e-300 to 1e300, because standardization
-and the baseline's rank test first divide each column by a power of
-two; subnormal scales such as 1e-310 have lost precision in the data
-itself, and the baseline reports that its coefficients overflow while
-the PCR product stays finite.  A sign flip gives exactly the negated
-rows.
+VIFs.  Rescaling holds from 1e-300 to 1e300, the response included,
+because standardization, the baseline's rank test and the fit's sums of
+squares first divide each column by a power of two; rescaling the whole
+table scales the PCR intercept, coefficients and residual standard
+error with it and leaves R² alone (measured: 1e-15 for R², 1.2e-13
+relative for the coefficients).  Subnormal scales such as 1e-310 have
+lost precision in the data itself, and the baseline reports that its
+coefficients overflow while the PCR product stays finite.  A sign flip
+gives exactly the negated rows.
 
 Two properties hold the fit fixed whatever the spectrum feeds it:
 varimax only rotates the retained score space, so the PCR fit with and
@@ -30,8 +33,11 @@ traceback.
 """
 
 import contextlib
+import csv
 import io
+import itertools
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +46,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcrkit import cli
+from pcrkit.errors import STAGE_EXIT_CODES
 from pcrkit.pipeline import RunConfig, load_table, run_pipeline, write_table
 from pcrkit.preprocess import TimeSeriesTable
 
@@ -104,6 +111,22 @@ def test_rescaling_predictors_keeps_unit_free_results(panel9, rotation, scale, t
     assert list(other.vif) == list(base.vif)
     for name, value in base.vif.items():
         assert other.vif[name] == pytest.approx(value, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-155, 1e200, 1e-200, 1e300, 1e-300])
+@pytest.mark.parametrize("rotation", ROTATIONS)
+def test_rescaling_the_whole_table_scales_the_fit(panel9, rotation, scale, tmp_path):
+    # The response too: the fit's sums of squares must neither overflow
+    # nor underflow, so R² holds and the fit's units follow the data's.
+    scaled = TimeSeriesTable(
+        years=panel9.years, names=panel9.names, values=panel9.values * scale
+    )
+    base = run(panel9, tmp_path / "base.csv", rotation).pcr
+    other = run(scaled, tmp_path / "scaled.csv", rotation).pcr
+    assert abs(other.r_squared - base.r_squared) <= 1e-12
+    assert other.residual_se == pytest.approx(base.residual_se * scale, rel=1e-11, abs=0)
+    assert other.intercept == pytest.approx(base.intercept * scale, rel=1e-11, abs=0)
+    np.testing.assert_allclose(other.coefficients, base.coefficients * scale, rtol=1e-11)
 
 
 @pytest.mark.parametrize("rotation", ROTATIONS)
@@ -195,3 +218,81 @@ def test_arbitrary_bytes_give_a_stage_exit_code(content):
     assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
     if code == 2:
         assert stderr.getvalue().startswith("error: [input] ")
+
+
+NAME = st.text(alphabet='AbyZ09 ,"%é{Δ', min_size=1, max_size=5).filter(
+    lambda name: name == name.strip() and name != "IY"
+)
+COLUMN_KINDS = ("scaled", "constant", "duplicate", "near-collinear", "subnormal")
+
+
+@st.composite
+def well_formed_tables(draw):
+    """Consecutive years, n from 3 to 30, the response IY and 1 to 12
+    predictors whose names may need CSV quoting and rarely sort in header
+    order; each column is a random walk at a scale from 1e-300 to 1e300,
+    a constant, a copy or a near copy of another column, or subnormal."""
+    n = draw(st.integers(3, 30))
+    predictors = draw(st.lists(NAME, min_size=1, max_size=12, unique=True))
+    names = list(predictors)
+    names.insert(draw(st.integers(0, len(predictors))), "IY")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        walk = np.cumsum(rng.standard_normal(n))
+        if kind == "constant":
+            column = np.full(n, scale)
+        elif kind in ("duplicate", "near-collinear") and columns:
+            column = columns[draw(st.integers(0, len(columns) - 1))]
+            if kind == "near-collinear":
+                column = column * (1.0 + 1e-9 * rng.standard_normal(n))
+        elif kind == "subnormal":
+            column = walk * 1e-310
+        else:
+            column = walk * scale
+        columns.append(column)
+    start = draw(st.integers(-3000, 3000))
+    return TimeSeriesTable(
+        years=np.arange(start, start + n),
+        names=tuple(names),
+        values=np.column_stack(columns),
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=well_formed_tables())
+def test_well_formed_tables_exit_by_stage_and_write_exact_increments(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        source = write_table(table, Path(tmp) / "input.csv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(["--input", str(source), "--out", str(out), "--format", "delim"])
+        assert code in (0, 2, 3, 4, 5)
+        if code != 0:
+            stage = {value: key for key, value in STAGE_EXIT_CODES.items()}[code]
+            assert stderr.getvalue().startswith(f"error: [{stage}] ")
+            return
+        assert stderr.getvalue() == ""
+        with open(out / "scatter_pairs.csv", encoding="utf-8", newline="") as file:
+            rows = list(csv.reader(file))
+    increments = table.values[1:] - table.values[:-1]
+    years = [str(year) for year in table.years[1:].tolist()]
+    assert rows[0] == ["x_name", "y_name", "year", "x", "y"]
+    body = iter(rows[1:])
+    for x_name, y_name in itertools.combinations(sorted(table.names), 2):
+        pair = [next(body) for _ in years]
+        assert [row[:3] for row in pair] == [[x_name, y_name, year] for year in years]
+        x = [float(row[3]) for row in pair]
+        y = [float(row[4]) for row in pair]
+        assert np.array_equal(bits(x), bits(increments[:, table.names.index(x_name)]))
+        assert np.array_equal(bits(y), bits(increments[:, table.names.index(y_name)]))
+    assert next(body, None) is None

@@ -279,7 +279,7 @@ class TestComponentScores:
         z = random_z(18)
         r = correlation_matrix(z)
         w = score_weights(r, extract(r, 1))
-        narrowed = z.select(z.names[:2])
+        narrowed = r.submatrix(z.names[:2]).data
         with pytest.raises(PcrError, match="variable names do not match"):
             component_scores(narrowed, w)
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from pcrkit import cli, linalg, pipeline
 from pcrkit.errors import PcrError, StageError, TableFormatError
 from pcrkit.fixtures import INDICATOR_NAMES
 from pcrkit.pipeline import (
-    Report,
     RunConfig,
     emit_report,
     load_table,
@@ -22,7 +22,7 @@ from pcrkit.pipeline import (
     run_pipeline,
     write_table,
 )
-from pcrkit.preprocess import ScatterPair, TimeSeriesTable
+from pcrkit.preprocess import TimeSeriesTable
 from test_pca import tucker_congruence
 
 
@@ -189,7 +189,7 @@ class TestMatrixMode:
         assert report.scores is None
         assert report.pcr is None
         assert report.prices is None
-        assert report.scatter == ()
+        assert report.increments is None
         assert report.failure is None
 
     def test_rotation_none(self):
@@ -215,11 +215,11 @@ class TestTableMode:
         assert report.baseline is not None and report.baseline_error is None
         assert report.scores.shape == (20, 2)
         assert report.pcr is not None
-        assert len(report.scatter) == 36
         assert report.prices is not None
         assert report.prices.base == float(table.column("IY")[0])
         assert np.all(np.isfinite(report.prices.levels))
-        assert report.years is not None and report.years[0] == 2001
+        assert report.increments.names == table.names
+        assert report.increments.years[0] == 2001
 
     def test_price_path_replays_fitted_increments(self, tmp_path):
         table = planted_panel_table(3)
@@ -253,7 +253,7 @@ class TestTableMode:
         table = planted_panel_table(6)
         path = write_table(table, tmp_path / "t.csv")
         report = run_pipeline(RunConfig(input_path=path, diff="off"))
-        assert report.years is not None and len(report.years) == 21
+        assert report.increments.n_years == 21
         assert report.prices is None
 
     def test_duplicate_predictor_baseline_fails_pcr_completes(self, tmp_path):
@@ -429,27 +429,6 @@ class TestEmitAndDeterminism:
         assert len(pairs) == 36
         assert len(rows) - 1 == 36 * 20
 
-    def test_scatter_renders_each_pairs_own_arrays(self, tmp_path):
-        # Two pairs with the same names but separate arrays: formatted
-        # values are shared per array, never per name.
-        report = Report(
-            years=np.array([2001, 2002]),
-            scatter=(
-                ScatterPair("A", "B", np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-                ScatterPair("A", "B", np.array([5.0, 6.0]), np.array([7.0, 8.0])),
-            ),
-        )
-        assert render_scatter_delim(report, tmp_path) == (
-            "x_name,y_name,year,x,y\n"
-            "A,B,2001,1.0,3.0\nA,B,2002,2.0,4.0\n"
-            "A,B,2001,5.0,7.0\nA,B,2002,6.0,8.0\n"
-        )
-        assert render_scatter_text(report, tmp_path) == (
-            "scatter pairs\n=============\n"
-            "\npair A B\nyear x y\n2001 1.0 3.0\n2002 2.0 4.0\n"
-            "\npair A B\nyear x y\n2001 5.0 7.0\n2002 6.0 8.0\n"
-        )
-
 
 def reference_report_delim(report):
     """The per-cell CSV report writer: one ``csv.writer`` row per table cell."""
@@ -478,19 +457,23 @@ def reference_scatter(report, format):
         csv.writer(buffer, lineterminator="\n").writerow((name, ""))
         return buffer.getvalue()[: -len(",\n")]
 
-    n = max((len(pair.x) for pair in report.scatter), default=0)
-    years = range(1, n + 1) if report.years is None else [int(y) for y in report.years]
+    table = report.increments
     if format == "text":
         parts = ["scatter pairs\n============="]
     else:
         parts = ["x_name,y_name,year,x,y\n"]
-    for pair in report.scatter:
-        rows = zip(years[: len(pair.x)], pair.x.tolist(), pair.y.tolist(), strict=True)
+    for x_name, y_name in itertools.combinations(sorted(table.names), 2):
+        rows = zip(
+            table.years.tolist(),
+            table.column(x_name).tolist(),
+            table.column(y_name).tolist(),
+            strict=True,
+        )
         if format == "text":
-            parts.append(f"\n\npair {pair.x_name} {pair.y_name}\nyear x y")
+            parts.append(f"\n\npair {x_name} {y_name}\nyear x y")
             parts += (f"\n{year} {x!r} {y!r}" for year, x, y in rows)
         else:
-            names = f"{quote(pair.x_name)},{quote(pair.y_name)}"
+            names = f"{quote(x_name)},{quote(y_name)}"
             parts += (f"{names},{year},{x!r},{y!r}\n" for year, x, y in rows)
     if format == "text":
         parts.append("\n")
@@ -513,21 +496,10 @@ def odd_names_report(tmp_path):
     return run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "odd.csv")))
 
 
-def separate_arrays_report(tmp_path):
-    # Two pairs with the same names but their own arrays.
-    return Report(
-        years=np.array([2001, 2002]),
-        scatter=(
-            ScatterPair("A", "B", np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-            ScatterPair("A", "B", np.array([5.0, 6.0]), np.array([7.0, 8.0])),
-        ),
-    )
-
-
 class TestWritersMatchReference:
     """The joined and streamed writers against the per-cell and per-row ones."""
 
-    REPORTS = [golden_panel9_report, odd_names_report, separate_arrays_report]
+    REPORTS = [golden_panel9_report, odd_names_report]
 
     @pytest.mark.parametrize("build", REPORTS, ids=lambda build: build.__name__)
     def test_report_delim(self, build, tmp_path):
@@ -877,47 +849,14 @@ class TestCli:
 class TestScatterWriter:
     @pytest.mark.parametrize("format", ["text", "delim"])
     def test_each_array_is_formatted_once(self, format, tmp_path, monkeypatch):
-        # The report renderer calls _reprs too; count only the scatter arrays.
-        report = golden_panel9_report(tmp_path)
-        arrays = {id(a) for pair in report.scatter for a in (pair.x, pair.y)}
-        assert len(arrays) == 10
+        # One repr per increment, however many pairs share its column.
+        increments = golden_panel9_report(tmp_path).increments
         calls = []
-        reprs = pipeline._reprs
 
-        def counting(values):
-            if id(values) in arrays:
-                calls.append(id(values))
-            return reprs(values)
+        def counting(value):
+            calls.append(value)
+            return repr(value)
 
-        monkeypatch.setattr(pipeline, "_reprs", counting)
-        emit_report(report, tmp_path / "out", format=format)
-        assert sorted(calls) == sorted(arrays)
-
-    def test_unequal_pair_is_cut_to_the_shorter_array(self, tmp_path):
-        # Each array is longer in one role than the other array of its pair.
-        a, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
-        report = Report(
-            years=np.array([2001, 2002, 2003]),
-            scatter=(ScatterPair("A", "B", a, b), ScatterPair("B", "A", b, a)),
-        )
-        assert render_scatter_delim(report, tmp_path) == (
-            "x_name,y_name,year,x,y\n"
-            "A,B,2001,1.0,4.0\nA,B,2002,2.0,5.0\n"
-            "B,A,2001,4.0,1.0\nB,A,2002,5.0,2.0\n"
-        )
-        assert render_scatter_text(report, tmp_path) == (
-            "scatter pairs\n=============\n"
-            "\npair A B\nyear x y\n2001 1.0 4.0\n2002 2.0 5.0\n"
-            "\npair B A\nyear x y\n2001 4.0 1.0\n2002 5.0 2.0\n"
-        )
-
-    def test_pair_of_one_array_with_itself(self, tmp_path):
-        a = np.array([0.1, -2.5])
-        report = Report(years=np.array([1999, 2000]), scatter=(ScatterPair("A", "A", a, a),))
-        assert render_scatter_delim(report, tmp_path) == (
-            "x_name,y_name,year,x,y\nA,A,1999,0.1,0.1\nA,A,2000,-2.5,-2.5\n"
-        )
-        assert render_scatter_text(report, tmp_path) == (
-            "scatter pairs\n=============\n"
-            "\npair A A\nyear x y\n1999 0.1 0.1\n2000 -2.5 -2.5\n"
-        )
+        monkeypatch.setattr(pipeline, "repr", counting, raising=False)
+        "".join(pipeline._scatter_parts(increments, format))
+        assert sorted(calls) == sorted(increments.values.ravel().tolist())

@@ -226,19 +226,18 @@ class TestStandardize:
         assert np.abs(again.values - z.values).max() <= 1e-12
 
     def test_select_reorders_and_subsets(self):
+        # The submatrix of the correlation matrix keeps its columns of z.
         t = make_table(
             [[1.0, 10.0, 5.0], [2.0, 30.0, 6.0], [3.0, 20.0, 9.0]],
             names=("A", "B", "C"),
         )
         z = standardize(t)
-        sub = z.select(("C", "A"))
+        sub = correlation_matrix(z).submatrix(("C", "A")).data
         assert sub.names == ("C", "A")
         assert np.array_equal(sub.values[:, 1], z.values[:, 0])
         # By hand for C = (5, 6, 9): mean 20/3, sample sd sqrt(13/3).
         oracle = (np.array([5.0, 6.0, 9.0]) - 20.0 / 3.0) / np.sqrt(13.0 / 3.0)
         assert sub.values[:, 0] == pytest.approx(oracle, rel=1e-14)
-        with pytest.raises(PcrError, match="variable names do not match"):
-            z.select(("A", "Z"))
 
     def test_insufficient_data(self):
         with pytest.raises(PcrError, match="needs at least 2 observations"):
@@ -316,39 +315,25 @@ class TestCorrelation:
 
 class TestScatterPairs:
     def test_pair_count_and_order(self):
-        t = random_walk_table(12, n_vars=4)
-        pairs = scatter_pairs(t)
+        names = ("V4", "V2", "V3", "V1")
+        pairs = scatter_pairs(names)
         assert len(pairs) == 6
-        labels = [(p.x_name, p.y_name) for p in pairs]
+        labels = [(names[i], names[j]) for i, j in pairs]
         assert labels == sorted(labels)
-        assert all(p.x_name < p.y_name for p in pairs)
+        assert all(x < y for x, y in labels)
+        assert scatter_pairs(("A",)) == []
 
     def test_pair_data_matches_columns(self):
+        # The indices point into the header order, not the sorted order.
         t = make_table(
             [[1.0, 4.0, 7.0], [2.0, 5.0, 8.0], [3.0, 6.0, 9.0]],
             names=("B", "A", "C"),
         )
-        pairs = scatter_pairs(t)
-        first = pairs[0]
-        assert (first.x_name, first.y_name) == ("A", "B")
-        assert np.array_equal(first.x, t.column("A"))
-        assert np.array_equal(first.y, t.column("B"))
-
-    def test_one_array_per_variable(self):
-        t = random_walk_table(12, n_vars=5)
-        pairs = scatter_pairs(t)
-        assert len({id(a) for pair in pairs for a in (pair.x, pair.y)}) == 5
-        by_name = {}
-        for pair in pairs:
-            assert by_name.setdefault(pair.x_name, pair.x) is pair.x
-            assert by_name.setdefault(pair.y_name, pair.y) is pair.y
-
-    def test_pair_arrays_are_read_only(self):
-        pairs = scatter_pairs(random_walk_table(12, n_vars=3))
-        with pytest.raises(ValueError):
-            pairs[0].x[0] = 0.0
-        with pytest.raises(ValueError):
-            pairs[-1].y[:] = 0.0
+        pairs = scatter_pairs(t.names)
+        assert pairs == [(1, 0), (1, 2), (0, 2)]
+        i, j = pairs[0]
+        assert np.array_equal(t.values[:, i], t.column("A"))
+        assert np.array_equal(t.values[:, j], t.column("B"))
 
 
 class TestVif:
@@ -431,7 +416,7 @@ class TestVif:
         s = 1000.0 - t.column("X02") - t.column('X05,"adj"')
         t = TimeSeriesTable(t.years, t.names + ("S",), np.column_stack([t.values, s]))
         z = standardize(difference(t))
-        z = z.select(tuple(n for n in z.names if n != "IY"))
+        z = correlation_matrix(z).submatrix(tuple(n for n in z.names if n != "IY")).data
         out = vif(correlation_matrix(z))
         block = {"X02", 'X05,"adj"', "S"}
         assert {name for name, v in out.items() if v == float("inf")} == block

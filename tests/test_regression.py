@@ -19,7 +19,7 @@ def fitted_pipeline(seed, n=24, p=3, k=None):
     r = correlation_matrix(z).submatrix(predictors)
     sol = rotate_varimax(extract(r, k if k is not None else p))
     w = score_weights(r, sol)
-    scores = component_scores(z.select(predictors), w)
+    scores = component_scores(r.data, w)
     fit = fit_pcr(scores, table.column("Y"), w.component_names)
     return table, z, w, scores, fit
 
