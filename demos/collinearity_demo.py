@@ -37,12 +37,11 @@ def pcr_r_squared(matrix, columns):
         years=np.arange(2000, 2000 + n),
         names=("Y",) + columns,
         values=np.column_stack([y, matrix]),
-        response="Y",
     )
     z = standardize(table)
     r = correlation_matrix(z).submatrix(columns)
     sol = rotate_varimax(extract(r, 4))  # keep all four directions
-    w = score_weights(r, sol)
+    w = score_weights(sol)
     scores = component_scores(r.data, w)
     fit = fit_pcr(scores, y, w.component_names)
     return fit.r_squared, sol.eigenvalues
@@ -52,12 +51,7 @@ duplicated = np.column_stack([x, x[:, 1]])
 dup_names = names + ("B_copy",)
 
 z_dup = standardize(
-    TimeSeriesTable(
-        years=np.arange(2000, 2000 + n),
-        names=dup_names,
-        values=duplicated,
-        response="A",
-    )
+    TimeSeriesTable(years=np.arange(2000, 2000 + n), names=dup_names, values=duplicated)
 )
 print("variance inflation with the duplicate on board:")
 for name, value in vif(correlation_matrix(z_dup)).items():

@@ -46,7 +46,7 @@ for i, name in enumerate(rot.names):
     print(f"{name:>10}{row}{rot.communality[i]:10.3f}")
 print()
 
-w = score_weights(sub, rot)
+w = score_weights(rot)
 print("regression-method score weights:")
 print(header)
 for i, name in enumerate(w.names):

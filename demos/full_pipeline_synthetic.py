@@ -55,7 +55,6 @@ table = TimeSeriesTable(
     years=np.arange(1995, 1995 + n_years),
     names=NAMES,
     values=levels,
-    response="IY",
 )
 print(f"input: {table.n_years} years x {len(table.names)} series (levels)")
 
@@ -69,7 +68,7 @@ print(f"differenced to {diffed.n_years} increments; "
 
 # The predictor submatrix keeps its standardized columns; one thin SVD
 # of them gives both the VIF and the component spectrum.
-sub = r.submatrix(table.predictor_names)
+sub = r.submatrix(DEMAND + SUPPLY)
 inflation = vif(sub)
 worst = max(inflation, key=inflation.get)
 print(f"variance inflation peaks at {worst} = {inflation[worst]:.1f}")
@@ -81,7 +80,7 @@ print(f"retained {rot.n_components} components, rotated proportions "
 
 # Stage 3: scores, then ordinary least squares of the response
 # increment on them.
-w = score_weights(sub, rot)
+w = score_weights(rot)
 scores = component_scores(sub.data, w)
 fit = fit_pcr(scores, diffed.column("IY"), w.component_names)
 coefs = {n: round(float(c), 3) for n, c in zip(fit.predictor_names, fit.coefficients)}

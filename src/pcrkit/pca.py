@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PcrError
 from .linalg import canonical_columns
-from .preprocess import CorrelationMatrix, StandardizedMatrix
+from .preprocess import CorrelationMatrix, TimeSeriesTable
 
 # Kaiser criterion: keep components whose eigenvalue exceeds this.
 KAISER_THRESHOLD = 1.0
@@ -207,13 +207,6 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     )
 
 
-def _check_names(expected: tuple[str, ...], got: tuple[str, ...]) -> None:
-    if got != expected:
-        missing = [n for n in expected if n not in got]
-        extra = [n for n in got if n not in expected]
-        raise PcrError(f"variable names do not match: missing {missing}, extra {extra}")
-
-
 class ScoreWeights(NamedTuple):
     """Regression-method weights mapping standardized data to scores.
 
@@ -229,18 +222,17 @@ class ScoreWeights(NamedTuple):
     weights: np.ndarray
 
 
-def score_weights(r: CorrelationMatrix, solution: PcaSolution) -> ScoreWeights:
+def score_weights(solution: PcaSolution) -> ScoreWeights:
     """Regression-method component score weights W = R^-1 L.
 
-    ``solution`` must have been extracted from ``r``, which must carry
-    exactly its variables in the same order.  The loadings are
-    L = V_k Lambda_k^(1/2) T, with T the varimax rotation (the identity
-    when unrotated), so R^-1 L = (loadings / lambda_k) @ T and nothing
-    is inverted.  A retained eigenvalue at or below
-    ``SCORE_EIGENVALUE_MIN`` raises :class:`~pcrkit.errors.PcrError` naming
-    the component and the largest count that can be scored.
+    R is the correlation matrix ``solution`` was extracted from.  The
+    loadings are L = V_k Lambda_k^(1/2) T, with T the varimax rotation
+    (the identity when unrotated), so R^-1 L = (loadings / lambda_k) @ T
+    depends on the solution alone and nothing is inverted.  A retained
+    eigenvalue at or below ``SCORE_EIGENVALUE_MIN`` raises
+    :class:`~pcrkit.errors.PcrError` naming the component and the
+    largest count that can be scored.
     """
-    _check_names(solution.names, r.names)
     lam = solution.eigenvalues[: solution.n_components]
     null = np.flatnonzero(lam <= SCORE_EIGENVALUE_MIN)
     if null.size:
@@ -253,18 +245,21 @@ def score_weights(r: CorrelationMatrix, solution: PcaSolution) -> ScoreWeights:
     if solution.rotation is not None:
         weights = weights @ solution.rotation
     return ScoreWeights(
-        names=r.names,
+        names=solution.names,
         component_names=solution.component_names,
         weights=weights,
     )
 
 
-def component_scores(z: StandardizedMatrix, w: ScoreWeights) -> np.ndarray:
-    """Component scores of standardized observations, one row per year.
+def component_scores(z: TimeSeriesTable, w: ScoreWeights) -> np.ndarray:
+    """Component scores of a standardized table, one row per year.
 
     The columns of ``z`` must match the weight rows exactly; for a
-    wider matrix, ``correlation_matrix(z).submatrix(names).data`` holds
+    wider table, ``correlation_matrix(z).submatrix(names).data`` holds
     those columns.
     """
-    _check_names(w.names, z.names)
+    if z.names != w.names:
+        missing = [n for n in w.names if n not in z.names]
+        extra = [n for n in z.names if n not in w.names]
+        raise PcrError(f"variable names do not match: missing {missing}, extra {extra}")
     return z.values @ w.weights

@@ -57,7 +57,9 @@ class RunConfig:
     Exactly one of ``input_path`` and ``fixture`` must be set.  With a
     fixture the pipeline runs matrix-only: no differencing, no scores,
     no regression, just extraction, rotation and weights from the
-    bundled correlation matrix.
+    bundled correlation matrix.  ``response`` is the variable the run
+    keeps out of the predictors and, on a table, regresses on them; the
+    run checks it against the names it reads.
     """
 
     input_path: str | Path | None = None
@@ -112,7 +114,7 @@ class Report:
     failure: tuple[str, str] | None = None
 
 
-def load_table(path, response: str = "IY") -> TimeSeriesTable:
+def load_table(path) -> TimeSeriesTable:
     """Read a delimited yearly table.
 
     Expected layout: a header ``year,<name>,...`` followed by one row
@@ -169,7 +171,6 @@ def load_table(path, response: str = "IY") -> TimeSeriesTable:
         years=np.asarray(years, dtype=np.int64),
         names=names,
         values=np.asarray(values, dtype=np.float64),
-        response=response,
     )
 
 
@@ -217,27 +218,25 @@ def run_pipeline(config: RunConfig) -> Report:
         if config.fixture is not None:
             report.source, report.mode = f"fixture {config.fixture}", "matrix"
             fixture = load_fixture(config.fixture)
-            if config.response not in fixture.matrix.names:
-                raise TableFormatError(
-                    f"response {config.response!r} is not a fixture variable; "
-                    f"available: {', '.join(fixture.matrix.names)}"
-                )
-            report.names = fixture.matrix.names
+            names = fixture.matrix.names
+        else:
+            report.source, report.mode = f"file {config.input_path}", "table"
+            table = load_table(config.input_path)
+            names = table.names
+        if config.response not in names:
+            raise PcrError(f"response column {config.response!r} not among {list(names)}")
+        predictors = tuple(n for n in names if n != config.response)
+        if not predictors:
+            raise TableFormatError(
+                f"{config.input_path} has no predictor columns besides the "
+                f"response {config.response!r}"
+            )
+        report.names, report.predictor_names = names, predictors
+
+        if report.mode == "matrix":
             report.fixture_adjustment = fixture.max_adjustment
             correlation = fixture.matrix
         else:
-            report.source, report.mode = f"file {config.input_path}", "table"
-            table = load_table(config.input_path, response=config.response)
-            if not table.predictor_names:
-                raise TableFormatError(
-                    f"{config.input_path} has no predictor columns besides the "
-                    f"response {config.response!r}"
-                )
-            report.names = table.names
-        predictors = tuple(n for n in report.names if n != config.response)
-        report.predictor_names = predictors
-
-        if report.mode == "table":
             stage = "preprocess"
             diffed = difference(table, config.diff)
             correlation = correlation_matrix(standardize(diffed))
@@ -252,7 +251,7 @@ def run_pipeline(config: RunConfig) -> Report:
         if config.rotation == "varimax":
             solution = rotate_varimax(solution)
         report.solution = solution
-        report.weights = score_weights(subset, solution)
+        report.weights = score_weights(solution)
         if report.mode == "matrix":
             return report
         report.scores = component_scores(subset.data, report.weights)

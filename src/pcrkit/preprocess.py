@@ -15,7 +15,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +45,13 @@ class TimeSeriesTable:
     """A rectangular block of yearly observations.
 
     ``values[i, j]`` is variable ``names[j]`` in year ``years[i]``.
-    Years must be consecutive integers; all values must be finite; one
-    column is designated the response.
+    Years must be consecutive integers, names distinct and all values
+    finite.
     """
 
     years: np.ndarray
     names: tuple[str, ...]
     values: np.ndarray
-    response: str = "IY"
 
     def __post_init__(self):
         years = np.asarray(self.years, dtype=np.int64)
@@ -68,14 +66,13 @@ class TimeSeriesTable:
         if len(self.names) != values.shape[1]:
             raise PcrError(f"{len(self.names)} names for {values.shape[1]} columns")
         if len(set(self.names)) != len(self.names):
-            raise PcrError("duplicate column names")
+            name = next(n for i, n in enumerate(self.names) if n in self.names[:i])
+            raise PcrError(f"duplicate column name {name!r}")
         if years.size > 1 and not np.all(np.diff(years) == 1):
             gap = int(np.argmax(np.diff(years) != 1))
             raise PcrError(
                 f"years must be consecutive: {years[gap]} is followed by {years[gap + 1]}"
             )
-        if self.response not in self.names:
-            raise PcrError(f"response column {self.response!r} not among {list(self.names)}")
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
@@ -83,10 +80,6 @@ class TimeSeriesTable:
     @property
     def n_years(self) -> int:
         return int(self.years.shape[0])
-
-    @property
-    def predictor_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if n != self.response)
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.names:
@@ -131,27 +124,11 @@ def difference(table: TimeSeriesTable, mode: str = "absolute") -> TimeSeriesTabl
             f"{mode} differencing overflows at year {int(table.years[i + 1])}, "
             f"column {table.names[j]!r}"
         )
-    return TimeSeriesTable(
-        years=table.years[1:],
-        names=table.names,
-        values=deltas,
-        response=table.response,
-    )
+    return TimeSeriesTable(table.years[1:], table.names, deltas)
 
 
-class StandardizedMatrix(NamedTuple):
-    """Columns scaled to zero mean and unit sample variance (ddof=1)."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    @property
-    def n_obs(self) -> int:
-        return int(self.values.shape[0])
-
-
-def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
-    """Standardize every column of ``table`` to mean 0, sample sd 1.
+def standardize(table: TimeSeriesTable) -> TimeSeriesTable:
+    """A table of the same years with every column at mean 0, sample sd 1.
 
     Each column is first divided by the power of two nearest its
     largest magnitude (``column_exponents``).  That is exact, so the
@@ -170,7 +147,7 @@ def standardize(table: TimeSeriesTable) -> StandardizedMatrix:
             raise PcrError(
                 f"column {table.names[j]!r} has zero variance and cannot be standardized"
             )
-    return StandardizedMatrix(names=table.names, values=(values - means) / sds)
+    return TimeSeriesTable(table.years, table.names, (values - means) / sds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +158,14 @@ class CorrelationMatrix:
     [-1, 1].  ``eigen`` holds the spectrum, computed once.  Built from
     bare values, the matrix is decomposed by ``eigen_symmetric`` on
     construction and rejected unless positive semidefinite up to
-    ``PSD_TOL``.  Built with ``data``, the standardized columns Z it is
+    ``PSD_TOL``.  Built with ``data``, the standardized table Z it is
     Z'Z / (n - 1) of, it is semidefinite by construction, and ``eigen``
     comes from one thin SVD of Z when first read.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
-    data: StandardizedMatrix | None = field(default=None, repr=False)
+    data: TimeSeriesTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         values = check_symmetric(self.values, where="correlation matrix")
@@ -257,21 +234,21 @@ class CorrelationMatrix:
         return CorrelationMatrix(
             names=tuple(names),
             values=self.values[np.ix_(idx, idx)].copy(),
-            data=None if self.data is None else StandardizedMatrix(
-                tuple(names), self.data.values[:, idx]
+            data=None if self.data is None else TimeSeriesTable(
+                self.data.years, tuple(names), self.data.values[:, idx]
             ),
         )
 
 
-def correlation_matrix(z: StandardizedMatrix) -> CorrelationMatrix:
-    """Pearson correlations of standardized columns.
+def correlation_matrix(z: TimeSeriesTable) -> CorrelationMatrix:
+    """Pearson correlations of the standardized columns of ``z``.
 
     With unit-variance columns the matrix is Z'Z / (n - 1).  Entries are
     clipped to [-1, 1] against rounding spill, the result is exactly
     symmetrized, and the diagonal is pinned to 1 before validation.  The
     result keeps ``z`` for its spectrum.
     """
-    n = z.n_obs
+    n = z.n_years
     if n < 2:
         raise PcrError(f"correlation needs at least 2 observations, got {n}")
     r = z.values.T @ z.values / (n - 1)
@@ -286,9 +263,8 @@ def scatter_pairs(names: Sequence[str]) -> list[tuple[int, int]]:
 
     This is the pair order of the flat-file counterpart of a scatterplot
     matrix: each pair appears once, x indexing the alphabetically
-    earlier name.  With p predictors plus the response that is
-    (p+1)p/2 pairs; the pipeline writes one scatter row per pair and
-    increment.
+    earlier name.  With m names that is m(m-1)/2 pairs; the pipeline
+    writes one scatter row per pair and increment.
     """
     order = sorted(range(len(names)), key=names.__getitem__)
     return list(itertools.combinations(order, 2))

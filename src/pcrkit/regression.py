@@ -106,8 +106,9 @@ def fit_pcr(scores, response, component_names: tuple[str, ...]) -> OlsFit:
 
     The scores are orthogonal by construction on the training data, so
     this fit is immune to the collinearity that breaks the raw-variable
-    baseline.  With all components retained it reproduces the baseline's
-    fitted values exactly (the score basis spans the same column space).
+    baseline.  With all components retained the scores span the same
+    column space as the predictors, so the fit reproduces the baseline's
+    fitted values up to rounding.
     """
     return fit_ols(scores, response, names=component_names)
 

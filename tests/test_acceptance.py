@@ -66,7 +66,7 @@ def pcr_fit_for(x, y, k):
     z = standardize(table)
     r = correlation_matrix(z).submatrix(names)
     sol = rotate_varimax(extract(r, k))
-    w = score_weights(r, sol)
+    w = score_weights(sol)
     scores = component_scores(r.data, w)
     return fit_pcr(scores, table.column("Y"), w.component_names), sol
 
@@ -105,7 +105,7 @@ def test_02_variance_proportions():
 def test_03_demand_component_structure():
     def body():
         _, sub, sol = fixture_predictor_solution()
-        w = score_weights(sub, sol)
+        w = score_weights(sol)
         demand = {"PD", "GVA", "GDHI"}
         satisfied = False
         detail = []

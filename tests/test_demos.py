@@ -1,10 +1,10 @@
-"""The demos run, and the README's library example imports what it names.
+"""The demos run, and the README's library example runs.
 
 Both read only the package's public surface, so they fail when a name
-the documentation relies on stops being exported from ``pcrkit``.  The
-demos run with warnings as errors, the error classes are pinned to the
-four that callers catch or read, and every exported name has a reader
-outside the tests.
+the documentation relies on stops being exported from ``pcrkit`` or a
+call it shows stops working.  The demos run with warnings as errors,
+the error classes are pinned to the four that callers catch or read,
+and every exported name has a reader outside the tests.
 """
 
 import os
@@ -13,13 +13,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pcrkit
 from pcrkit import errors
+from pcrkit.pipeline import RunConfig, load_table, run_pipeline
 
 ROOT = Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PANEL9 = ROOT / "tests" / "golden" / "panel9.csv"
+
+
+def readme_library():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Library", 1)[1].split("\n## ", 1)[0]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -33,13 +41,26 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_readme_library_names_resolve():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"from pcrkit import \((.*?)\)", library, re.S).group(1)
+    block = re.search(r"from pcrkit import \((.*?)\)", readme_library(), re.S).group(1)
     names = [name.strip() for name in block.split(",") if name.strip()]
     assert names
     for name in names:
         assert name in pcrkit.__all__ and hasattr(pcrkit, name), name
+
+
+def test_readme_library_example_runs_on_golden_panel9():
+    # The example's free names are the columns of a table; on golden
+    # panel9 it repeats, call for call, what run_pipeline does.
+    code = re.search(r"```python\n(.*?)```", readme_library(), re.S).group(1)
+    table = load_table(PANEL9)
+    scope = {"years": table.years, "names": table.names, "values": table.values}
+    exec(code, scope)
+    report = run_pipeline(RunConfig(input_path=PANEL9))
+    assert scope["inflation"] == report.vif
+    assert scope["fit"].r_squared == report.pcr.r_squared
+    assert np.array_equal(scope["scores"], report.scores)
+    assert np.array_equal(scope["path"].levels, report.prices.levels)
+    assert np.array_equal(scope["path"].years, report.prices.years)
 
 
 def test_errors_defines_only_the_classes_callers_use():

@@ -20,10 +20,16 @@ from pcrkit.errors import PcrError
 from pcrkit.fixtures import load_fixture
 from pcrkit.linalg import check_symmetric, solve_least_squares
 from pcrkit.pca import component_scores, extract, rotate_varimax, score_weights
-from pcrkit.pipeline import Report, RunConfig, emit_report, render_report, write_table
+from pcrkit.pipeline import (
+    Report,
+    RunConfig,
+    emit_report,
+    render_report,
+    run_pipeline,
+    write_table,
+)
 from pcrkit.preprocess import (
     CorrelationMatrix,
-    StandardizedMatrix,
     TimeSeriesTable,
     correlation_matrix,
     difference,
@@ -34,11 +40,11 @@ from pcrkit.regression import fit_ols, reconstruct_prices
 NAMES = ("IY", "A")
 
 
-def table(values, years=None, names=NAMES, response="IY"):
+def table(values, years=None, names=NAMES):
     values = np.asarray(values, dtype=np.float64)
     if years is None:
         years = np.arange(2000, 2000 + values.shape[0])
-    return TimeSeriesTable(years=years, names=names, values=values, response=response)
+    return TimeSeriesTable(years=years, names=names, values=values)
 
 
 EQUICORRELATED = CorrelationMatrix(
@@ -109,16 +115,12 @@ CASES = {
         "1 names for 2 columns",
     ),
     "duplicate-names": (
-        lambda: table(np.ones((3, 2)), names=("IY", "IY")),
-        "duplicate column names",
+        lambda: table(np.ones((3, 3)), names=("IY", "A", "A")),
+        "duplicate column name 'A'",
     ),
     "years-gap": (
         lambda: table(np.ones((3, 2)), years=[2000, 2001, 2003]),
         "years must be consecutive: 2001 is followed by 2003",
-    ),
-    "missing-response": (
-        lambda: table(np.ones((3, 2)), response="Y"),
-        "response column 'Y' not among ['IY', 'A']",
     ),
     "unknown-column": (
         lambda: table(np.ones((3, 2))).column("Z"),
@@ -145,7 +147,7 @@ CASES = {
         "column 'A' has zero variance and cannot be standardized",
     ),
     "correlation-rows": (
-        lambda: correlation_matrix(StandardizedMatrix(("A",), np.zeros((1, 1)))),
+        lambda: correlation_matrix(table(np.zeros((1, 2)))),
         "correlation needs at least 2 observations, got 1",
     ),
     "no-variables": (
@@ -166,7 +168,7 @@ CASES = {
     ),
     "data-names": (
         lambda: CorrelationMatrix(
-            ("a", "b"), np.eye(2), data=StandardizedMatrix(("b", "a"), np.zeros((3, 2)))
+            ("a", "b"), np.eye(2), data=table(np.zeros((3, 2)), names=("b", "a"))
         ),
         "data columns ('b', 'a') do not match ('a', 'b')",
     ),
@@ -184,18 +186,14 @@ CASES = {
         "component count must be in [1, 3], got 4",
     ),
     "null-component": (
-        lambda: score_weights(SINGULAR, extract(SINGULAR, 2)),
+        lambda: score_weights(extract(SINGULAR, 2)),
         "component 2 has eigenvalue 0.0, which leaves no variance to score; "
         "retain at most 1 components",
     ),
-    "weights-names": (
-        lambda: score_weights(EQUICORRELATED.submatrix(("a", "b")), TWO_COMPONENTS),
-        "variable names do not match: missing ['c'], extra []",
-    ),
     "scores-names": (
         lambda: component_scores(
-            StandardizedMatrix(("a", "b", "d"), np.zeros((3, 3))),
-            score_weights(EQUICORRELATED, TWO_COMPONENTS),
+            table(np.zeros((3, 3)), names=("a", "b", "d")),
+            score_weights(TWO_COMPONENTS),
         ),
         "variable names do not match: missing ['c'], extra ['d']",
     ),
@@ -228,6 +226,12 @@ CASES = {
     "unknown-fixture": (
         lambda: load_fixture("fig9"),
         "unknown fixture 'fig9'; available: fig3",
+    ),
+    # The run checks its response against the names it read, in either input mode.
+    "missing-response": (
+        lambda: run_pipeline(RunConfig(fixture="fig3", response="Y")),
+        "[input] response column 'Y' not among "
+        "['IY', 'REI', 'PDS', 'PDC', 'IR', 'GVA', 'CPI', 'PD', 'GDHI']",
     ),
 }
 

@@ -207,7 +207,7 @@ class TestScoreWeights:
         # W = R^-1 L with L = sqrt(0.9) * (1, 1): both entries equal
         # sqrt(0.9) * (1 - 0.8) / (1 - 0.64) = 1/sqrt(3.6).
         r = corr([[1.0, 0.8], [0.8, 1.0]])
-        w = score_weights(r, extract(r, 1))
+        w = score_weights(extract(r, 1))
         expected = 1.0 / np.sqrt(3.6)
         assert w.weights[:, 0] == pytest.approx([expected, expected], abs=1e-12)
         assert w.component_names == ("PC1",)
@@ -215,7 +215,7 @@ class TestScoreWeights:
     def test_unrotated_scores_are_uncorrelated_unit_variance(self):
         z = random_z(15, n=80, p=5)
         r = correlation_matrix(z)
-        w = score_weights(r, extract(r, 2))
+        w = score_weights(extract(r, 2))
         f = component_scores(z, w)
         cov = f.T @ f / (f.shape[0] - 1)
         assert np.abs(cov - np.eye(2)).max() <= 1e-6
@@ -223,29 +223,22 @@ class TestScoreWeights:
     def test_rotated_scores_are_uncorrelated_unit_variance(self):
         z = random_z(16, n=80, p=5)
         r = correlation_matrix(z)
-        w = score_weights(r, rotate_varimax(extract(r, 2)))
+        w = score_weights(rotate_varimax(extract(r, 2)))
         f = component_scores(z, w)
         cov = f.T @ f / (f.shape[0] - 1)
         assert np.abs(cov - np.eye(2)).max() <= 1e-6
-
-    def test_name_mismatch_rejected(self):
-        r = corr([[1.0, 0.8], [0.8, 1.0]], names=("a", "b"))
-        sol = extract(r, 1)
-        other = corr([[1.0, 0.8], [0.8, 1.0]], names=("a", "c"))
-        with pytest.raises(PcrError, match="variable names do not match"):
-            score_weights(other, sol)
 
     def test_singular_matrix_needs_ridge(self):
         # No ridge is needed: the weights never invert R, so a singular R
         # scores every component with variance; only a retained null
         # direction fails, naming its eigenvalue.
         r = corr([[1.0, 1.0], [1.0, 1.0]])
-        w = score_weights(r, extract(r, 1))
+        w = score_weights(extract(r, 1))
         assert np.all(np.isfinite(w.weights))
         assert (w.weights.T @ r.values @ w.weights)[0, 0] == pytest.approx(1.0, abs=1e-12)
         sol = extract(r, 2)
         with pytest.raises(PcrError) as excinfo:
-            score_weights(r, sol)
+            score_weights(sol)
         message = str(excinfo.value)
         assert repr(float(sol.eigenvalues[1])) in message
         assert "component 2" in message
@@ -264,13 +257,13 @@ class TestScoreWeights:
                     sol = rotate_varimax(sol)
                     loadings = sol.rotated_loadings
                 expected = np.linalg.solve(r.values, loadings)
-                got = score_weights(r, sol).weights
+                got = score_weights(sol).weights
                 assert np.abs(got - expected).max() <= 1e-10
 
     def test_component_labels_follow_rotation(self):
         r = correlation_matrix(random_z(17))
         rot = rotate_varimax(extract(r, 2))
-        w = score_weights(r, rot)
+        w = score_weights(rot)
         assert w.component_names == ("RC1", "RC2")
 
 
@@ -278,7 +271,7 @@ class TestComponentScores:
     def test_name_alignment_enforced(self):
         z = random_z(18)
         r = correlation_matrix(z)
-        w = score_weights(r, extract(r, 1))
+        w = score_weights(extract(r, 1))
         narrowed = r.submatrix(z.names[:2]).data
         with pytest.raises(PcrError, match="variable names do not match"):
             component_scores(narrowed, w)
@@ -286,7 +279,7 @@ class TestComponentScores:
     def test_scores_shape(self):
         z = random_z(19, n=30, p=4)
         r = correlation_matrix(z)
-        f = component_scores(z, score_weights(r, extract(r, 2)))
+        f = component_scores(z, score_weights(extract(r, 2)))
         assert f.shape == (30, 2)
 
 

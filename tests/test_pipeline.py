@@ -71,7 +71,6 @@ def planted_panel_table(seed=0, n_years=21, noise_sd=0.1, duplicate=None):
         years=np.arange(2000, 2000 + n_years),
         names=tuple(names),
         values=levels,
-        response="IY",
     )
 
 
@@ -202,9 +201,23 @@ class TestMatrixMode:
             run_pipeline(RunConfig(fixture="fig3", response="nope"))
         assert excinfo.value.stage == "input"
         assert excinfo.value.exit_code == 2
+        # The response is checked before the report takes anything from the fixture.
+        assert excinfo.value.report.names == ()
+        assert excinfo.value.report.fixture_adjustment is None
 
 
 class TestTableMode:
+    def test_unknown_response_fails_input_stage(self, tmp_path):
+        path = write_table(planted_panel_table(2), tmp_path / "t.csv")
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(RunConfig(input_path=path, response="Y"))
+        assert excinfo.value.stage == "input"
+        assert excinfo.value.exit_code == 2
+        assert str(excinfo.value.cause) == (
+            f"response column 'Y' not among {list(INDICATOR_NAMES)}"
+        )
+        assert excinfo.value.report.names == ()
+
     def test_full_run_products(self, tmp_path):
         table = planted_panel_table(2)
         path = write_table(table, tmp_path / "t.csv")
@@ -524,7 +537,6 @@ class TestUnits:
             years=table.years,
             names=table.names,
             values=table.values * 1e-150,
-            response=table.response,
         )
         base = run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "a.csv")))
         scaled = run_pipeline(RunConfig(input_path=write_table(tiny, tmp_path / "b.csv")))
@@ -541,7 +553,6 @@ class TestUnits:
             years=table.years,
             names=table.names,
             values=table.values * scale,
-            response=table.response,
         )
         base = run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "a.csv")))
         scaled = run_pipeline(
@@ -838,6 +849,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: [input] ")
         assert "no predictor columns besides the response 'IY'" in err
+
+    def test_unknown_fixture_response_is_input_error(self, capsys):
+        assert cli.main(["--fixture", "fig3", "--response", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [input] response column 'nope' not among {list(INDICATOR_NAMES)}\n"
+        )
+
+    def test_repeated_column_is_named(self, tmp_path, capsys):
+        p = tmp_path / "twice.csv"
+        p.write_text("year,IY,A,A\n2000,1,5,5\n2001,4,9,9\n2002,2,4,4\n")
+        assert cli.main(["--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: [input] duplicate column name 'A'\n"
 
     def test_rotation_none_flag(self, capsys):
         assert cli.main(["--fixture", "fig3", "--rotation", "none"]) == 0

@@ -19,7 +19,7 @@ from pcrkit.preprocess import (
 )
 
 
-def make_table(values, names=None, response=None, start_year=2000):
+def make_table(values, names=None, start_year=2000):
     values = np.asarray(values, dtype=float)
     if names is None:
         names = tuple(f"V{j + 1}" for j in range(values.shape[1]))
@@ -27,7 +27,6 @@ def make_table(values, names=None, response=None, start_year=2000):
         years=np.arange(start_year, start_year + values.shape[0]),
         names=tuple(names),
         values=values,
-        response=response if response is not None else names[0],
     )
 
 
@@ -85,16 +84,21 @@ class TestTableValidation:
                 years=np.array([2000, 2002, 2003]),
                 names=("A",),
                 values=np.ones((3, 1)),
-                response="A",
             )
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(PcrError, match="duplicate"):
             make_table(np.ones((3, 2)), names=("A", "A"))
 
-    def test_response_must_exist(self):
-        with pytest.raises(PcrError, match="response"):
-            make_table(np.ones((3, 2)), names=("A", "B"), response="C")
+    def test_any_columns_standardize_and_correlate(self):
+        # No column is the response: a table without IY needs no dummy one.
+        t = make_table([[1.0, 2.0], [2.0, 1.0], [4.0, 5.0], [3.0, 3.0]], names=("A", "B"))
+        z = standardize(t)
+        assert z.names == ("A", "B")
+        assert np.array_equal(z.years, t.years)
+        r = correlation_matrix(z)
+        assert r.names == ("A", "B") and r.data is z
+        assert np.array_equal(r.submatrix(("B",)).data.years, t.years)
 
     def test_non_finite_rejected(self):
         with pytest.raises(Exception, match="non-finite"):
@@ -106,7 +110,6 @@ class TestTableValidation:
                 years=np.arange(2),
                 names=("A",),
                 values=np.ones((3, 1)),
-                response="A",
             )
 
     def test_column_lookup(self):
@@ -114,10 +117,6 @@ class TestTableValidation:
         assert np.array_equal(t.column("B"), np.array([10.0, 20.0, 30.0]))
         with pytest.raises(PcrError, match="variable names do not match"):
             t.column("Z")
-
-    def test_predictor_names_exclude_response(self):
-        t = make_table(np.ones((3, 3)), names=("Y", "A", "B"), response="Y")
-        assert t.predictor_names == ("A", "B")
 
 
 class TestDifference:
@@ -198,8 +197,7 @@ class TestStandardize:
     def test_power_of_two_scale_changes_no_bit(self, exponent):
         t = random_walk_table(9)
         scaled = TimeSeriesTable(
-            years=t.years, names=t.names, values=np.ldexp(t.values, exponent),
-            response=t.response,
+            years=t.years, names=t.names, values=np.ldexp(t.values, exponent)
         )
         assert np.array_equal(standardize(scaled).values, standardize(t).values)
 
@@ -218,11 +216,7 @@ class TestStandardize:
     def test_idempotent_within_tolerance(self):
         t = random_walk_table(8)
         z = standardize(t)
-        again = standardize(
-            TimeSeriesTable(
-                years=t.years, names=t.names, values=z.values, response=t.response
-            )
-        )
+        again = standardize(z)
         assert np.abs(again.values - z.values).max() <= 1e-12
 
     def test_select_reorders_and_subsets(self):

@@ -15,10 +15,9 @@ def fitted_pipeline(seed, n=24, p=3, k=None):
     y = x @ rng.uniform(0.5, 1.5, size=p) + 0.1 * rng.standard_normal(n)
     table = make_table(np.column_stack([y, x]), names=("Y",) + tuple(f"X{i+1}" for i in range(p)))
     z = standardize(table)
-    predictors = table.predictor_names
-    r = correlation_matrix(z).submatrix(predictors)
+    r = correlation_matrix(z).submatrix(table.names[1:])
     sol = rotate_varimax(extract(r, k if k is not None else p))
-    w = score_weights(r, sol)
+    w = score_weights(sol)
     scores = component_scores(r.data, w)
     fit = fit_pcr(scores, table.column("Y"), w.component_names)
     return table, z, w, scores, fit
@@ -108,8 +107,8 @@ class TestFitPcr:
 
     def test_full_rank_pcr_matches_ols(self):
         table, _, _, scores, pcr_fit = fitted_pipeline(5, n=30, p=4)
-        raw = np.column_stack([table.column(n) for n in table.predictor_names])
-        ols_fit = fit_ols(raw, table.column("Y"), names=table.predictor_names)
+        raw = np.column_stack([table.column(n) for n in table.names[1:]])
+        ols_fit = fit_ols(raw, table.column("Y"), names=table.names[1:])
         assert np.abs(pcr_fit.fitted - ols_fit.fitted).max() <= 1e-8
         assert pcr_fit.r_squared == pytest.approx(ols_fit.r_squared, abs=1e-8)
 
