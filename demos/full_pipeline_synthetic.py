@@ -7,8 +7,8 @@ Each stage below prints what the next one consumes, ending with the
 reconstructed price path and the one-call equivalent.
 """
 
+import os
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -95,8 +95,14 @@ print(f"actual levels,               first 5:     {table.column('IY')[1:6]}")
 print()
 
 # The same run as a single call: write the table to disk, point the
-# pipeline at it, render the text report.
+# pipeline at it, render the text report.  The table is written to a
+# scratch directory and named relative to it, so the report's source
+# line reads the same on every run.
+home = os.getcwd()
 with tempfile.TemporaryDirectory() as tmp:
-    source = write_table(table, Path(tmp) / "panel.csv")
-    report = run_pipeline(RunConfig(input_path=source))
+    os.chdir(tmp)
+    try:
+        report = run_pipeline(RunConfig(input_path=write_table(table, "panel.csv")))
+    finally:
+        os.chdir(home)
 print(render_report_text(report))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import STAGE_EXIT_CODES, PcrError, StageError
+from .errors import PcrError, StageError
 from .fixtures import FIXTURE_NAMES
 from .pipeline import (
     REPORT_FORMATS,
@@ -26,16 +26,13 @@ from .preprocess import DIFFERENCE_MODES
 
 def _components_arg(text: str):
     if text == "auto":
-        return "auto"
+        return text
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'auto' or a positive integer, got {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"component count must be positive, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,26 +55,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="bundled correlation matrix; runs matrix-only (no regression)",
     )
     parser.add_argument(
-        "--response", default="IY", metavar="NAME", help="response column (default: IY)"
+        "--response", default=RunConfig.response, metavar="NAME",
+        help="response column (default: %(default)s)",
     )
     parser.add_argument(
         "--diff",
         choices=DIFFERENCE_MODES,
-        default="absolute",
-        help="year-over-year differencing mode (default: absolute)",
+        default=RunConfig.diff,
+        help="year-over-year differencing mode (default: %(default)s)",
     )
     parser.add_argument(
         "--components",
         type=_components_arg,
-        default="auto",
+        default=RunConfig.components,
         metavar="auto|K",
         help="components to retain: 'auto' applies the eigenvalue-above-1 rule",
     )
     parser.add_argument(
         "--rotation",
         choices=ROTATION_MODES,
-        default="varimax",
-        help="loading rotation (default: varimax)",
+        default=RunConfig.rotation,
+        help="loading rotation (default: %(default)s)",
     )
     parser.add_argument(
         "--out",
@@ -88,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=REPORT_FORMATS,
         default="text",
-        help="report layout, in files and on stdout (default: text)",
+        help="report layout, in files and on stdout (default: %(default)s)",
     )
     return parser
 
@@ -105,6 +103,13 @@ def main(argv=None) -> int:
     )
     try:
         report = run_pipeline(config)
+        if args.out is None:
+            print(render_report(report, args.format), end="")
+            return 0
+        try:
+            paths = emit_report(report, args.out, args.format)
+        except PcrError as err:
+            raise StageError("output", err) from err
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
         if args.out is not None and err.report is not None:
@@ -114,15 +119,6 @@ def main(argv=None) -> int:
             except PcrError:
                 pass
         return err.exit_code
-
-    if args.out is None:
-        print(render_report(report, args.format), end="")
-        return 0
-    try:
-        paths = emit_report(report, args.out, args.format)
-    except PcrError as err:
-        print(f"error: [output] {err}", file=sys.stderr)
-        return STAGE_EXIT_CODES["output"]
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -55,13 +55,13 @@ STAGE_EXIT_CODES = {
 class StageError(PcrError):
     """Wraps a module error with the pipeline stage that raised it.
 
+    Raise it ``from`` the wrapped error, which becomes ``__cause__``.
     ``report`` holds the partially filled report so a driver can still
     emit whatever completed before the failure.
     """
 
-    def __init__(self, stage: str, cause: PcrError, report=None):
+    def __init__(self, stage: str, error: PcrError, report=None):
         self.stage = stage
-        self.cause = cause
         self.report = report
         self.exit_code = STAGE_EXIT_CODES[stage]
-        super().__init__(f"[{stage}] {cause}")
+        super().__init__(f"[{stage}] {error}")

@@ -95,10 +95,7 @@ class Report:
     """
 
     config: RunConfig = field(default_factory=RunConfig)
-    source: str = ""
-    mode: str = ""
     names: tuple[str, ...] = ()
-    predictor_names: tuple[str, ...] = ()
     increments: TimeSeriesTable | None = None
     fixture_adjustment: float | None = None
     correlation: CorrelationMatrix | None = None
@@ -110,8 +107,12 @@ class Report:
     scores: np.ndarray | None = None
     pcr: OlsFit | None = None
     prices: PricePath | None = None
-    price_note: str | None = None
     failure: tuple[str, str] | None = None
+
+    @property
+    def mode(self) -> str:
+        """``matrix`` for a fixture run, ``table`` for a file run."""
+        return "table" if self.config.fixture is None else "matrix"
 
 
 def load_table(path) -> TimeSeriesTable:
@@ -209,18 +210,17 @@ def run_pipeline(config: RunConfig) -> Report:
     strongly collinear data it is expected to fail, and its verbatim
     error message is part of the story the report tells.  Every other
     error aborts the run as a :class:`StageError` whose ``report``
-    attribute carries all products of the stages that completed.
+    attribute carries all products of the stages that completed; an
+    invalid ``config`` fails the input stage.
     """
-    config.validate()
     report = Report(config=config)
     stage = "input"
     try:
-        if config.fixture is not None:
-            report.source, report.mode = f"fixture {config.fixture}", "matrix"
+        config.validate()
+        if report.mode == "matrix":
             fixture = load_fixture(config.fixture)
             names = fixture.matrix.names
         else:
-            report.source, report.mode = f"file {config.input_path}", "table"
             table = load_table(config.input_path)
             names = table.names
         if config.response not in names:
@@ -231,7 +231,7 @@ def run_pipeline(config: RunConfig) -> Report:
                 f"{config.input_path} has no predictor columns besides the "
                 f"response {config.response!r}"
             )
-        report.names, report.predictor_names = names, predictors
+        report.names = names
 
         if report.mode == "matrix":
             report.fixture_adjustment = fixture.max_adjustment
@@ -272,11 +272,6 @@ def run_pipeline(config: RunConfig) -> Report:
             base = float(table.column(config.response)[0])
             report.prices = reconstruct_prices(
                 base, report.pcr.fitted, years=diffed.years
-            )
-        else:
-            report.price_note = (
-                f"price path omitted: {config.diff!r} increments are not "
-                "additive differences of levels"
             )
     except PcrError as err:
         report.failure = (stage, str(err))
@@ -353,7 +348,7 @@ def _sections(report: Report):
     config = report.config
     requested = str(config.components)
     run = {
-        "source": report.source,
+        "source": f"fixture {config.fixture}" if config.fixture else f"file {config.input_path}",
         "mode": report.mode,
         "response": config.response,
         "difference": config.diff,
@@ -446,8 +441,11 @@ def _sections(report: Report):
                 )
             ),
         ]
-    elif report.price_note is not None:
-        note = report.price_note
+    elif report.pcr is not None and config.diff != "absolute":
+        note = (
+            f"price path omitted: {config.diff!r} increments are not "
+            "additive differences of levels"
+        )
         yield "price path", "prices", [_Line(note, ("note", "", note))]
     if report.failure is not None:
         stage, message = report.failure

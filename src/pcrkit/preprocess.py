@@ -45,8 +45,8 @@ class TimeSeriesTable:
     """A rectangular block of yearly observations.
 
     ``values[i, j]`` is variable ``names[j]`` in year ``years[i]``.
-    Years must be consecutive integers, names distinct and all values
-    finite.
+    Years must be consecutive integers, names distinct and not empty,
+    and all values finite.
     """
 
     years: np.ndarray
@@ -65,6 +65,8 @@ class TimeSeriesTable:
             )
         if len(self.names) != values.shape[1]:
             raise PcrError(f"{len(self.names)} names for {values.shape[1]} columns")
+        if "" in self.names:
+            raise PcrError(f"column name {self.names.index('') + 1} of {len(self.names)} is empty")
         if len(set(self.names)) != len(self.names):
             name = next(n for i, n in enumerate(self.names) if n in self.names[:i])
             raise PcrError(f"duplicate column name {name!r}")
@@ -191,17 +193,15 @@ class CorrelationMatrix:
             if self.data.names != self.names:
                 raise PcrError(f"data columns {self.data.names} do not match {self.names}")
             return
-        eig = eigen_symmetric(values)
-        smallest = float(eig.eigenvalues[-1])
+        smallest = float(self.eigen.eigenvalues[-1])
         if smallest < -PSD_TOL:
             raise PcrError(
                 f"correlation matrix is not positive definite: smallest eigenvalue {smallest!r}"
             )
-        object.__setattr__(self, "eigen", eig)
 
     @functools.cached_property
     def eigen(self) -> EigenDecomposition:
-        """Spectrum from Z = U S V^T: eigenvalues s_i^2 / (n - 1), eigenvectors V.
+        """Spectrum; with ``data``, from Z = U S V^T: eigenvalues s_i^2 / (n - 1), eigenvectors V.
 
         Working on Z keeps R's condition number from being squared.
         With fewer rows than columns, exact zeros pad the spectrum to p
@@ -211,6 +211,8 @@ class CorrelationMatrix:
         the scaled form sums to the trace of R's pinned unit diagonal
         and gives a lone variable exactly 1.
         """
+        if self.data is None:
+            return eigen_symmetric(self.values)
         n, p = self.data.values.shape
         _, s, vt = np.linalg.svd(self.data.values, full_matrices=n < p)
         squares = s**2

@@ -36,13 +36,17 @@ class OlsFit(NamedTuple):
     intercept: float
     coefficients: np.ndarray
     fitted: np.ndarray
-    residuals: np.ndarray
     r_squared: float
     residual_se: float
 
 
 def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFit:
     """Fit response = intercept + predictors @ beta by least squares.
+
+    It is solved with each column divided by a power of two
+    (``column_exponents``), which is exact, so it does not depend on the
+    data's units.  A coefficient too small for a normal float comes back
+    subnormal or 0.0; the fitted values and R^2 do not depend on it.
 
     Parameters
     ----------
@@ -55,10 +59,12 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
     Raises
     ------
     PcrError
-        Fewer than p + 2 observations (no residual degree of freedom).
+        Fewer than p + 2 observations (no residual degree of freedom),
+        or a coefficient too large for a float, naming its column.
     RankDeficiencyError
         A predictor is linearly dependent on earlier ones (or constant,
-        which duplicates the intercept); the error names it.
+        which duplicates the intercept); the error names it and gives
+        the pivot of its scaled column.
     """
     x = as_checked_array(predictors, "predictors")
     if x.ndim == 1:
@@ -69,16 +75,23 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
         names = tuple(f"X{j + 1}" for j in range(p))
     if n < p + 2:
         raise PcrError(f"ols with {p} predictors needs at least {p + 2} observations, got {n}")
-    design = np.column_stack([np.ones(n), x])
+    e, e_y = column_exponents(x), int(column_exponents(y))
+    design = np.column_stack([np.ones(n), np.ldexp(x, -e)])
     design_names = ("intercept",) + tuple(names)
-    beta = solve_least_squares(design, y, names=design_names)
-    fitted = design @ beta
-    residuals = y - fitted
-    # Scaled by a power of two, exactly, the sums of squares can neither
-    # overflow nor underflow, so R^2 does not depend on the response's units.
-    e = int(column_exponents(y))
-    scaled_y, scaled_residuals = np.ldexp(y, -e), np.ldexp(residuals, -e)
-    ss_res = float(scaled_residuals @ scaled_residuals)
+    scaled_y = np.ldexp(y, -e_y)
+    scaled_beta = solve_least_squares(design, scaled_y, names=design_names)
+    shifts = e_y - np.concatenate(([0], e))
+    with np.errstate(over="ignore"):
+        beta = np.ldexp(scaled_beta, shifts)
+    if not np.isfinite(beta).all():
+        bad = int(np.flatnonzero(~np.isfinite(beta))[0])
+        raise PcrError(
+            f"least-squares coefficient of column {bad} ({design_names[bad]}) is "
+            f"{float(scaled_beta[bad])!r} * 2**{int(shifts[bad])}, which overflows"
+        )
+    scaled_fitted = design @ scaled_beta
+    residuals = scaled_y - scaled_fitted
+    ss_res = float(residuals @ residuals)
     centered = scaled_y - scaled_y.mean()
     ss_tot = float(centered @ centered)
     if ss_tot <= ZERO_VARIANCE_TOL * float(scaled_y @ scaled_y):
@@ -88,13 +101,12 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
         r_squared = 0.0
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    residual_se = float(np.ldexp(np.sqrt(ss_res / (n - p - 1)), e))
+    residual_se = float(np.ldexp(np.sqrt(ss_res / (n - p - 1)), e_y))
     return OlsFit(
         predictor_names=tuple(names),
         intercept=float(beta[0]),
         coefficients=beta[1:].copy(),
-        fitted=fitted,
-        residuals=residuals,
+        fitted=np.ldexp(scaled_fitted, e_y),
         r_squared=r_squared,
         residual_se=residual_se,
     )

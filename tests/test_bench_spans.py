@@ -17,7 +17,7 @@ sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
 
-from pcrkit import pipeline  # noqa: E402
+from pcrkit import pipeline, preprocess  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,3 +55,24 @@ def test_traced_run_records_its_spans(config, eigen_calls):
         assert {"preprocess.correlation_matrix", "preprocess.vif"} <= set(names)
     layers = spans.op_layers(recorded)
     assert layers["linalg.eigen_calls"] == eigen_calls
+
+
+def test_a_stage_patched_before_the_trace_is_left_alone(monkeypatch):
+    # The tracer wraps a binding only while it holds the original, so a
+    # stage that someone else replaced is neither wrapped nor restored.
+    calls = []
+
+    def patched(r):
+        calls.append(r.names)
+        return preprocess.vif(r)
+
+    monkeypatch.setattr(pipeline, "vif", patched)
+    report, recorded = traced(pipeline.RunConfig(input_path=GOLDEN / "panel9.csv"))
+    names = {s["name"] for s in recorded}
+    assert "preprocess.vif" not in names
+    assert {
+        "preprocess.correlation_matrix", "preprocess.submatrix", "pca.extract",
+        "regression.fit_ols", "regression.fit_pcr",
+    } <= names
+    assert pipeline.vif is patched
+    assert len(calls) == 1 and report.vif is not None

@@ -32,12 +32,17 @@ def readme_library():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
+    # Twice: the analysis is deterministic, so the output must be too.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True,
-        text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
+    outputs = []
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
+            capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_library_names_resolve():

@@ -24,6 +24,7 @@ from pcrkit.pipeline import (
     Report,
     RunConfig,
     emit_report,
+    load_table,
     render_report,
     run_pipeline,
     write_table,
@@ -114,6 +115,10 @@ CASES = {
         lambda: table(np.ones((3, 2)), names=("IY",)),
         "1 names for 2 columns",
     ),
+    "empty-name": (
+        lambda: table(np.ones((3, 2)), names=("IY", "")),
+        "column name 2 of 2 is empty",
+    ),
     "duplicate-names": (
         lambda: table(np.ones((3, 3)), names=("IY", "A", "A")),
         "duplicate column name 'A'",
@@ -202,6 +207,13 @@ CASES = {
         lambda: fit_ols(np.ones((3, 2)), np.ones(3)),
         "ols with 2 predictors needs at least 4 observations, got 3",
     ),
+    # Solved on columns scaled to [0.5, 1), the coefficient is finite
+    # until it goes back to the units of the subnormal predictor.
+    "ols-coefficient-overflow": (
+        lambda: fit_ols([[-(2.0**-1030)], [2.0**-1030]] * 2, [0.0, 1.0] * 2, names=("x",)),
+        "least-squares coefficient of column 1 (x) is 0.49999999999999994 * 2**1030, "
+        "which overflows",
+    ),
     # configuration and output
     "config-source": (
         lambda: RunConfig().validate(),
@@ -218,6 +230,11 @@ CASES = {
     "config-components": (
         lambda: RunConfig(fixture="fig3", components=0).validate(),
         'components must be "auto" or a positive integer, got 0',
+    ),
+    # A run checks its configuration in the input stage.
+    "run-config": (
+        lambda: run_pipeline(RunConfig(fixture="fig3", components=0)),
+        '[input] components must be "auto" or a positive integer, got 0',
     ),
     "report-format": (
         lambda: render_report(Report(), "json"),
@@ -283,3 +300,20 @@ def test_writing_a_table_onto_a_directory_names_the_path_and_the_cause(tmp_path)
         write_table(table(np.ones((3, 2))), tmp_path)
     cause = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
     assert str(excinfo.value) == f"cannot write {tmp_path}: {cause}"
+
+
+def test_header_without_data_columns_names_line_1(tmp_path):
+    path = tmp_path / "years.csv"
+    path.write_text("year\n2000\n2001\n", encoding="utf-8")
+    with pytest.raises(PcrError) as excinfo:
+        load_table(path)
+    assert str(excinfo.value) == "line 1: header has no data columns"
+
+
+def test_report_onto_a_directory_names_the_path_and_the_cause(tmp_path):
+    taken = tmp_path / "report.txt"
+    taken.mkdir()
+    with pytest.raises(PcrError) as excinfo:
+        emit_report(Report(), tmp_path)
+    cause = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(taken)!r}"
+    assert str(excinfo.value) == f"cannot write {taken}: {cause}"

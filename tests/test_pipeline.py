@@ -175,7 +175,7 @@ class TestMatrixMode:
         report = run_pipeline(RunConfig(fixture="fig3"))
         assert report.mode == "matrix"
         assert report.names == INDICATOR_NAMES
-        assert report.predictor_names == tuple(
+        assert report.solution.names == tuple(
             n for n in INDICATOR_NAMES if n != "IY"
         )
         assert report.fixture_adjustment is not None
@@ -213,7 +213,7 @@ class TestTableMode:
             run_pipeline(RunConfig(input_path=path, response="Y"))
         assert excinfo.value.stage == "input"
         assert excinfo.value.exit_code == 2
-        assert str(excinfo.value.cause) == (
+        assert str(excinfo.value.__cause__) == (
             f"response column 'Y' not among {list(INDICATOR_NAMES)}"
         )
         assert excinfo.value.report.names == ()
@@ -260,7 +260,7 @@ class TestTableMode:
         path = write_table(table, tmp_path / "t.csv")
         report = run_pipeline(RunConfig(input_path=path, diff="percent"))
         assert report.prices is None
-        assert "not additive" in report.price_note
+        assert "not additive" in render_report_text(report)
 
     def test_off_mode_uses_rows_as_increments(self, tmp_path):
         table = planted_panel_table(6)
@@ -303,6 +303,15 @@ class TestStageErrors:
         assert err.stage == "input"
         assert err.exit_code == 2
         assert err.report.failure[0] == "input"
+
+    def test_invalid_config_fails_input_stage(self):
+        # From the library as from the CLI: a StageError with a partial report.
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(RunConfig(fixture="fig3", components=0))
+        err = excinfo.value
+        assert (err.stage, err.exit_code) == ("input", 2)
+        assert "[failure]\nstage: input\n" in render_report_text(err.report)
+        assert err.report.names == ()
 
     def test_preprocess_stage(self, tmp_path):
         p = tmp_path / "two.csv"
@@ -610,7 +619,7 @@ class TestSpectrum:
 
     @staticmethod
     def predictor_eigh(report):
-        idx = [report.names.index(n) for n in report.predictor_names]
+        idx = [report.names.index(n) for n in report.solution.names]
         return linalg.eigen_symmetric(report.correlation.values[np.ix_(idx, idx)])
 
     @pytest.mark.parametrize("name", ["panel9.csv", "panel30.csv"])
@@ -687,6 +696,27 @@ class TestCli:
             cli.main(["--fixture", "fig3", "--components", "two"])
         assert excinfo.value.code == 2
 
+    def test_zero_components_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["--fixture", "fig3", "--components", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            'error: [input] components must be "auto" or a positive integer, got 0\n'
+        )
+        assert "[failure]\nstage: input\n" in (out / "report.txt").read_text()
+
+    def test_header_without_data_columns_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "years.csv"
+        p.write_text("year\n2000\n2001\n")
+        assert cli.main(["--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: [input] line 1: header has no data columns\n"
+
+    @pytest.mark.parametrize("header", ["year,,IY", "year,  ,IY"], ids=["empty", "blank"])
+    def test_empty_column_name_is_input_error(self, tmp_path, capsys, header):
+        p = tmp_path / "unnamed.csv"
+        p.write_text(f"{header}\n2000,5,1\n2001,9,4\n2002,4,2\n2003,8,5\n")
+        assert cli.main(["--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: [input] column name 1 of 2 is empty\n"
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["--input", str(tmp_path / "absent.csv")])
         assert code == 2
@@ -757,6 +787,14 @@ class TestCli:
         )
         assert code == 6
         assert "[output]" in capsys.readouterr().err
+
+    def test_report_onto_a_directory_is_output_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.txt").mkdir(parents=True)
+        assert cli.main(["--fixture", "fig3", "--out", str(out)]) == 6
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: [output] cannot write {out / 'report.txt'}: ")
+        assert captured.out == ""
 
     def test_partial_report_written_on_failure(self, tmp_path, capsys):
         table = planted_panel_table(17)

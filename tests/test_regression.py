@@ -26,11 +26,12 @@ def fitted_pipeline(seed, n=24, p=3, k=None):
 class TestFitOls:
     def test_exact_line_recovered(self):
         x = np.arange(10.0)[:, None]
-        fit = fit_ols(x, 3.0 + 2.0 * x[:, 0])
+        y = 3.0 + 2.0 * x[:, 0]
+        fit = fit_ols(x, y)
         assert fit.intercept == pytest.approx(3.0, abs=1e-10)
         assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-10)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(fit.residuals).max() <= 1e-10
+        assert np.abs(y - fit.fitted).max() <= 1e-10
 
     def test_hand_derived_inconsistent_fit(self):
         # Fit of y = (0, 0, 3) on t = (0, 1, 2): beta = (-1/2, 3/2),
@@ -94,6 +95,41 @@ class TestFitOls:
         again = fit_ols(scaled, y)
         assert again.r_squared == pytest.approx(base.r_squared, abs=1e-10)
         assert np.abs(again.fitted - base.fitted).max() <= 1e-8
+
+    @staticmethod
+    def one_predictor():
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(15)
+        return x, 0.4 * x + rng.standard_normal(15)
+
+    @pytest.mark.parametrize("sx, sy", [(1e241, 1e-198), (1e160, 1e-160)])
+    def test_far_apart_scales_keep_the_fit(self, sx, sy):
+        # The coefficient, about 1e-440 and 1e-321, is below the normal
+        # range: it prints as 0.0 or subnormal, but the fit keeps its R².
+        x, y = self.one_predictor()
+        base = fit_ols(x[:, None], y)
+        fit = fit_ols((x * sx)[:, None], y * sy)
+        assert abs(fit.r_squared - base.r_squared) <= 1e-12
+        np.testing.assert_allclose(fit.fitted, base.fitted * sy, rtol=1e-12)
+        assert fit.intercept == pytest.approx(base.intercept * sy, rel=1e-12)
+        assert fit.residual_se == pytest.approx(base.residual_se * sy, rel=1e-12)
+
+    SCALES = [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300]
+
+    @pytest.mark.parametrize("sy", SCALES)
+    @pytest.mark.parametrize("sx", SCALES)
+    def test_any_pair_of_scales_fits_or_names_the_column(self, sx, sy):
+        # The coefficient is about 0.18 * sy / sx: only where that passes
+        # the largest float may the fit fail, and then it names the column.
+        x, y = self.one_predictor()
+        base = fit_ols(x[:, None], y, names=("X",))
+        try:
+            fit = fit_ols((x * sx)[:, None], y * sy, names=("X",))
+        except PcrError as err:
+            assert "column 1 (X)" in str(err)
+            assert np.log10(sy) - np.log10(sx) > 300
+            return
+        assert abs(fit.r_squared - base.r_squared) <= 1e-12
 
     def test_one_dim_predictor_accepted(self):
         fit = fit_ols(np.arange(6.0), np.arange(6.0) * 2.0)
