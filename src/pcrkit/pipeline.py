@@ -347,8 +347,9 @@ def _sections(report: Report):
     """
     config = report.config
     requested = str(config.components)
+    source = f"file {config.input_path}" if config.fixture is None else f"fixture {config.fixture}"
     run = {
-        "source": f"fixture {config.fixture}" if config.fixture else f"file {config.input_path}",
+        "source": source,
         "mode": report.mode,
         "response": config.response,
         "difference": config.diff,
