@@ -85,7 +85,11 @@ class FixtureData(NamedTuple):
     name: str
     printed: np.ndarray
     matrix: CorrelationMatrix
-    max_adjustment: float
+
+    @property
+    def max_adjustment(self) -> float:
+        """The largest entry change the validity repair made."""
+        return float(np.abs(self.matrix.values - self.printed).max())
 
 
 FIXTURE_NAMES = ("fig3",)
@@ -108,5 +112,4 @@ def load_fixture(name: str = "fig3") -> FixtureData:
         name=name,
         printed=printed,
         matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired),
-        max_adjustment=float(np.abs(repaired - printed).max()),
     )

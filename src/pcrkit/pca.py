@@ -38,28 +38,24 @@ class PcaSolution(NamedTuple):
     when fewer components are retained.  ``loadings`` is p x k for the
     retained components.  After rotation, ``rotated_loadings`` and the
     k x k orthogonal ``rotation`` satisfy
-    ``rotated_loadings == loadings @ rotation`` and the rotated columns
-    are ordered by descending sum of squared loadings.
+    ``rotated_loadings == loadings @ rotation`` up to rounding (a few
+    units in the last place) and the rotated columns are ordered by
+    descending sum of squared loadings.
 
-    Variance proportions are reported for both conventions: per
-    unrotated component, lambda_j / p; per rotated component, the sum of
-    squared rotated loadings over p.  Their cumulative sums over the
-    retained components agree because rotation only redistributes
-    explained variance.
+    Everything else is a property of these fields.  Variance
+    proportions are reported for both conventions: per unrotated
+    component, lambda_j / p; per rotated component, the sum of squared
+    rotated loadings over p (``None`` when unrotated).  Their cumulative
+    sums over the retained components agree because rotation only
+    redistributes explained variance.
     """
 
     names: tuple[str, ...]
     n_components: int
     eigenvalues: np.ndarray
     loadings: np.ndarray
-    proportion: np.ndarray
-    cumulative: np.ndarray
-    communality: np.ndarray
-    uniqueness: np.ndarray
     rotated_loadings: np.ndarray | None = None
     rotation: np.ndarray | None = None
-    rotated_proportion: np.ndarray | None = None
-    rotated_cumulative: np.ndarray | None = None
     rotation_sweeps: int = 0
 
     @property
@@ -70,6 +66,33 @@ class PcaSolution(NamedTuple):
     def component_names(self) -> tuple[str, ...]:
         prefix = "PC" if self.rotated_loadings is None else "RC"
         return tuple(f"{prefix}{j + 1}" for j in range(self.n_components))
+
+    @property
+    def proportion(self) -> np.ndarray:
+        return self.eigenvalues[: self.n_components] / self.p
+
+    @property
+    def cumulative(self) -> np.ndarray:
+        return np.cumsum(self.proportion)
+
+    @property
+    def communality(self) -> np.ndarray:
+        return (self.loadings**2).sum(axis=1)
+
+    @property
+    def uniqueness(self) -> np.ndarray:
+        return 1.0 - self.communality
+
+    @property
+    def rotated_proportion(self) -> np.ndarray | None:
+        if self.rotated_loadings is None:
+            return None
+        return (self.rotated_loadings**2).sum(axis=0) / self.p
+
+    @property
+    def rotated_cumulative(self) -> np.ndarray | None:
+        proportion = self.rotated_proportion
+        return None if proportion is None else np.cumsum(proportion)
 
 
 def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution:
@@ -105,19 +128,9 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
             raise PcrError(f"component count must be in [1, {p}], got {components!r}")
     # A spectrum taken from the matrix itself can round a hair below
     # zero on a semidefinite matrix; clamp only for the square root.
-    lam = values[:k]
-    loadings = vectors[:, :k] * np.sqrt(np.maximum(lam, 0.0))
-    communality = (loadings**2).sum(axis=1)
-    proportion = lam / p
+    loadings = vectors[:, :k] * np.sqrt(np.maximum(values[:k], 0.0))
     return PcaSolution(
-        names=r.names,
-        n_components=k,
-        eigenvalues=values.copy(),
-        loadings=loadings,
-        proportion=proportion,
-        cumulative=np.cumsum(proportion),
-        communality=communality,
-        uniqueness=1.0 - communality,
+        names=r.names, n_components=k, eigenvalues=values.copy(), loadings=loadings
     )
 
 
@@ -134,77 +147,60 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     angle maximizing the varimax criterion for that plane is applied,
     and full sweeps repeat until the criterion stops improving, at most
     ``VARIMAX_MAX_SWEEPS`` times.  Rows are Kaiser-normalized (scaled to
-    unit communality) during rotation.
+    unit communality) during rotation.  A single retained component has
+    no plane to rotate in, so its one sweep leaves it unchanged, with
+    the identity rotation.
 
     The rotated columns are reordered by descending sum of squared
     loadings and sign-fixed so each column's largest-magnitude loading
     is positive; the returned ``rotation`` matrix absorbs both, so
-    ``loadings @ rotation`` reproduces ``rotated_loadings`` exactly.
-
-    A single retained component is returned unchanged with the identity
-    rotation, as there is no plane to rotate in.
+    ``loadings @ rotation`` reproduces ``rotated_loadings`` up to
+    rounding (a few units in the last place).
     """
     a = solution.loadings
     p, k = a.shape
-    if k == 1:
-        return solution._replace(
-            rotated_loadings=a.copy(),
-            rotation=np.eye(1),
-            rotated_proportion=solution.proportion.copy(),
-            rotated_cumulative=solution.cumulative.copy(),
-            rotation_sweeps=0,
-        )
-
     h = np.sqrt((a**2).sum(axis=1))
     h = np.where(h == 0.0, 1.0, h)
-    b = a / h[:, None]
-    t = np.eye(k)
+    # The rotation rides as k extra rows under the normalized loadings,
+    # so each plane rotation turns both in one column update.  Angles
+    # and the criterion read the loading rows only.
+    bt = np.vstack((a / h[:, None], np.eye(k)))
 
-    previous = _varimax_criterion(b)
+    previous = _varimax_criterion(bt[:p])
     improvement = float("inf")
     sweeps = 0
     while True:
         if sweeps >= VARIMAX_MAX_SWEEPS:
             raise PcrError(
                 f"varimax rotation did not converge in {sweeps} sweeps, "
-                f"residual {improvement!r}"
+                f"residual {improvement!r}; use rotation 'none' or retain "
+                f"at most {k - 1} components"
             )
         sweeps += 1
         for i in range(k - 1):
             for j in range(i + 1, k):
-                x = b[:, i].copy()
-                y = b[:, j].copy()
-                u = x * x - y * y
-                v = 2.0 * x * y
+                x = bt[:, i].copy()
+                y = bt[:, j].copy()
+                u = x[:p] * x[:p] - y[:p] * y[:p]
+                v = 2.0 * x[:p] * y[:p]
                 num = 2.0 * (float(u @ v) - u.sum() * v.sum() / p)
                 den = float(u @ u - v @ v) - (u.sum() ** 2 - v.sum() ** 2) / p
                 phi = 0.25 * np.arctan2(num, den)
                 c = np.cos(phi)
                 s = np.sin(phi)
-                b[:, i] = c * x + s * y
-                b[:, j] = -s * x + c * y
-                ti = t[:, i].copy()
-                tj = t[:, j].copy()
-                t[:, i] = c * ti + s * tj
-                t[:, j] = -s * ti + c * tj
-        current = _varimax_criterion(b)
+                bt[:, i] = c * x + s * y
+                bt[:, j] = -s * x + c * y
+        current = _varimax_criterion(bt[:p])
         improvement = current - previous
         if improvement <= VARIMAX_TOL * max(abs(previous), 1e-30):
             break
         previous = current
 
-    rotated = b * h[:, None]
-    # Order by explained variance and fix signs; fold both into t so the
-    # factorization loadings @ t == rotated stays exact.
-    _, rotated, t = canonical_columns((rotated**2).sum(axis=0), rotated, t)
-    proportion = (rotated**2).sum(axis=0) / p
-    return solution._replace(
-        rotated_loadings=rotated,
-        rotation=t,
-        rotated_proportion=proportion,
-        rotated_cumulative=np.cumsum(proportion),
-        rotation_sweeps=sweeps,
-    )
+    rotated = bt[:p] * h[:, None]
+    # Order by explained variance and fix signs; fold both into the
+    # rotation so that loadings @ rotation still gives rotated.
+    _, rotated, t = canonical_columns((rotated**2).sum(axis=0), rotated, bt[p:])
+    return solution._replace(rotated_loadings=rotated, rotation=t, rotation_sweeps=sweeps)
 
 
 class ScoreWeights(NamedTuple):

@@ -110,8 +110,13 @@ class Report:
     failure: tuple[str, str] | None = None
 
     @property
-    def mode(self) -> str:
-        """``matrix`` for a fixture run, ``table`` for a file run."""
+    def mode(self) -> str | None:
+        """``matrix`` for a fixture run, ``table`` for a file run.
+
+        ``None`` when the config sets both sources or neither.
+        """
+        if (self.config.input_path is None) == (self.config.fixture is None):
+            return None
         return "table" if self.config.fixture is None else "matrix"
 
 
@@ -347,10 +352,10 @@ def _sections(report: Report):
     """
     config = report.config
     requested = str(config.components)
-    source = f"file {config.input_path}" if config.fixture is None else f"fixture {config.fixture}"
-    run = {
-        "source": source,
-        "mode": report.mode,
+    mode = report.mode
+    source = f"file {config.input_path}" if mode == "table" else f"fixture {config.fixture}"
+    run = {"source": source, "mode": mode} if mode is not None else {}
+    run |= {
         "response": config.response,
         "difference": config.diff,
         "components": requested,

@@ -120,8 +120,16 @@ def fit_pcr(scores, response, component_names: tuple[str, ...]) -> OlsFit:
     this fit is immune to the collinearity that breaks the raw-variable
     baseline.  With all components retained the scores span the same
     column space as the predictors, so the fit reproduces the baseline's
-    fitted values up to rounding.
+    fitted values up to rounding.  Fewer than k + 2 increments for k
+    components raise :class:`~pcrkit.errors.PcrError` naming the largest
+    count that can be fitted.
     """
+    k, n = len(component_names), len(response)
+    if n < k + 2:
+        advice = f"retain at most {n - 2} components" if n > 2 else "no component count fits"
+        raise PcrError(
+            f"pcr on {k} components needs at least {k + 2} increments, got {n}; {advice}"
+        )
     return fit_ols(scores, response, names=component_names)
 
 

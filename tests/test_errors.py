@@ -36,7 +36,7 @@ from pcrkit.preprocess import (
     difference,
     standardize,
 )
-from pcrkit.regression import fit_ols, reconstruct_prices
+from pcrkit.regression import fit_ols, fit_pcr, reconstruct_prices
 
 NAMES = ("IY", "A")
 
@@ -207,6 +207,14 @@ CASES = {
         lambda: fit_ols(np.ones((3, 2)), np.ones(3)),
         "ols with 2 predictors needs at least 4 observations, got 3",
     ),
+    "pcr-rows": (
+        lambda: fit_pcr(np.ones((5, 4)), np.ones(5), ("RC1", "RC2", "RC3", "RC4")),
+        "pcr on 4 components needs at least 6 increments, got 5; retain at most 3 components",
+    ),
+    "pcr-rows-no-count": (
+        lambda: fit_pcr(np.ones((2, 1)), np.ones(2), ("PC1",)),
+        "pcr on 1 components needs at least 3 increments, got 2; no component count fits",
+    ),
     # Solved on columns scaled to [0.5, 1), the coefficient is finite
     # until it goes back to the units of the subnormal predictor.
     "ols-coefficient-overflow": (
@@ -281,7 +289,11 @@ def test_varimax_names_its_sweep_cap_and_residual(monkeypatch):
     with pytest.raises(PcrError) as excinfo:
         rotate_varimax(solution)
     message = str(excinfo.value)
-    match = re.fullmatch(r"varimax rotation did not converge in 1 sweeps, residual (\S+)", message)
+    match = re.fullmatch(
+        r"varimax rotation did not converge in 1 sweeps, residual (\S+); "
+        r"use rotation 'none' or retain at most 1 components",
+        message,
+    )
     assert match is not None, message
     assert float(match.group(1)) > 0.0
 

@@ -118,6 +118,8 @@ class TestVarimax:
         assert np.array_equal(rot.rotated_loadings, sol.loadings)
         assert np.array_equal(rot.rotation, np.eye(1))
         assert rot.component_names == ("RC1",)
+        # One sweep over no planes, as for every other count.
+        assert rot.rotation_sweeps == 1
 
     def test_rotation_is_orthogonal(self):
         r = correlation_matrix(random_z(6))

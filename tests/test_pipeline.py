@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import pcrkit
-from pcrkit import cli, linalg, pipeline
+from pcrkit import cli, linalg, pca, pipeline
 from pcrkit.errors import PcrError, StageError, TableFormatError
-from pcrkit.fixtures import INDICATOR_NAMES
+from pcrkit.fixtures import INDICATOR_NAMES, FixtureData
+from pcrkit.pca import PcaSolution, score_weights
 from pcrkit.pipeline import (
     RunConfig,
     emit_report,
@@ -196,6 +197,18 @@ class TestMatrixMode:
         assert report.solution.rotated_loadings is None
         assert report.weights.component_names == ("PC1", "PC2")
 
+    def test_unrotated_copy_renders_as_an_unrotated_run(self):
+        # Nothing derived from the rotation outlives it in a copy.
+        report = run_pipeline(RunConfig(fixture="fig3"))
+        report.solution = report.solution._replace(
+            rotated_loadings=None, rotation=None, rotation_sweeps=0
+        )
+        report.weights = score_weights(report.solution)
+        report.config.rotation = "none"
+        unrotated = run_pipeline(RunConfig(fixture="fig3", rotation="none"))
+        for render in (render_report_text, render_report_delim):
+            assert render(report) == render(unrotated)
+
     def test_unknown_response_fails_input_stage(self):
         with pytest.raises(StageError) as excinfo:
             run_pipeline(RunConfig(fixture="fig3", response="nope"))
@@ -312,6 +325,25 @@ class TestStageErrors:
         assert (err.stage, err.exit_code) == ("input", 2)
         assert "[failure]\nstage: input\n" in render_report_text(err.report)
         assert err.report.names == ()
+
+    @pytest.mark.parametrize(
+        "sources",
+        [{}, {"input_path": "x.csv", "fixture": "fig3"}],
+        ids=["neither", "both"],
+    )
+    def test_config_without_one_source_names_no_source(self, sources):
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(RunConfig(**sources))
+        report = excinfo.value.report
+        assert report.mode is None
+        assert render_report_text(report).split("\n\n")[1] == (
+            "[run]\nresponse: IY\ndifference: absolute\ncomponents: auto\n"
+            "rotation: varimax\nscores: regression"
+        )
+        rows = list(csv.reader(io.StringIO(render_report_delim(report))))
+        assert [row[1] for row in rows if row[0] == "run"] == [
+            "response", "difference", "components", "rotation", "scores"
+        ]
 
     def test_preprocess_stage(self, tmp_path):
         p = tmp_path / "two.csv"
@@ -704,6 +736,32 @@ class TestCli:
         )
         assert "[failure]\nstage: input\n" in (out / "report.txt").read_text()
 
+    def test_short_wide_panel_names_a_count_that_fits(self, tmp_path, capsys):
+        # 30 random walks and IY over 6 years: 5 increments leave room
+        # for 3 components, while Kaiser keeps 4.
+        rng = np.random.default_rng(5)
+        names = ("IY",) + tuple(f"X{j:02d}" for j in range(1, 31))
+        table = TimeSeriesTable(
+            years=np.arange(2000, 2006),
+            names=names,
+            values=100.0 + np.cumsum(rng.standard_normal((6, 31)), axis=0),
+        )
+        source = str(write_table(table, tmp_path / "wide.csv"))
+        assert cli.main(["--input", source]) == 5
+        assert capsys.readouterr().err == (
+            "error: [regression] pcr on 4 components needs at least 6 increments, "
+            "got 5; retain at most 3 components\n"
+        )
+        assert cli.main(["--input", source, "--components", "3"]) == 0
+
+    def test_varimax_cap_names_what_to_do(self, monkeypatch, capsys):
+        # fig3 takes 2 sweeps to converge.
+        monkeypatch.setattr(pca, "VARIMAX_MAX_SWEEPS", 1)
+        assert cli.main(["--fixture", "fig3"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: [pca] varimax rotation did not converge in 1 sweeps, ")
+        assert err.endswith("; use rotation 'none' or retain at most 1 components\n")
+
     def test_header_without_data_columns_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "years.csv"
         p.write_text("year\n2000\n2001\n")
@@ -861,6 +919,17 @@ class TestCli:
         )
         staged = ["CorrelationMatrix", "Report", "RunConfig", "TimeSeriesTable"]
         assert done.stdout.strip() == repr(staged)
+
+    def test_records_keep_only_what_they_computed(self):
+        # Shares of variance, communalities and the fixture's repair
+        # shift are properties of these fields.
+        assert len(PcaSolution._fields) == 7
+        assert PcaSolution._fields == (
+            "names", "n_components", "eigenvalues", "loadings",
+            "rotated_loadings", "rotation", "rotation_sweeps",
+        )
+        assert len(FixtureData._fields) == 3
+        assert FixtureData._fields == ("name", "printed", "matrix")
 
     @pytest.mark.parametrize(
         "components, code", [("1", 0), ("auto", 4)], ids=["fixed", "auto"]
