@@ -125,7 +125,7 @@ def load_table(path) -> TimeSeriesTable:
 
     Expected layout: a header ``year,<name>,...`` followed by one row
     per year, comma-separated, UTF-8 with or without a byte-order mark.
-    Years must parse as 64-bit integers, values as floats; every
+    Years must parse as 64-bit integers, values as finite floats; every
     structural defect raises :class:`TableFormatError` naming the line.
     """
     path = Path(path)
@@ -173,10 +173,16 @@ def load_table(path) -> TimeSeriesTable:
                     f"column {names[j]!r}: {cell!r} is not a number", line=i
                 ) from err
         values.append(row_values)
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise TableFormatError(
+            f"column {names[j]!r}: {rows[i + 1][j + 1].strip()!r} is not a finite number",
+            line=i + 2,
+        )
     return TimeSeriesTable(
-        years=np.asarray(years, dtype=np.int64),
-        names=names,
-        values=np.asarray(values, dtype=np.float64),
+        years=np.asarray(years, dtype=np.int64), names=names, values=values
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pcrkit import pca
-from pcrkit.errors import PcrError
+from pcrkit.errors import PcrError, StageError
 from pcrkit.fixtures import load_fixture
 from pcrkit.linalg import check_symmetric, solve_least_squares
 from pcrkit.pca import component_scores, extract, rotate_varimax, score_weights
@@ -320,6 +320,16 @@ def test_header_without_data_columns_names_line_1(tmp_path):
     with pytest.raises(PcrError) as excinfo:
         load_table(path)
     assert str(excinfo.value) == "line 1: header has no data columns"
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+def test_non_finite_cell_names_its_line_and_column(tmp_path, cell):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"year,IY,A,B\n2000,1,2,3\n2001,2, {cell},4\n2002,3,4,5\n", encoding="utf-8")
+    with pytest.raises(StageError) as excinfo:
+        run_pipeline(RunConfig(input_path=str(path)))
+    assert excinfo.value.exit_code == 2
+    assert str(excinfo.value) == f"[input] line 3: column 'A': {cell!r} is not a finite number"
 
 
 def test_report_onto_a_directory_names_the_path_and_the_cause(tmp_path):
