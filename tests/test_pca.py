@@ -1,14 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pcrkit.errors import PcrError
+from pcrkit.errors import PcrError, StageError
 from pcrkit.fixtures import load_fixture
+from pcrkit.linalg import canonical_columns
 from pcrkit.pca import (
+    VARIMAX_TOL,
     component_scores,
     extract,
     rotate_varimax,
     score_weights,
 )
+from pcrkit.pipeline import RunConfig, run_pipeline
 from pcrkit.preprocess import (
     CorrelationMatrix,
     correlation_matrix,
@@ -50,6 +55,39 @@ def planted_two_factor(seed, n=200, noise_sd=0.1):
     planted[3:, 1] = 1.0
     data = factors @ planted.T + noise_sd * rng.standard_normal((n, 6))
     return data, planted
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def unrotated(config):
+    """The unrotated solution of a run, also of one that fails after the pca stage."""
+    try:
+        return run_pipeline(config).solution
+    except StageError as err:
+        return err.report.solution
+
+
+def varimax_fixed_point(loadings, sweeps=300):
+    """Kaiser's pairwise varimax in real arithmetic, run for a fixed number of sweeps."""
+    p, k = loadings.shape
+    h = np.sqrt((loadings**2).sum(axis=1))
+    h = np.where(h == 0.0, 1.0, h)
+    b = loadings / h[:, None]
+    for _ in range(sweeps):
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                x = b[:, i].copy()
+                y = b[:, j].copy()
+                u = x * x - y * y
+                v = 2.0 * x * y
+                num = 2.0 * (u @ v - u.sum() * v.sum() / p)
+                den = (u @ u - v @ v) - (u.sum() ** 2 - v.sum() ** 2) / p
+                phi = 0.25 * np.arctan2(num, den)
+                b[:, i] = np.cos(phi) * x + np.sin(phi) * y
+                b[:, j] = -np.sin(phi) * x + np.cos(phi) * y
+    rotated = b * h[:, None]
+    return canonical_columns((rotated**2).sum(axis=0), rotated)[1]
 
 
 class TestExtract:
@@ -195,6 +233,37 @@ class TestVarimax:
                 c[i, j] = tucker_congruence(rot.rotated_loadings[:, i], planted[:, j])
         best = max(c[0, 0] + c[1, 1], c[0, 1] + c[1, 0]) / 2.0
         assert best > 0.95
+
+    # input, sweeps to the stop, bound on the loading gap to the fixed point
+    FIXED_POINT_CASES = {
+        "fig3": ({"fixture": "fig3"}, 2, 1e-14),
+        "panel30": ({"input_path": GOLDEN / "panel30.csv"}, 5, 1e-10),
+        "panel9_short-9": (
+            {"input_path": GOLDEN / "panel9_short.csv", "components": 9}, 16, 10 * VARIMAX_TOL
+        ),
+        "panel9-9": ({"input_path": GOLDEN / "panel9.csv", "components": 9}, 20, 10 * VARIMAX_TOL),
+    }
+
+    @pytest.mark.parametrize("case", list(FIXED_POINT_CASES))
+    def test_stop_is_near_the_fixed_point(self, case):
+        source, sweeps, bound = self.FIXED_POINT_CASES[case]
+        sol = unrotated(RunConfig(rotation="none", **source))
+        rot = rotate_varimax(sol)
+        assert rot.rotation_sweeps == sweeps
+        gap = np.abs(rot.rotated_loadings - varimax_fixed_point(sol.loadings)).max()
+        assert gap <= bound
+
+    def test_zero_communality_row_stays_zero(self):
+        r = np.zeros((5, 5))
+        r[:2, :2] = [[1.0, 0.8], [0.8, 1.0]]
+        r[2:4, 2:4] = [[1.0, 0.6], [0.6, 1.0]]
+        r[4, 4] = 1.0
+        sol = extract(corr(r), 2)
+        assert sol.eigenvalues == pytest.approx([1.8, 1.6, 1.0, 0.4, 0.2], abs=1e-12)
+        assert np.all(sol.loadings[4] == 0.0)
+        rot = rotate_varimax(sol)
+        assert np.all(rot.rotated_loadings[4] == 0.0)
+        assert np.abs(rot.rotation.T @ rot.rotation - np.eye(2)).max() <= 1e-12
 
     def test_determinism(self):
         r = correlation_matrix(random_z(14))
