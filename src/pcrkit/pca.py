@@ -8,6 +8,8 @@ correlation table is all that survives of a study.
 Loadings follow the factor-analysis convention: column j of the loading
 matrix is sqrt(lambda_j) times the j-th eigenvector, so squared loadings
 sum to the eigenvalue down a column and to the communality across a row.
+Varimax turns each plane by Kaiser's closed-form angle and stops on the
+largest angle a sweep turned.
 """
 
 from __future__ import annotations
