@@ -168,9 +168,9 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
         largest = 0.0
         for i in range(k - 1):
             for j in range(i + 1, k):
-                # Turning w = x + iy by phi multiplies G by e^(-4i phi),
-                # and the plane's criterion is a constant plus Re(G) / 4:
-                # it peaks when the turn takes G to the positive reals.
+                # Turning w = x + iy by phi multiplies G = sum z^2 - (sum z)^2 / p
+                # (z = w^2) by e^(-4i phi).  The plane's criterion is a constant
+                # plus Re(G) / 4, largest when the turn takes G to the positive reals.
                 w = bt[:, i] + 1j * bt[:, j]
                 z = w[:p] * w[:p]
                 phi = 0.25 * np.angle(z @ z - z.sum() ** 2 / p)
