@@ -12,8 +12,8 @@ indefinite, and this one is: its smallest eigenvalue is about -0.006.
 :func:`nearest_valid_correlation` lifts the offending eigenvalues to a
 tiny positive floor and renormalizes the diagonal, which moves no entry
 by more than 0.005, so the repaired matrix still reproduces the printed
-table exactly at two decimals while satisfying every invariant a
-computed correlation matrix satisfies.
+table exactly at two decimals.  :class:`CorrelationMatrix` stores its
+exact form, which satisfies every invariant a computed one does.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TableFormatError
-from .linalg import check_symmetric, eigen_symmetric
+from .linalg import eigen_symmetric
 from .preprocess import CorrelationMatrix
 
 INDICATOR_NAMES = ("IY", "REI", "PDS", "PDC", "IR", "GVA", "CPI", "PD", "GDHI")
@@ -60,23 +60,18 @@ def nearest_valid_correlation(values) -> np.ndarray:
     """Project a slightly indefinite correlation matrix to a valid one.
 
     Eigenvalues below ``REPAIR_FLOOR`` times the largest eigenvalue are
-    raised to that floor, the matrix is rebuilt, and the diagonal is
-    renormalized back to exactly 1.  The congruence renormalization
-    preserves definiteness, so the result is strictly positive definite
-    with unit diagonal.  For matrices that are only indefinite through
-    rounding, entries move on the order of the eigenvalue deficit,
-    comfortably inside the rounding radius.
+    raised to that floor, the matrix is rebuilt, and a congruence scales
+    its diagonal back to 1.  That preserves definiteness, so the result
+    is strictly positive definite; it is symmetric with a unit diagonal
+    up to rounding, which :class:`CorrelationMatrix` removes.  For
+    matrices that are only indefinite through rounding, entries move on
+    the order of the eigenvalue deficit, inside the rounding radius.
     """
-    sym = check_symmetric(values, where="correlation fixture")
-    eig = eigen_symmetric(sym)
+    eig = eigen_symmetric(values)
     lifted = np.maximum(eig.eigenvalues, REPAIR_FLOOR * float(eig.eigenvalues.max()))
     rebuilt = (eig.eigenvectors * lifted) @ eig.eigenvectors.T
     scale = np.sqrt(np.diagonal(rebuilt))
-    rebuilt = rebuilt / np.outer(scale, scale)
-    rebuilt = (rebuilt + rebuilt.T) / 2.0
-    rebuilt = np.clip(rebuilt, -1.0, 1.0)
-    np.fill_diagonal(rebuilt, 1.0)
-    return rebuilt
+    return rebuilt / np.outer(scale, scale)
 
 
 class FixtureData(NamedTuple):

@@ -134,15 +134,20 @@ def load_table(path) -> TimeSeriesTable:
     except (OSError, UnicodeDecodeError) as err:
         raise TableFormatError(f"cannot read {path}: {err}") from err
     reader = csv.reader(io.StringIO(text))
+    # rows[k] holds the stripped cells of record k, which starts on line
+    # starts[k]: a quoted cell may span lines, so records and lines differ.
+    rows, starts = [], [1]
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append([cell.strip() for cell in row])
+            starts.append(reader.line_num + 1)
     except csv.Error as err:
         raise TableFormatError(str(err), line=reader.line_num) from err
-    while rows and all(cell.strip() == "" for cell in rows[-1]):
+    while rows and all(cell == "" for cell in rows[-1]):
         rows.pop()
     if not rows:
         raise TableFormatError(f"{path} is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = rows[0]
     if not header or header[0] != "year":
         raise TableFormatError("first header column must be 'year'", line=1)
     names = tuple(header[1:])
@@ -152,8 +157,7 @@ def load_table(path) -> TimeSeriesTable:
         raise TableFormatError(f"{path} has a header but no data rows")
     years = []
     values = []
-    for i, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
+    for cells, i in zip(rows[1:], starts[1:]):
         if len(cells) != len(header):
             raise TableFormatError(
                 f"expected {len(header)} fields, got {len(cells)}", line=i
@@ -178,8 +182,8 @@ def load_table(path) -> TimeSeriesTable:
     if bad.size:
         i, j = bad[0]
         raise TableFormatError(
-            f"column {names[j]!r}: {rows[i + 1][j + 1].strip()!r} is not a finite number",
-            line=i + 2,
+            f"column {names[j]!r}: {rows[i + 1][j + 1]!r} is not a finite number",
+            line=starts[i + 1],
         )
     return TimeSeriesTable(
         years=np.asarray(years, dtype=np.int64), names=names, values=values

@@ -107,14 +107,6 @@ def difference(table: TimeSeriesTable, mode: str = "absolute") -> TimeSeriesTabl
         raise PcrError(f"differencing needs at least 3 observations, got {table.n_years}")
     current = table.values[1:, :]
     previous = table.values[:-1, :]
-    if mode == "percent":
-        zero = np.argwhere(previous == 0.0)
-        if zero.size:
-            i, j = zero[0]
-            raise PcrError(
-                f"percent differencing divides by zero at year "
-                f"{int(table.years[int(i)])}, column {table.names[int(j)]!r}"
-            )
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         deltas = current - previous
         if mode == "percent":
@@ -122,6 +114,11 @@ def difference(table: TimeSeriesTable, mode: str = "absolute") -> TimeSeriesTabl
     finite = np.isfinite(deltas)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
+        if previous[i, j] == 0.0:
+            raise PcrError(
+                f"percent differencing divides by zero at year {int(table.years[i])}, "
+                f"column {table.names[j]!r}"
+            )
         raise PcrError(
             f"{mode} differencing overflows at year {int(table.years[i + 1])}, "
             f"column {table.names[j]!r}"
@@ -156,13 +153,15 @@ def standardize(table: TimeSeriesTable) -> TimeSeriesTable:
 class CorrelationMatrix:
     """A validated Pearson correlation matrix with named rows/columns.
 
-    Construction enforces symmetry, a unit diagonal and entries in
-    [-1, 1].  ``eigen`` holds the spectrum, computed once.  Built from
-    bare values, the matrix is decomposed by ``eigen_symmetric`` on
-    construction and rejected unless positive semidefinite up to
-    ``PSD_TOL``.  Built with ``data``, the standardized table Z it is
-    Z'Z / (n - 1) of, it is semidefinite by construction, and ``eigen``
-    comes from one thin SVD of Z when first read.
+    Accepts values that are symmetric, have a unit diagonal and lie in
+    [-1, 1] up to rounding, and stores their exact form: (v + v^T) / 2
+    clipped to [-1, 1], diagonal 1.  ``eigen`` holds the spectrum,
+    computed once.  Built from bare values, the stored matrix is
+    decomposed by ``eigen_symmetric`` on construction and rejected
+    unless positive semidefinite up to ``PSD_TOL``.  Built with
+    ``data``, the standardized table Z it is Z'Z / (n - 1) of, it is
+    semidefinite by construction, and ``eigen`` comes from one thin
+    SVD of Z when first read.
     """
 
     names: tuple[str, ...]
@@ -187,6 +186,8 @@ class CorrelationMatrix:
                 f"correlation out of [-1, 1] at ({self.names[i]}, {self.names[j]}): "
                 f"{float(values[i, j])!r}"
             )
+        values = np.clip((values + values.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(values, 1.0)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
         if self.data is not None:
@@ -245,19 +246,14 @@ class CorrelationMatrix:
 def correlation_matrix(z: TimeSeriesTable) -> CorrelationMatrix:
     """Pearson correlations of the standardized columns of ``z``.
 
-    With unit-variance columns the matrix is Z'Z / (n - 1).  Entries are
-    clipped to [-1, 1] against rounding spill, the result is exactly
-    symmetrized, and the diagonal is pinned to 1 before validation.  The
+    With unit-variance columns the matrix is Z'Z / (n - 1), passed as
+    computed: :class:`CorrelationMatrix` finishes it exactly.  The
     result keeps ``z`` for its spectrum.
     """
     n = z.n_years
     if n < 2:
         raise PcrError(f"correlation needs at least 2 observations, got {n}")
-    r = z.values.T @ z.values / (n - 1)
-    r = np.clip(r, -1.0, 1.0)
-    r = (r + r.T) / 2.0
-    np.fill_diagonal(r, 1.0)
-    return CorrelationMatrix(names=z.names, values=r, data=z)
+    return CorrelationMatrix(names=z.names, values=z.values.T @ z.values / (n - 1), data=z)
 
 
 def scatter_pairs(names: Sequence[str]) -> list[tuple[int, int]]:
@@ -290,10 +286,8 @@ def vif(r: CorrelationMatrix) -> dict[str, float]:
     variables this holds for every one), or when the value reaches
     ``VIF_MAX`` (R_j^2 within 1e-12 of 1), so perfectly collinear blocks
     are unmistakable in the output.  Finite values are floored at 1.  A
-    lone variable has no others to explain it, so its VIF is exactly 1.
+    lone variable has spectrum [1] and eigenvector [1], so its VIF is 1.0.
     """
-    if r.p < 2:
-        return dict.fromkeys(r.names, 1.0)
     lam, vectors = r.eigen
     kept = lam > VIF_RCOND**2 * lam[0]
     v = vectors[:, kept] ** 2

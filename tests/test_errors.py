@@ -332,6 +332,28 @@ def test_non_finite_cell_names_its_line_and_column(tmp_path, cell):
     assert str(excinfo.value) == f"[input] line 3: column 'A': {cell!r} is not a finite number"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('year,IY,"A\nB",C\n2000,1,2,3\nx2001,2,3,4\n', "year 'x2001' is not a 64-bit integer"),
+        ('year,IY,"A\nB",C\n2000,1,2,3\n2001,x,3,4\n', "column 'IY': 'x' is not a number"),
+        (
+            'year,IY,A,B\n2000,1,"3\n",3\n2001,2,nan,4\n2002,3,4,5\n',
+            "column 'A': 'nan' is not a finite number",
+        ),
+    ],
+    ids=["year", "number", "finite"],
+)
+def test_line_numbers_count_lines_of_the_file_not_records(tmp_path, text, message):
+    # A quoted cell spanning two lines comes first, so the bad record is
+    # the third one but starts on line 4.
+    path = tmp_path / "spanning.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PcrError) as excinfo:
+        load_table(path)
+    assert str(excinfo.value) == f"line 4: {message}"
+
+
 def test_report_onto_a_directory_names_the_path_and_the_cause(tmp_path):
     taken = tmp_path / "report.txt"
     taken.mkdir()

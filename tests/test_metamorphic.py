@@ -19,7 +19,9 @@ error with it and leaves R² alone (measured: 1e-15 for R², 1.2e-13
 relative for the coefficients).  Subnormal scales such as 1e-310 have
 lost precision in the data itself, and the baseline reports that its
 coefficients overflow while the PCR product stays finite.  A sign flip
-gives exactly the negated rows.
+gives exactly the negated rows.  Over generated tables, flipping one
+predictor's sign or rescaling it by a power of two is exact: the runs
+exit alike, and the results are bit-identical up to those signs.
 
 Two properties hold the fit fixed whatever the spectrum feeds it:
 varimax only rotates the retained score space, so the PCR fit with and
@@ -362,3 +364,78 @@ def test_all_components_reproduce_the_baseline_on_well_formed_tables(table):
     tolerance = 1024 * np.spacing(np.abs(increments).max())
     assert abs(report.pcr.r_squared - report.baseline.r_squared) <= 1e-12
     np.testing.assert_allclose(report.pcr.fitted, report.baseline.fitted, rtol=0, atol=tolerance)
+
+
+def run_or_exit_code(table, path):
+    """The report of a default run, or the exit code of the stage it fails in."""
+    try:
+        return run_pipeline(RunConfig(input_path=write_table(table, path)))
+    except StageError as err:
+        return err.exit_code
+
+
+def with_column(table, j, column):
+    values = table.values.copy()
+    values[:, j] = column
+    return TimeSeriesTable(years=table.years, names=table.names, values=values)
+
+
+def assert_rows_flipped(other, base, rows):
+    # Equal to ``base`` with ``rows`` negated, up to one sign per column.
+    expected = base * rows
+    columns = np.where(np.sum(other * expected, axis=0) < 0.0, -1.0, 1.0)
+    assert np.array_equal(other, expected * columns)
+
+
+@settings(max_examples=50, deadline=None)
+@given(table=well_formed_tables(), data=st.data())
+def test_flipping_a_predictor_flips_its_rows_on_well_formed_tables(table, data):
+    # Negation is exact in every operation, so the sign-free results
+    # are bit-identical and the rest differ by signs alone.
+    predictors = [j for j, name in enumerate(table.names) if name != "IY"]
+    j = data.draw(st.sampled_from(predictors))
+    with tempfile.TemporaryDirectory() as tmp:
+        base = run_or_exit_code(table, Path(tmp) / "base.csv")
+        other = run_or_exit_code(
+            with_column(table, j, -table.values[:, j]), Path(tmp) / "flipped.csv"
+        )
+    if isinstance(base, int) or isinstance(other, int):
+        assert other == base
+        return
+    assert np.array_equal(bits(other.solution.eigenvalues), bits(base.solution.eigenvalues))
+    assert other.vif == base.vif
+    assert np.array_equal(bits(other.pcr.fitted), bits(base.pcr.fitted))
+    assert bits(other.pcr.r_squared) == bits(base.pcr.r_squared)
+    rows = np.where(np.array(base.solution.names) == table.names[j], -1.0, 1.0)[:, None]
+    assert_rows_flipped(other.solution.loadings, base.solution.loadings, rows)
+    assert_rows_flipped(other.solution.rotated_loadings, base.solution.rotated_loadings, rows)
+    assert_rows_flipped(other.weights.weights, base.weights.weights, rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(table=well_formed_tables(), data=st.data())
+def test_rescaling_a_predictor_by_a_power_of_two_changes_nothing(table, data):
+    # k keeps every value and increment of the column below overflow and
+    # out of the subnormal range, so scaling by 2^k is exact; and
+    # standardization divides by a power of two first, so every
+    # unit-free result is bit-identical.
+    predictors = [j for j, name in enumerate(table.names) if name != "IY"]
+    j = data.draw(st.sampled_from(predictors))
+    column = table.values[:, j]
+    magnitudes = np.abs(np.concatenate([column, np.diff(column)]))
+    exponents = np.frexp(magnitudes[magnitudes > 0.0])[1]
+    k = data.draw(st.integers(-1000 - int(exponents.min()), 1000 - int(exponents.max())))
+    with tempfile.TemporaryDirectory() as tmp:
+        base = run_or_exit_code(table, Path(tmp) / "base.csv")
+        other = run_or_exit_code(
+            with_column(table, j, np.ldexp(column, k)), Path(tmp) / "scaled.csv"
+        )
+    if isinstance(base, int) or isinstance(other, int):
+        assert other == base
+        return
+    assert np.array_equal(bits(other.solution.eigenvalues), bits(base.solution.eigenvalues))
+    assert np.array_equal(bits(other.weights.weights), bits(base.weights.weights))
+    assert np.array_equal(bits(other.scores), bits(base.scores))
+    assert other.vif == base.vif
+    assert np.array_equal(bits(other.pcr.fitted), bits(base.pcr.fitted))
+    assert bits(other.pcr.r_squared) == bits(base.pcr.r_squared)

@@ -284,6 +284,27 @@ class TestCorrelation:
         with pytest.raises(PcrError, match="variable names do not match"):
             r.submatrix(("V1", "nope"))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1.0 + 4e-13, 0.5 + 1e-10, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 1.0]],
+            [[1.0, 1.0 + 5e-13], [1.0 + 5e-13, 1.0]],
+        ],
+        ids=["asymmetric-diagonal", "above-one"],
+    )
+    def test_stores_the_exact_form_of_what_it_accepts(self, values):
+        # Within tolerance of a correlation matrix, so accepted; what is
+        # stored, printed and decomposed is exactly symmetric with a unit
+        # diagonal and entries in [-1, 1], so the spectrum sums to p.
+        values = np.array(values)
+        p = values.shape[0]
+        r = CorrelationMatrix(names=tuple("abc"[:p]), values=values)
+        assert np.array_equal(r.values, r.values.T)
+        assert np.array_equal(np.diagonal(r.values), np.ones(p))
+        assert np.abs(r.values).max() <= 1.0
+        assert np.abs(r.values - values).max() <= 1e-10
+        assert abs(r.eigen.eigenvalues.sum() - p) <= 1e-15
+
     def test_validation_rejects_bad_diagonal(self):
         with pytest.raises(PcrError, match="diagonal"):
             CorrelationMatrix(
@@ -339,10 +360,13 @@ class TestVif:
         assert out["y"] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_single_column_is_one(self):
-        # No other column to regress on: R^2 = 0, so VIF = 1 exactly.
-        z = standardize(make_table([[1.0], [4.0], [2.0], [5.0], [3.0]]))
-        out = vif(correlation_matrix(z))
-        assert list(out.values()) == [1.0]
+        # No other column to regress on: R^2 = 0, so VIF = 1 exactly,
+        # from the data's spectrum at any scale and from a bare [[1]].
+        for scale in (1.0, 1e-300, 1e300):
+            z = standardize(make_table(np.array([[1.0], [4.0], [2.0], [5.0], [3.0]]) * scale))
+            out = vif(correlation_matrix(z))
+            assert list(out.values()) == [1.0]
+        assert vif(CorrelationMatrix(("a",), [[1.0]])) == {"a": 1.0}
 
     def test_equicorrelated_oracle(self):
         # Sample correlation colored to exactly 0.9 everywhere; for
