@@ -28,8 +28,8 @@ KAISER_THRESHOLD = 1.0
 # this (radians); loadings then lie within ~10x this of the fixed point.
 VARIMAX_TOL = 1e-6
 VARIMAX_MAX_SWEEPS = 100
-# A retained component whose eigenvalue is at or below this has no
-# variance to score: its weights would divide by it.
+# A component whose eigenvalue is at or below this has no variance to
+# score: its weights would divide by it, so ``extract`` keeps none.
 SCORE_EIGENVALUE_MIN = 1e-10
 
 
@@ -106,17 +106,27 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         Validated correlation matrix.
     components : int or "auto"
         Number of components to retain.  ``"auto"`` applies the Kaiser
-        rule (eigenvalue strictly above 1); an integer must lie in
-        [1, p].
+        rule (eigenvalue strictly above 1).
+
+    This is the one place that bounds the count.  At most L components
+    can be kept: those with an eigenvalue above ``SCORE_EIGENVALUE_MIN``,
+    which ``score_weights`` divides by, and, when ``r`` carries
+    ``data`` of n rows, no more than n - 2, so that the regression on
+    the scores keeps a residual degree of freedom.  L is p for a
+    positive definite matrix with enough rows.
 
     Raises
     ------
     PcrError
-        If the count is out of range, or if ``"auto"`` retains nothing
-        because no eigenvalue clears the threshold.
+        If an integer count lies outside [1, L] (the message names L),
+        if ``"auto"`` retains nothing because no eigenvalue clears the
+        threshold, or if it retains more than L ("retain at most L
+        components", or "no component count fits" when L is 0).
     """
-    p = r.p
     values, vectors = r.eigen.eigenvalues, r.eigen.eigenvectors
+    usable = int(np.sum(values > SCORE_EIGENVALUE_MIN))
+    if r.data is not None:
+        usable = min(usable, r.data.n_years - 2)
     if components == "auto":
         k = int(np.sum(values > KAISER_THRESHOLD))
         if k == 0:
@@ -126,8 +136,12 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
             )
     else:
         k = int(components)
-        if not 1 <= k <= p:
-            raise PcrError(f"component count must be in [1, {p}], got {components!r}")
+    if not 1 <= k <= usable:
+        if components != "auto" and usable:
+            raise PcrError(f"component count must be in [1, {usable}], got {components!r}")
+        kept = "automatic retention kept" if components == "auto" else "cannot retain"
+        advice = f"retain at most {usable} components" if usable else "no component count fits"
+        raise PcrError(f"{kept} {k} components; {advice}")
     # A spectrum taken from the matrix itself can round a hair below
     # zero on a semidefinite matrix; clamp only for the square root.
     loadings = vectors[:, :k] * np.sqrt(np.maximum(values[:k], 0.0))
@@ -215,20 +229,11 @@ def score_weights(solution: PcaSolution) -> ScoreWeights:
     R is the correlation matrix ``solution`` was extracted from.  The
     loadings are L = V_k Lambda_k^(1/2) T, with T the varimax rotation
     (the identity when unrotated), so R^-1 L = (loadings / lambda_k) @ T
-    depends on the solution alone and nothing is inverted.  A retained
-    eigenvalue at or below ``SCORE_EIGENVALUE_MIN`` raises
-    :class:`~pcrkit.errors.PcrError` naming the component and the
-    largest count that can be scored.
+    depends on the solution alone and nothing is inverted.  ``extract``
+    keeps only eigenvalues above ``SCORE_EIGENVALUE_MIN``, so the
+    division is safe.
     """
-    lam = solution.eigenvalues[: solution.n_components]
-    null = np.flatnonzero(lam <= SCORE_EIGENVALUE_MIN)
-    if null.size:
-        j = int(null[0])
-        raise PcrError(
-            f"component {j + 1} has eigenvalue {float(lam[j])!r}, which leaves "
-            f"no variance to score; retain at most {j} components"
-        )
-    weights = solution.loadings / lam
+    weights = solution.loadings / solution.eigenvalues[: solution.n_components]
     if solution.rotation is not None:
         weights = weights @ solution.rotation
     return ScoreWeights(

@@ -36,7 +36,7 @@ from pcrkit.preprocess import (
     difference,
     standardize,
 )
-from pcrkit.regression import fit_ols, fit_pcr, reconstruct_prices
+from pcrkit.regression import fit_ols, reconstruct_prices
 
 NAMES = ("IY", "A")
 
@@ -191,9 +191,16 @@ CASES = {
         "component count must be in [1, 3], got 4",
     ),
     "null-component": (
-        lambda: score_weights(extract(SINGULAR, 2)),
-        "component 2 has eigenvalue 0.0, which leaves no variance to score; "
-        "retain at most 1 components",
+        lambda: extract(SINGULAR, 2),
+        "component count must be in [1, 1], got 2",
+    ),
+    # Two increments leave the regression on the scores no residual
+    # degree of freedom, so no count fits, while Kaiser keeps one.
+    "no-count-fits": (
+        lambda: extract(correlation_matrix(standardize(difference(
+            table([[1.0, 5.0], [4.0, 9.0], [2.0, 4.0]])
+        )))),
+        "automatic retention kept 1 components; no component count fits",
     ),
     "scores-names": (
         lambda: component_scores(
@@ -206,14 +213,6 @@ CASES = {
     "ols-rows": (
         lambda: fit_ols(np.ones((3, 2)), np.ones(3)),
         "ols with 2 predictors needs at least 4 observations, got 3",
-    ),
-    "pcr-rows": (
-        lambda: fit_pcr(np.ones((5, 4)), np.ones(5), ("RC1", "RC2", "RC3", "RC4")),
-        "pcr on 4 components needs at least 6 increments, got 5; retain at most 3 components",
-    ),
-    "pcr-rows-no-count": (
-        lambda: fit_pcr(np.ones((2, 1)), np.ones(2), ("PC1",)),
-        "pcr on 1 components needs at least 3 increments, got 2; no component count fits",
     ),
     # Solved on columns scaled to [0.5, 1), the coefficient is finite
     # until it goes back to the units of the subnormal predictor.

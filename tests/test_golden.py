@@ -74,7 +74,7 @@ EXACT_CASES = [
         for ext in ("txt", "csv")
     ),
     *(
-        (f"panel9_short_failure.{ext}", ["--input", "panel9_short.csv", "--components", "9"], 5)
+        (f"panel9_short_failure.{ext}", ["--input", "panel9_short.csv", "--components", "9"], 4)
         for ext in ("txt", "csv")
     ),
 ]

@@ -75,6 +75,11 @@ def planted_panel_table(seed=0, n_years=21, noise_sd=0.1, duplicate=None):
     )
 
 
+def fail_pcr(*args):
+    """Stand-in for ``fit_pcr``: no table reaches a failing PCR fit."""
+    raise PcrError("pcr failed")
+
+
 class TestLoadTable:
     def test_roundtrip_full_precision(self, tmp_path):
         table = planted_panel_table(1)
@@ -305,7 +310,7 @@ class TestTableMode:
         assert excinfo.value.stage == "pca"
         assert excinfo.value.exit_code == 4
         assert "ridge" not in str(excinfo.value)
-        assert "retain at most 8 components" in str(excinfo.value)
+        assert excinfo.value.report.failure == ("pca", "component count must be in [1, 8], got 9")
 
 
 class TestStageErrors:
@@ -364,15 +369,17 @@ class TestStageErrors:
         assert excinfo.value.exit_code == 4
         assert excinfo.value.report.correlation is not None
 
-    def test_regression_stage(self, tmp_path):
-        # Three increments support correlation and extraction but leave
-        # the two-component PCR without a residual degree of freedom.
+    def test_regression_stage(self, tmp_path, monkeypatch):
+        # extract bounds the count so that the PCR fit always has a
+        # residual degree of freedom; a failing fit still maps to the
+        # regression stage.
         p = tmp_path / "tiny.csv"
         p.write_text(
             "year,IY,A,B\n2000,1,5,3\n2001,4,9,2\n2002,2,4,7\n2003,5,8,1\n"
         )
+        monkeypatch.setattr(pipeline, "fit_pcr", fail_pcr)
         with pytest.raises(StageError) as excinfo:
-            run_pipeline(RunConfig(input_path=p, components=2))
+            run_pipeline(RunConfig(input_path=p, components=1))
         assert excinfo.value.stage == "regression"
         assert excinfo.value.exit_code == 5
         assert excinfo.value.report.solution is not None
@@ -738,7 +745,8 @@ class TestCli:
 
     def test_short_wide_panel_names_a_count_that_fits(self, tmp_path, capsys):
         # 30 random walks and IY over 6 years: 5 increments leave room
-        # for 3 components, while Kaiser keeps 4.
+        # for 3 components, while Kaiser keeps 4 and the spectrum 5.
+        # Every count above 3 fails in the pca stage naming 3.
         rng = np.random.default_rng(5)
         names = ("IY",) + tuple(f"X{j:02d}" for j in range(1, 31))
         table = TimeSeriesTable(
@@ -747,11 +755,15 @@ class TestCli:
             values=100.0 + np.cumsum(rng.standard_normal((6, 31)), axis=0),
         )
         source = str(write_table(table, tmp_path / "wide.csv"))
-        assert cli.main(["--input", source]) == 5
+        assert cli.main(["--input", source]) == 4
         assert capsys.readouterr().err == (
-            "error: [regression] pcr on 4 components needs at least 6 increments, "
-            "got 5; retain at most 3 components\n"
+            "error: [pca] automatic retention kept 4 components; retain at most 3 components\n"
         )
+        for count in ("5", "4"):
+            assert cli.main(["--input", source, "--components", count]) == 4
+            assert capsys.readouterr().err == (
+                f"error: [pca] component count must be in [1, 3], got {count}\n"
+            )
         assert cli.main(["--input", source, "--components", "3"]) == 0
 
     def test_varimax_cap_names_what_to_do(self, monkeypatch, capsys):
@@ -830,12 +842,14 @@ class TestCli:
         source = write_table(table, tmp_path / "t.csv")
         assert cli.main(["--input", str(source), "--components", "20"]) == 4
 
-    def test_regression_error_exit_code(self, tmp_path, capsys):
+    def test_regression_error_exit_code(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "tiny.csv"
         p.write_text(
             "year,IY,A,B\n2000,1,5,3\n2001,4,9,2\n2002,2,4,7\n2003,5,8,1\n"
         )
-        assert cli.main(["--input", str(p), "--components", "2"]) == 5
+        monkeypatch.setattr(pipeline, "fit_pcr", fail_pcr)
+        assert cli.main(["--input", str(p), "--components", "1"]) == 5
+        assert capsys.readouterr().err == "error: [regression] pcr failed\n"
 
     def test_output_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
