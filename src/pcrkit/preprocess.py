@@ -40,6 +40,16 @@ VIF_SPAN_TOL = 1e-8
 VIF_MAX = 1e12
 
 
+def _checked_names(names: Sequence[str]) -> tuple[str, ...]:
+    names = tuple(names)
+    if "" in names:
+        raise PcrError(f"column name {names.index('') + 1} of {len(names)} is empty")
+    if len(set(names)) != len(names):
+        name = next(n for i, n in enumerate(names) if n in names[:i])
+        raise PcrError(f"duplicate column name {name!r}")
+    return names
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeriesTable:
     """A rectangular block of yearly observations.
@@ -65,11 +75,7 @@ class TimeSeriesTable:
             )
         if len(self.names) != values.shape[1]:
             raise PcrError(f"{len(self.names)} names for {values.shape[1]} columns")
-        if "" in self.names:
-            raise PcrError(f"column name {self.names.index('') + 1} of {len(self.names)} is empty")
-        if len(set(self.names)) != len(self.names):
-            name = next(n for i, n in enumerate(self.names) if n in self.names[:i])
-            raise PcrError(f"duplicate column name {name!r}")
+        names = _checked_names(self.names)
         if years.size > 1 and not np.all(np.diff(years) == 1):
             gap = int(np.argmax(np.diff(years) != 1))
             raise PcrError(
@@ -77,7 +83,7 @@ class TimeSeriesTable:
             )
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", names)
 
     @property
     def n_years(self) -> int:
@@ -151,7 +157,7 @@ def standardize(table: TimeSeriesTable) -> TimeSeriesTable:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """A validated Pearson correlation matrix with named rows/columns.
+    """A validated Pearson correlation matrix with distinct, non-empty names.
 
     Accepts values that are symmetric, have a unit diagonal and lie in
     [-1, 1] up to rounding, and stores their exact form: (v + v^T) / 2
@@ -174,6 +180,7 @@ class CorrelationMatrix:
             raise PcrError("correlation matrix has no variables")
         if len(self.names) != values.shape[0]:
             raise PcrError(f"{len(self.names)} names for a {values.shape[0]}-row matrix")
+        names = _checked_names(self.names)
         diagonal_gap = np.abs(np.diagonal(values) - 1.0)
         if diagonal_gap.max() > 1e-12:
             j = int(np.argmax(diagonal_gap))
@@ -189,7 +196,7 @@ class CorrelationMatrix:
         values = np.clip((values + values.T) / 2.0, -1.0, 1.0)
         np.fill_diagonal(values, 1.0)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", names)
         if self.data is not None:
             if self.data.names != self.names:
                 raise PcrError(f"data columns {self.data.names} do not match {self.names}")

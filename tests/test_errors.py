@@ -167,6 +167,14 @@ CASES = {
         lambda: CorrelationMatrix(("a", "b"), [[1.0, 0.0], [0.0, 0.5]]),
         "diagonal entry for 'b' is 0.5, not 1.0",
     ),
+    "matrix-empty-name": (
+        lambda: CorrelationMatrix(("a", ""), np.eye(2)),
+        "column name 2 of 2 is empty",
+    ),
+    "matrix-duplicate-names": (
+        lambda: CorrelationMatrix(("a", "a"), [[1.0, 0.5], [0.5, 1.0]]),
+        "duplicate column name 'a'",
+    ),
     "out-of-range": (
         lambda: CorrelationMatrix(("a", "b"), [[1.0, 1.5], [1.5, 1.0]]),
         "correlation out of [-1, 1] at (a, b): 1.5",
