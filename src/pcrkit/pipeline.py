@@ -69,8 +69,15 @@ class RunConfig:
     components: int | str = "auto"
     rotation: str = "varimax"
 
-    def validate(self) -> None:
+    @property
+    def mode(self) -> str | None:
+        """``matrix`` with a fixture, ``table`` with a file, ``None`` with both or neither."""
         if (self.input_path is None) == (self.fixture is None):
+            return None
+        return "table" if self.fixture is None else "matrix"
+
+    def validate(self) -> None:
+        if self.mode is None:
             raise PcrError("exactly one of input_path and fixture must be set")
         if self.diff not in DIFFERENCE_MODES:
             raise PcrError(f"diff must be one of {DIFFERENCE_MODES}, got {self.diff!r}")
@@ -111,13 +118,8 @@ class Report:
 
     @property
     def mode(self) -> str | None:
-        """``matrix`` for a fixture run, ``table`` for a file run.
-
-        ``None`` when the config sets both sources or neither.
-        """
-        if (self.config.input_path is None) == (self.config.fixture is None):
-            return None
-        return "table" if self.config.fixture is None else "matrix"
+        """The mode of the run's config: ``matrix``, ``table`` or ``None``."""
+        return self.config.mode
 
 
 def load_table(path) -> TimeSeriesTable:
