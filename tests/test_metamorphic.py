@@ -31,6 +31,11 @@ with every component retained the scores span the predictors, so the
 PCR fit is the baseline OLS fit (on panel9 and over generated tables,
 whatever the scales of the predictors and the response).
 
+The limit a failing run names is exact: over generated tables, wide
+random walks among them, whenever the automatic count fails in the pca
+stage naming the largest count L that fits, keeping L components runs
+to completion and keeping L + 1 fails naming L again.
+
 The last test feeds arbitrary bytes to the command line: every file is
 either a report or an error message naming the stage, never a
 traceback.
@@ -40,6 +45,7 @@ import contextlib
 import csv
 import io
 import itertools
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -439,3 +445,55 @@ def test_rescaling_a_predictor_by_a_power_of_two_changes_nothing(table, data):
     assert other.vif == base.vif
     assert np.array_equal(bits(other.pcr.fitted), bits(base.pcr.fitted))
     assert bits(other.pcr.r_squared) == bits(base.pcr.r_squared)
+
+
+@st.composite
+def random_walk_tables(draw):
+    """IY and 2 to 60 predictors, each a random walk, over 4 to 30 years:
+    the short wide panels PCR exists for, mostly wider than long."""
+    n = draw(st.integers(4, 30))
+    p = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TimeSeriesTable(
+        years=np.arange(2000, 2000 + n),
+        names=("IY",) + tuple(f"X{j:02d}" for j in range(1, p + 1)),
+        values=100.0 + np.cumsum(rng.standard_normal((n, p + 1)), axis=0),
+    )
+
+
+def short_wide_panel():
+    """30 random walks and IY over 6 years: Kaiser keeps 4 components, 3 fit."""
+    rng = np.random.default_rng(5)
+    return TimeSeriesTable(
+        years=np.arange(2000, 2006),
+        names=("IY",) + tuple(f"X{j:02d}" for j in range(1, 31)),
+        values=100.0 + np.cumsum(rng.standard_normal((6, 31)), axis=0),
+    )
+
+
+# Every message that names the largest count a run can keep.
+LIMIT = re.compile(r"retain at most (\d+) components$|count must be in \[1, (\d+)\]")
+
+
+def exit_and_limit(source, **options):
+    """The exit code of a run and the count its message names, if any."""
+    try:
+        run_pipeline(RunConfig(input_path=source, **options))
+    except StageError as err:
+        match = LIMIT.search(str(err))
+        return err.exit_code, match and int(match.group(1) or match.group(2))
+    return 0, None
+
+
+@settings(max_examples=50, deadline=None)
+@given(table=st.one_of(random_walk_tables(), well_formed_tables()))
+@example(table=short_wide_panel())
+def test_the_count_a_failing_run_names_fits_and_one_more_does_not(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = write_table(table, Path(tmp) / "input.csv")
+        code, limit = exit_and_limit(source)
+        if not limit:
+            return
+        assert code == 4
+        assert exit_and_limit(source, components=limit, rotation="none") == (0, None)
+        assert exit_and_limit(source, components=limit + 1) == (4, limit)
