@@ -106,22 +106,17 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         Validated correlation matrix.
     components : int or "auto"
         Number of components to retain.  ``"auto"`` applies the Kaiser
-        rule (eigenvalue strictly above 1).
-
-    This is the one place that bounds the count.  At most L components
-    can be kept: those with an eigenvalue above ``SCORE_EIGENVALUE_MIN``,
-    which ``score_weights`` divides by, and, when ``r`` carries
-    ``data`` of n rows, no more than n - 2, so that the regression on
-    the scores keeps a residual degree of freedom.  L is p for a
-    positive definite matrix with enough rows.
+        rule (eigenvalue strictly above 1).  Either count must lie in
+        [1, L]: L counts the eigenvalues above ``SCORE_EIGENVALUE_MIN``
+        and is at most n - 2 when ``r`` carries ``data`` of n rows, so
+        that the PCR fit keeps a residual degree of freedom.
 
     Raises
     ------
     PcrError
-        If an integer count lies outside [1, L] (the message names L),
-        if ``"auto"`` retains nothing because no eigenvalue clears the
-        threshold, or if it retains more than L ("retain at most L
-        components", or "no component count fits" when L is 0).
+        If the count lies outside [1, L], naming L ("no component count
+        fits" when L is 0), or if ``"auto"`` retains nothing because no
+        eigenvalue clears the threshold.
     """
     values, vectors = r.eigen.eigenvalues, r.eigen.eigenvectors
     usable = int(np.sum(values > SCORE_EIGENVALUE_MIN))
@@ -142,9 +137,7 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         kept = "automatic retention kept" if components == "auto" else "cannot retain"
         advice = f"retain at most {usable} components" if usable else "no component count fits"
         raise PcrError(f"{kept} {k} components; {advice}")
-    # A spectrum taken from the matrix itself can round a hair below
-    # zero on a semidefinite matrix; clamp only for the square root.
-    loadings = vectors[:, :k] * np.sqrt(np.maximum(values[:k], 0.0))
+    loadings = vectors[:, :k] * np.sqrt(values[:k])
     return PcaSolution(
         names=r.names, n_components=k, eigenvalues=values.copy(), loadings=loadings
     )
@@ -229,9 +222,8 @@ def score_weights(solution: PcaSolution) -> ScoreWeights:
     R is the correlation matrix ``solution`` was extracted from.  The
     loadings are L = V_k Lambda_k^(1/2) T, with T the varimax rotation
     (the identity when unrotated), so R^-1 L = (loadings / lambda_k) @ T
-    depends on the solution alone and nothing is inverted.  ``extract``
-    keeps only eigenvalues above ``SCORE_EIGENVALUE_MIN``, so the
-    division is safe.
+    depends on the solution alone and nothing is inverted; ``extract``
+    retains only eigenvalues above ``SCORE_EIGENVALUE_MIN``.
     """
     weights = solution.loadings / solution.eigenvalues[: solution.n_components]
     if solution.rotation is not None:

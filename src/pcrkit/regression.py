@@ -121,8 +121,7 @@ def fit_pcr(scores, response, component_names: tuple[str, ...]) -> OlsFit:
     baseline.  With all components retained the scores span the same
     column space as the predictors, so the fit reproduces the baseline's
     fitted values up to rounding.  ``extract`` keeps at most n - 2
-    components for n increments, which leaves the fit a residual degree
-    of freedom.
+    components for n increments: the fit keeps a residual degree of freedom.
     """
     return fit_ols(scores, response, names=component_names)
 
