@@ -24,6 +24,7 @@ from pcrkit.pipeline import (
     write_table,
 )
 from pcrkit.preprocess import TimeSeriesTable
+from test_metamorphic import short_wide_panel
 from test_pca import tucker_congruence
 
 
@@ -744,17 +745,10 @@ class TestCli:
         assert "[failure]\nstage: input\n" in (out / "report.txt").read_text()
 
     def test_short_wide_panel_names_a_count_that_fits(self, tmp_path, capsys):
-        # 30 random walks and IY over 6 years: 5 increments leave room
-        # for 3 components, while Kaiser keeps 4 and the spectrum 5.
-        # Every count above 3 fails in the pca stage naming 3.
-        rng = np.random.default_rng(5)
-        names = ("IY",) + tuple(f"X{j:02d}" for j in range(1, 31))
-        table = TimeSeriesTable(
-            years=np.arange(2000, 2006),
-            names=names,
-            values=100.0 + np.cumsum(rng.standard_normal((6, 31)), axis=0),
-        )
-        source = str(write_table(table, tmp_path / "wide.csv"))
+        # 5 increments leave room for 3 components, while Kaiser keeps 4
+        # and 5 eigenvalues are nonzero.  Every count above 3 fails in
+        # the pca stage naming 3.
+        source = str(write_table(short_wide_panel(), tmp_path / "wide.csv"))
         assert cli.main(["--input", source]) == 4
         assert capsys.readouterr().err == (
             "error: [pca] automatic retention kept 4 components; retain at most 3 components\n"
