@@ -32,9 +32,9 @@ PCR fit is the baseline OLS fit (on panel9 and over generated tables,
 whatever the scales of the predictors and the response).
 
 The limit a failing run names is exact: over generated tables, wide
-random walks among them, whenever the automatic count fails in the pca
-stage naming the largest count L that fits, keeping L components runs
-to completion and keeping L + 1 fails naming L again.
+random walks among them, whenever the automatic count fails naming the
+largest count L that fits, it fails in the pca stage, keeping L
+components runs to completion and keeping L + 1 fails naming L again.
 
 The last test feeds arbitrary bytes to the command line: every file is
 either a report or an error message naming the stage, never a
