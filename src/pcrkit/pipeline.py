@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -195,22 +196,16 @@ def load_table(path) -> TimeSeriesTable:
 def write_table(table: TimeSeriesTable, path) -> Path:
     """Serialize a table back to the delimited layout, full precision.
 
-    Floats are written with ``repr`` so a load/write/load round trip
-    reproduces every value bit for bit.
+    The header is quoted as ``csv.writer`` quotes it; floats are written
+    with ``repr``, which never needs quoting, so a load/write/load round
+    trip reproduces every value bit for bit.
     """
-    path = Path(path)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("year",) + table.names)
-    for i in range(table.n_years):
-        writer.writerow(
-            [str(int(table.years[i]))] + [repr(float(v)) for v in table.values[i]]
-        )
-    try:
-        path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
-    except OSError as err:
-        raise PcrError(f"cannot write {path}: {err}") from err
-    return path
+    header = ",".join(_csv_field(name) for name in ("year", *table.names))
+    rows = (
+        f"{year},{','.join(map(repr, row))}\n"
+        for year, row in zip(table.years.tolist(), table.values.tolist())
+    )
+    return _write(Path(path), itertools.chain((f"{header}\n",), rows))
 
 
 def run_pipeline(config: RunConfig) -> Report:
@@ -528,33 +523,30 @@ def _csv_field(text: str) -> str:
 def _scatter_parts(table: TimeSeriesTable, format: str) -> Iterator[str]:
     """The scatter file of ``table`` in ``format``, one piece per pair.
 
+    Both layouts write one ``year x y`` row per increment and pair; text
+    separates with spaces and heads each pair with its names, CSV
+    separates with commas and leads each row with the quoted names.
     Each column is formatted once and its x cells and y cells are built
     once, so the p+1 columns that all pairs share cost O(p*n)
-    formatting, not O(p^2*n).  Each piece is one join over a list that
-    slice assignment fills with those cells, so no row becomes a string
-    of its own.
+    formatting, not O(p^2*n).  Each pair's rows are one join over a list
+    that slice assignment fills with those cells, so no row becomes a
+    string of its own.
     """
+    text = format == "text"
+    sep = " " if text else ","
     names, n = table.names, table.n_years
+    quoted = [_csv_field(name) for name in names]
     years = [str(y) for y in table.years.tolist()]
     columns = [[repr(v) for v in column] for column in table.values.T.tolist()]
-    pairs = scatter_pairs(names)
-    if format == "text":
-        xs = [[f"\n{year} {x} " for year, x in zip(years, column)] for column in columns]
-        yield "scatter pairs\n============="
-        for i, j in pairs:
-            parts = [f"\n\npair {names[i]} {names[j]}\nyear x y"] * (2 * n + 1)
-            parts[1::2], parts[2::2] = xs[i], columns[j]
-            yield "".join(parts)
-        yield "\n"
-    else:
-        quoted = [_csv_field(name) for name in names]
-        xs = [[f"{year},{x}," for year, x in zip(years, column)] for column in columns]
-        ys = [[f"{y}\n" for y in column] for column in columns]
-        yield "x_name,y_name,year,x,y\n"
-        for i, j in pairs:
-            parts = [f"{quoted[i]},{quoted[j]},"] * (3 * n)
-            parts[1::3], parts[2::3] = xs[i], ys[j]
-            yield "".join(parts)
+    xs = [[f"{year}{sep}{x}{sep}" for year, x in zip(years, column)] for column in columns]
+    ys = [[f"{y}\n" for y in column] for column in columns]
+    yield "scatter pairs\n=============\n" if text else "x_name,y_name,year,x,y\n"
+    for i, j in scatter_pairs(names):
+        if text:
+            yield f"\npair {names[i]} {names[j]}\nyear x y\n"
+        parts = ["" if text else f"{quoted[i]},{quoted[j]},"] * (3 * n)
+        parts[1::3], parts[2::3] = xs[i], ys[j]
+        yield "".join(parts)
 
 
 def _write(path: Path, parts: Iterable[str]) -> Path:

@@ -542,6 +542,18 @@ def reference_scatter(report, format):
     return "".join(parts)
 
 
+def reference_write_table(table):
+    """The ``csv.writer`` table writer: one row per year, floats by ``repr``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("year",) + table.names)
+    writer.writerows(
+        [str(year)] + [repr(v) for v in row]
+        for year, row in zip(table.years.tolist(), table.values.tolist())
+    )
+    return buffer.getvalue()
+
+
 def golden_panel9_report(tmp_path):
     # Its predictor ``X05,"adj"`` needs CSV quoting.
     return run_pipeline(RunConfig(input_path=Path(__file__).parent / "golden" / "panel9.csv"))
@@ -575,6 +587,19 @@ class TestWritersMatchReference:
     def test_scatter(self, build, format, render, tmp_path):
         report = build(tmp_path)
         assert render(report, tmp_path / "out") == reference_scatter(report, format)
+
+    def test_write_table(self, tmp_path):
+        # Names that need quoting, and values from 1e-300 to 1e300.
+        names = ("IY", 'X05,"adj"', "growth %", "Zürich index", "a, b", "two\nlines")
+        rng = np.random.default_rng(17)
+        table = TimeSeriesTable(
+            years=np.arange(-3, 9),
+            names=names,
+            values=rng.standard_normal((12, 6)) * 10.0 ** rng.integers(-300, 301, size=6),
+        )
+        written = write_table(table, tmp_path / "t.csv").read_bytes()
+        assert written == reference_write_table(table).encode("utf-8")
+        assert load_table(tmp_path / "t.csv").names == names
 
 
 class TestUnits:
