@@ -87,9 +87,7 @@ coefs = {n: round(float(c), 3) for n, c in zip(fit.predictor_names, fit.coeffici
 print(f"PCR R^2 = {fit.r_squared:.4f}; coefficients {coefs}")
 
 # Stage 4: cumulate fitted increments back into a price path.
-path = reconstruct_prices(
-    float(table.column("IY")[0]), fit.fitted, years=diffed.years
-)
+path = reconstruct_prices(float(table.column("IY")[0]), fit.fitted)
 print(f"reconstructed price path, first 5 levels: {path.levels[:5]}")
 print(f"actual levels,               first 5:     {table.column('IY')[1:6]}")
 print()

@@ -98,8 +98,8 @@ class Report:
 
     ``config`` is the configuration the run used; the report echoes it.
     ``increments`` is the differenced table of a table run, once its
-    correlation matrix exists: it gives the report its years and the
-    scatter file its columns.
+    correlation matrix exists: it gives the report its years, the price
+    path included, and the scatter file its columns.
     """
 
     config: RunConfig = field(default_factory=RunConfig)
@@ -282,9 +282,7 @@ def run_pipeline(config: RunConfig) -> Report:
         )
         if config.diff == "absolute":
             base = float(table.column(config.response)[0])
-            report.prices = reconstruct_prices(
-                base, report.pcr.fitted, years=diffed.years
-            )
+            report.prices = reconstruct_prices(base, report.pcr.fitted)
     except PcrError as err:
         report.failure = (stage, str(err))
         raise StageError(stage, err, report) from err
@@ -448,10 +446,7 @@ def _sections(report: Report):
             _Line("year level", None),
             *(
                 _Line(f"{year} {level}", ("level", year, level))
-                for year, level in zip(
-                    (str(int(y)) for y in report.prices.years),
-                    _reprs(report.prices.levels),
-                )
+                for year, level in zip(years, _reprs(report.prices.levels))
             ),
         ]
     elif report.pcr is not None and config.diff != "absolute":

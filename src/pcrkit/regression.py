@@ -127,20 +127,20 @@ def fit_pcr(scores, response, component_names: tuple[str, ...]) -> OlsFit:
 
 
 class PricePath(NamedTuple):
-    """A reconstructed level series: base level plus summed increments."""
+    """A reconstructed level series: base level, then one level per increment."""
 
     base: float
-    years: np.ndarray
     levels: np.ndarray
 
 
-def reconstruct_prices(base: float, increments, years=None) -> PricePath:
+def reconstruct_prices(base: float, increments) -> PricePath:
     """Rebuild levels from a base level and a series of increments.
 
     ``levels[t] = base + increments[0] + ... + increments[t]``, computed
     by sequential addition (``np.cumsum``) so that reconstructing from
     exact differences replays the original series bit for bit.
-    ``years`` labels the increment positions; it defaults to 1..n.
+    ``levels[t]`` belongs to the year of ``increments[t]``; the years stay
+    with the increments.
     """
     inc = as_checked_array(increments, "increments")
     if inc.ndim != 1:
@@ -148,11 +148,5 @@ def reconstruct_prices(base: float, increments, years=None) -> PricePath:
     base_value = float(base)
     if not np.isfinite(base_value):
         raise PcrError("non-finite entry in base level at index (0,)")
-    n = inc.shape[0]
-    if years is None:
-        years = np.arange(1, n + 1, dtype=np.int64)
-    else:
-        years = np.asarray(years, dtype=np.int64)
     levels = np.cumsum(np.concatenate(([base_value], inc)))[1:]
-    return PricePath(base=base_value, years=years, levels=levels)
-
+    return PricePath(base=base_value, levels=levels)

@@ -65,7 +65,6 @@ def test_readme_library_example_runs_on_golden_panel9():
     assert scope["fit"].r_squared == report.pcr.r_squared
     assert np.array_equal(scope["scores"], report.scores)
     assert np.array_equal(scope["path"].levels, report.prices.levels)
-    assert np.array_equal(scope["path"].years, report.prices.years)
 
 
 def test_errors_defines_only_the_classes_callers_use():

@@ -153,12 +153,7 @@ class TestReconstructPrices:
     def test_hand_values(self):
         path = reconstruct_prices(10.0, [1.0, -2.0, 3.0])
         assert np.array_equal(path.levels, np.array([11.0, 9.0, 12.0]))
-        assert np.array_equal(path.years, np.array([1, 2, 3]))
         assert path.base == 10.0
-
-    def test_years_carried(self):
-        path = reconstruct_prices(5.0, [1.0, 1.0], years=[2001, 2002])
-        assert np.array_equal(path.years, np.array([2001, 2002]))
 
     def test_bit_exact_inverse_of_difference(self):
         rng = np.random.default_rng(6)
@@ -170,9 +165,7 @@ class TestReconstructPrices:
                 levels[i] = levels[i - 1] * rng.uniform(0.55, 1.9)
             table = make_table(levels[:, None], names=("IY",))
             diffed = difference(table)
-            path = reconstruct_prices(
-                levels[0], diffed.column("IY"), years=diffed.years
-            )
+            path = reconstruct_prices(levels[0], diffed.column("IY"))
             assert np.array_equal(path.levels, levels[1:])
 
     def test_matches_sequential_addition(self):
