@@ -85,7 +85,7 @@ class RunConfig:
         if self.rotation not in ROTATION_MODES:
             raise PcrError(f"rotation must be one of {ROTATION_MODES}, got {self.rotation!r}")
         if self.components != "auto":
-            if not isinstance(self.components, int) or self.components < 1:
+            if type(self.components) is not int or self.components < 1:
                 raise PcrError(
                     f'components must be "auto" or a positive integer, '
                     f"got {self.components!r}"
@@ -128,8 +128,11 @@ def load_table(path) -> TimeSeriesTable:
 
     Expected layout: a header ``year,<name>,...`` followed by one row
     per year, comma-separated, UTF-8 with or without a byte-order mark.
-    Years must parse as 64-bit integers, values as finite floats; every
-    structural defect raises :class:`TableFormatError` naming the line.
+    Years must parse as 64-bit integers, values as finite floats; a
+    defect in the layout or a cell raises :class:`TableFormatError`
+    naming the line.  Gaps or repeats in the years and repeated or empty
+    names are rejected by :class:`TimeSeriesTable`, whose message names
+    the years or the column instead.
     """
     path = Path(path)
     try:

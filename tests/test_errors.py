@@ -246,6 +246,11 @@ CASES = {
         lambda: RunConfig(fixture="fig3", components=0).validate(),
         'components must be "auto" or a positive integer, got 0',
     ),
+    # A bool is an int to Python, but not a count.
+    "config-components-bool": (
+        lambda: RunConfig(fixture="fig3", components=True).validate(),
+        'components must be "auto" or a positive integer, got True',
+    ),
     # A run checks its configuration in the input stage.
     "run-config": (
         lambda: run_pipeline(RunConfig(fixture="fig3", components=0)),

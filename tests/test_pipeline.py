@@ -996,6 +996,14 @@ class TestCli:
             f"error: [input] response column 'nope' not among {list(INDICATOR_NAMES)}\n"
         )
 
+    def test_year_gap_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "gap.csv"
+        p.write_text("year,IY,A\n2000,1,5\n2001,4,9\n2003,2,4\n2004,5,1\n")
+        assert cli.main(["--input", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [input] years must be consecutive: 2001 is followed by 2003\n"
+        )
+
     def test_repeated_column_is_named(self, tmp_path, capsys):
         p = tmp_path / "twice.csv"
         p.write_text("year,IY,A,A\n2000,1,5,5\n2001,4,9,9\n2002,2,4,4\n")
