@@ -140,60 +140,78 @@ def load_table(path) -> TimeSeriesTable:
     except (OSError, UnicodeDecodeError) as err:
         raise TableFormatError(f"cannot read {path}: {err}") from err
     reader = csv.reader(io.StringIO(text))
-    # rows[k] holds the stripped cells of record k, which starts on line
-    # starts[k]: a quoted cell may span lines, so records and lines differ.
-    rows, starts = [], [1]
+    # records[k] starts on line starts[k]: a quoted cell may span lines,
+    # so records and lines differ.
+    records, starts = [], [1]
     try:
-        for row in reader:
-            rows.append([cell.strip() for cell in row])
+        for record in reader:
+            records.append(record)
             starts.append(reader.line_num + 1)
     except csv.Error as err:
         raise TableFormatError(str(err), line=reader.line_num) from err
-    while rows and all(cell == "" for cell in rows[-1]):
-        rows.pop()
-    if not rows:
+    while records and not "".join(records[-1]).strip():
+        records.pop()
+    if not records:
         raise TableFormatError(f"{path} is empty")
-    header = rows[0]
+    header = [cell.strip() for cell in records[0]]
     if not header or header[0] != "year":
         raise TableFormatError("first header column must be 'year'", line=1)
     names = tuple(header[1:])
     if not names:
         raise TableFormatError("header has no data columns", line=1)
-    if len(rows) < 2:
+    rows, lines = records[1:], starts[1:]
+    if not rows:
         raise TableFormatError(f"{path} has a header but no data rows")
-    years = []
-    values = []
-    for cells, i in zip(rows[1:], starts[1:]):
-        if len(cells) != len(header):
+    # One pass parses every cell; on any failure the rows are read again
+    # one by one, which strips each cell and names the first defect.
+    try:
+        if any(len(cells) != len(header) for cells in rows):
+            raise ValueError("ragged rows")
+        years = np.array([int(cells[0]) for cells in rows], dtype=np.int64)
+        flat = itertools.chain.from_iterable(cells[1:] for cells in rows)
+        values = np.fromiter(map(float, flat), np.float64).reshape(len(rows), -1)
+    except (ValueError, OverflowError):
+        years, values = _read_rows(rows, lines, names)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise TableFormatError(
+            f"column {names[j]!r}: {rows[i][j + 1].strip()!r} is not a finite number",
+            line=lines[i],
+        )
+    return TimeSeriesTable(years=years, names=names, values=values)
+
+
+def _read_rows(rows, lines, names) -> tuple[np.ndarray, np.ndarray]:
+    """Years and values of data ``rows``, read and checked row by row.
+
+    The first defect in reading order raises, naming its line: a field
+    count, then the year, then each cell.  Cells are stripped first, so
+    padding that ``float()`` rejects (``\\x1c``-``\\x1f``) is read too.
+    """
+    years, values = [], []
+    for cells, line in zip(rows, lines):
+        cells = [cell.strip() for cell in cells]
+        if len(cells) != len(names) + 1:
             raise TableFormatError(
-                f"expected {len(header)} fields, got {len(cells)}", line=i
+                f"expected {len(names) + 1} fields, got {len(cells)}", line=line
             )
         try:
             years.append(np.int64(int(cells[0])))
         except (ValueError, OverflowError) as err:
             raise TableFormatError(
-                f"year {cells[0]!r} is not a 64-bit integer", line=i
+                f"year {cells[0]!r} is not a 64-bit integer", line=line
             ) from err
         row_values = []
-        for j, cell in enumerate(cells[1:]):
+        for name, cell in zip(names, cells[1:]):
             try:
                 row_values.append(float(cell))
             except ValueError as err:
                 raise TableFormatError(
-                    f"column {names[j]!r}: {cell!r} is not a number", line=i
+                    f"column {name!r}: {cell!r} is not a number", line=line
                 ) from err
         values.append(row_values)
-    values = np.asarray(values, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise TableFormatError(
-            f"column {names[j]!r}: {rows[i + 1][j + 1]!r} is not a finite number",
-            line=starts[i + 1],
-        )
-    return TimeSeriesTable(
-        years=np.asarray(years, dtype=np.int64), names=names, values=values
-    )
+    return np.asarray(years, dtype=np.int64), np.asarray(values, dtype=np.float64)
 
 
 def write_table(table: TimeSeriesTable, path) -> Path:
@@ -310,9 +328,19 @@ class _Table(NamedTuple):
     values: np.ndarray
 
     def rows(self):
-        """Each row label with its cells in ``repr`` form."""
-        cells = np.asarray(self.values, dtype=np.float64).tolist()
-        return zip(self.labels, ([repr(v) for v in row] for row in cells), strict=True)
+        """Each row label with its cells in ``repr`` form.
+
+        A square grid equal to its transpose bit for bit, such as a
+        correlation matrix, formats its upper triangle and mirrors it.
+        """
+        values = np.asarray(self.values, dtype=np.float64)
+        cells, bits = values.tolist(), values.view(np.uint64)
+        if np.array_equal(bits, bits.T):
+            upper = [[repr(v) for v in row[i:]] for i, row in enumerate(cells)]
+            text = [[upper[k][i - k] for k in range(i)] + upper[i] for i in range(len(upper))]
+        else:
+            text = [[repr(v) for v in row] for row in cells]
+        return zip(self.labels, text, strict=True)
 
 
 class _Line(NamedTuple):

@@ -155,57 +155,77 @@ def standardize(table: TimeSeriesTable) -> TimeSeriesTable:
     return TimeSeriesTable(table.years, table.names, (values - means) / sds)
 
 
-@dataclass(frozen=True, eq=False)
+def _finished(names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
+    """Checked symmetric ``values`` in exact form, equal to their transpose bit for bit.
+
+    A diagonal entry off 1 or an entry outside [-1, 1] by more than
+    1e-12 raises; the rest becomes (v + v^T) / 2 clipped to [-1, 1],
+    diagonal 1.
+    """
+    diagonal_gap = np.abs(np.diagonal(values) - 1.0)
+    if diagonal_gap.max() > 1e-12:
+        j = int(np.argmax(diagonal_gap))
+        raise PcrError(f"diagonal entry for {names[j]!r} is {float(values[j, j])!r}, not 1.0")
+    if np.abs(values).max() > 1.0 + 1e-12:
+        i, j = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+        raise PcrError(
+            f"correlation out of [-1, 1] at ({names[i]}, {names[j]}): {float(values[i, j])!r}"
+        )
+    values = np.clip((values + values.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CorrelationMatrix:
     """A validated Pearson correlation matrix with distinct, non-empty names.
 
-    Accepts values that are symmetric, have a unit diagonal and lie in
-    [-1, 1] up to rounding, and stores their exact form: (v + v^T) / 2
-    clipped to [-1, 1], diagonal 1.  ``eigen`` holds the spectrum,
-    computed once.  Built from bare values, the stored matrix is
-    decomposed by ``eigen_symmetric`` on construction and rejected
-    unless positive semidefinite up to ``PSD_TOL``.  Built with
-    ``data``, the standardized table Z it is Z'Z / (n - 1) of, it is
-    semidefinite by construction, and ``eigen`` comes from one thin
-    SVD of Z when first read.
+    Built from exactly one source.  Bare ``values`` must be symmetric,
+    with a unit diagonal and within [-1, 1] up to rounding; their exact
+    form (``_finished``) is stored, decomposed by ``eigen_symmetric`` on
+    construction and rejected unless positive semidefinite up to
+    ``PSD_TOL``.  ``data`` is a standardized table Z of at least two
+    rows: the matrix is Z'Z / (n - 1), semidefinite by construction,
+    computed and finished as bare values are when ``values`` is first
+    read, and ``eigen`` comes from one thin SVD of Z.  ``eigen`` holds
+    the spectrum, computed once.
     """
 
     names: tuple[str, ...]
-    values: np.ndarray
     data: TimeSeriesTable | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        values = check_symmetric(self.values, where="correlation matrix")
-        if values.shape[0] == 0:
+    def __init__(self, names: Sequence[str], values=None, data: TimeSeriesTable | None = None):
+        if (values is None) == (data is None):
+            raise PcrError("a correlation matrix takes exactly one of values and data")
+        if data is None:
+            values = check_symmetric(values, where="correlation matrix")
+        elif data.n_years < 2:
+            raise PcrError(f"correlation needs at least 2 observations, got {data.n_years}")
+        p = values.shape[0] if data is None else len(data.names)
+        if p == 0:
             raise PcrError("correlation matrix has no variables")
-        if len(self.names) != values.shape[0]:
-            raise PcrError(f"{len(self.names)} names for a {values.shape[0]}-row matrix")
-        names = _checked_names(self.names)
-        diagonal_gap = np.abs(np.diagonal(values) - 1.0)
-        if diagonal_gap.max() > 1e-12:
-            j = int(np.argmax(diagonal_gap))
-            raise PcrError(
-                f"diagonal entry for {self.names[j]!r} is {float(values[j, j])!r}, not 1.0"
-            )
-        if np.abs(values).max() > 1.0 + 1e-12:
-            i, j = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
-            raise PcrError(
-                f"correlation out of [-1, 1] at ({self.names[i]}, {self.names[j]}): "
-                f"{float(values[i, j])!r}"
-            )
-        values = np.clip((values + values.T) / 2.0, -1.0, 1.0)
-        np.fill_diagonal(values, 1.0)
-        object.__setattr__(self, "values", values)
+        if data is None and len(names) != p:
+            raise PcrError(f"{len(names)} names for a {p}-row matrix")
+        names = _checked_names(names)
+        if data is not None and data.names != names:
+            raise PcrError(f"data columns {data.names} do not match {names}")
         object.__setattr__(self, "names", names)
-        if self.data is not None:
-            if self.data.names != self.names:
-                raise PcrError(f"data columns {self.data.names} do not match {self.names}")
-            return
-        smallest = float(self.eigen.eigenvalues[-1])
-        if smallest < -PSD_TOL:
-            raise PcrError(
-                f"correlation matrix is not positive definite: smallest eigenvalue {smallest!r}"
-            )
+        object.__setattr__(self, "data", data)
+        if data is None:
+            object.__setattr__(self, "values", _finished(names, values))
+            smallest = float(self.eigen.eigenvalues[-1])
+            if smallest < -PSD_TOL:
+                raise PcrError(
+                    f"correlation matrix is not positive definite: smallest eigenvalue "
+                    f"{smallest!r}"
+                )
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The matrix; with ``data``, Z'Z / (n - 1) finished on first read."""
+        z = self.data.values
+        r = check_symmetric(z.T @ z / (self.data.n_years - 1), where="correlation matrix")
+        return _finished(self.names, r)
 
     @functools.cached_property
     def eigen(self) -> EigenDecomposition:
@@ -230,37 +250,33 @@ class CorrelationMatrix:
 
     @property
     def p(self) -> int:
-        return int(self.values.shape[0])
+        return len(self.names)
 
     def submatrix(self, names: tuple[str, ...]) -> "CorrelationMatrix":
         """Principal submatrix for the given variable names, in that order.
 
-        With ``data``, the submatrix keeps those columns of it.
+        With ``data``, it is built from those columns of the data alone.
         """
         missing = [n for n in names if n not in self.names]
         if missing:
             raise PcrError(f"variable names do not match: missing {missing}, extra []")
+        names = tuple(names)
         idx = [self.names.index(n) for n in names]
+        if self.data is None:
+            return CorrelationMatrix(names, self.values[np.ix_(idx, idx)])
         return CorrelationMatrix(
-            names=tuple(names),
-            values=self.values[np.ix_(idx, idx)].copy(),
-            data=None if self.data is None else TimeSeriesTable(
-                self.data.years, tuple(names), self.data.values[:, idx]
-            ),
+            names, data=TimeSeriesTable(self.data.years, names, self.data.values[:, idx])
         )
 
 
 def correlation_matrix(z: TimeSeriesTable) -> CorrelationMatrix:
     """Pearson correlations of the standardized columns of ``z``.
 
-    With unit-variance columns the matrix is Z'Z / (n - 1), passed as
-    computed: :class:`CorrelationMatrix` finishes it exactly.  The
-    result keeps ``z`` for its spectrum.
+    With unit-variance columns the matrix is Z'Z / (n - 1), which
+    :class:`CorrelationMatrix` computes from ``z`` when it is first read
+    and finishes exactly; the spectrum comes from ``z`` too.
     """
-    n = z.n_years
-    if n < 2:
-        raise PcrError(f"correlation needs at least 2 observations, got {n}")
-    return CorrelationMatrix(names=z.names, values=z.values.T @ z.values / (n - 1), data=z)
+    return CorrelationMatrix(z.names, data=z)
 
 
 def scatter_pairs(names: Sequence[str]) -> list[tuple[int, int]]:

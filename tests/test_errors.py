@@ -180,10 +180,18 @@ CASES = {
         "correlation out of [-1, 1] at (a, b): 1.5",
     ),
     "data-names": (
-        lambda: CorrelationMatrix(
-            ("a", "b"), np.eye(2), data=table(np.zeros((3, 2)), names=("b", "a"))
-        ),
+        lambda: CorrelationMatrix(("a", "b"), data=table(np.zeros((3, 2)), names=("b", "a"))),
         "data columns ('b', 'a') do not match ('a', 'b')",
+    ),
+    "values-and-data": (
+        lambda: CorrelationMatrix(
+            ("a", "b"), np.eye(2), data=table(np.zeros((3, 2)), names=("a", "b"))
+        ),
+        "a correlation matrix takes exactly one of values and data",
+    ),
+    "no-source": (
+        lambda: CorrelationMatrix(("a", "b")),
+        "a correlation matrix takes exactly one of values and data",
     ),
     "submatrix-unknown": (
         lambda: EQUICORRELATED.submatrix(("a", "z")),
@@ -364,6 +372,30 @@ def test_line_numbers_count_lines_of_the_file_not_records(tmp_path, text, messag
     with pytest.raises(PcrError) as excinfo:
         load_table(path)
     assert str(excinfo.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("header, shift", [("year,IY,A", 0), ('year,IY,"A\nB"', 1)],
+                         ids=["plain-header", "spanning-header"])
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (["2000,1,2", "2001,x,3", "2002,4"], 3, "column 'IY': 'x' is not a number"),
+        (["2000,1,2", "20x1,x,3"], 3, "year '20x1' is not a 64-bit integer"),
+        (["2000,1,nan", "2001,x,3"], 3, "column 'IY': 'x' is not a number"),
+        (["2000,1,nan", "2001,2,3", "2002,4"], 4, "expected 3 fields, got 2"),
+    ],
+    ids=["number-before-short-row", "year-before-number", "number-after-nan",
+         "short-row-after-nan"],
+)
+def test_the_first_defect_in_reading_order_is_reported(tmp_path, header, shift, rows,
+                                                        line, message):
+    # Field counts, the year and then each cell are checked row by row; a
+    # cell that parses is checked for finiteness only once every cell has.
+    path = tmp_path / "defects.csv"
+    path.write_text("\n".join((header, *rows, "")), encoding="utf-8")
+    with pytest.raises(PcrError) as excinfo:
+        load_table(path)
+    assert str(excinfo.value) == f"line {line + shift}: {message}"
 
 
 def test_report_onto_a_directory_names_the_path_and_the_cause(tmp_path):

@@ -141,6 +141,15 @@ class TestLoadTable:
         p.write_text("year,IY\n2000,1\n2001,2\n2002,4\n\n")
         assert load_table(p).n_years == 3
 
+    def test_cells_padded_with_any_whitespace_are_read(self, tmp_path):
+        # float() and int() reject the separators \x1c-\x1f that str.strip()
+        # removes; the row-by-row reading strips them.
+        p = tmp_path / "padded.csv"
+        p.write_text("year,IY,A\n 2000 ,\x1c1.5\x1f,\xa02\n2001,\t3 ,4\n", encoding="utf-8")
+        table = load_table(p)
+        assert table.years.tolist() == [2000, 2001]
+        assert table.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
     def test_byte_order_mark_gives_the_same_report(self, tmp_path):
         # Spreadsheet exports start with a UTF-8 BOM; only the report's
         # source line, which names the file, may differ.
@@ -433,6 +442,25 @@ class TestRendering:
         assert {"run", "correlation", "eigenvalues", "score_weights"} <= sections
         corr_rows = [r for r in rows if r[0] == "correlation"]
         assert len(corr_rows) == 81
+
+    def test_correlation_section_is_the_repr_of_every_cell(self, tmp_path):
+        path = write_table(planted_panel_table(12), tmp_path / "t.csv")
+        report = run_pipeline(RunConfig(input_path=path))
+        names, values = report.correlation.names, report.correlation.values
+        cells = [[repr(v) for v in row] for row in values.tolist()]
+        text = render_report_text(report).split("[correlation]\n")[1].split("\n\n")[0]
+        assert text.splitlines() == [
+            " ".join(("name", *names)),
+            *(" ".join((name, *row)) for name, row in zip(names, cells)),
+        ]
+        rows = csv.reader(io.StringIO(render_report_delim(report)))
+        assert [row[1:] for row in rows if row[0] == "correlation"] == [
+            [a, b, cell] for a, row in zip(names, cells) for b, cell in zip(names, row)
+        ]
+
+    def test_grid_equal_to_its_transpose_only_up_to_signed_zeros_prints_each_cell(self):
+        grid = pipeline._Table("name", ("a", "b"), ("a", "b"), np.array([[1.0, 0.0], [-0.0, 1.0]]))
+        assert [cells for _, cells in grid.rows()] == [["1.0", "0.0"], ["-0.0", "1.0"]]
 
     def test_failure_section_rendered(self, tmp_path):
         try:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcrkit.errors import PcrError
+from pcrkit.fixtures import load_fixture
 from pcrkit.pipeline import load_table
 from pcrkit.preprocess import (
     CorrelationMatrix,
@@ -326,6 +327,37 @@ class TestCorrelation:
     def test_empty_rejected(self):
         with pytest.raises(PcrError, match="no variables"):
             CorrelationMatrix(names=(), values=np.empty((0, 0)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CorrelationMatrix(
+                ("a", "b", "c"), [[1.0, 0.0, 0.3], [-0.0, 1.0, -0.0], [0.3, 0.0, 1.0]]
+            ),
+            lambda: correlation_matrix(standardize(random_walk_table(12, n_vars=6))),
+            lambda: load_fixture("fig3").matrix,
+        ],
+        ids=["signed-zeros", "data", "fig3"],
+    )
+    def test_stored_values_equal_their_transpose_bit_for_bit(self, build):
+        # The report formats only the upper triangle of a grid whose every
+        # entry, signed zeros included, equals its mirror bit for bit.
+        bits = build().values.view(np.uint64)
+        assert np.array_equal(bits, bits.T)
+
+    def test_data_matrix_is_the_finished_product_of_its_data(self):
+        z = standardize(random_walk_table(13, n_vars=5))
+        product = z.values.T @ z.values / (z.n_years - 1)
+        finished = np.clip((product + product.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(finished, 1.0)
+        r = correlation_matrix(z)
+        assert np.array_equal(r.values.view(np.uint64), finished.view(np.uint64))
+
+    def test_submatrix_of_a_data_matrix_slices_only_the_data(self):
+        r = correlation_matrix(standardize(random_walk_table(14, n_vars=4)))
+        sub = r.submatrix(("V4", "V2"))
+        assert np.array_equal(sub.data.values, r.data.values[:, [3, 1]])
+        assert "values" not in vars(r) and "values" not in vars(sub)
 
 
 class TestScatterPairs:
