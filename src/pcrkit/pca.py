@@ -180,7 +180,8 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
                 # plus Re(G) / 4, largest when the turn takes G to the positive reals.
                 w = bt[:, i] + 1j * bt[:, j]
                 z = w[:p] * w[:p]
-                phi = 0.25 * np.angle(z @ z - z.sum() ** 2 / p)
+                g = z @ z - z.sum() ** 2 / p
+                phi = 0.25 * np.arctan2(g.imag, g.real)
                 w *= np.exp(-1j * phi)
                 bt[:, i] = w.real
                 bt[:, j] = w.imag

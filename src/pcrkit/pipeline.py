@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -85,10 +86,11 @@ class RunConfig:
         if self.rotation not in ROTATION_MODES:
             raise PcrError(f"rotation must be one of {ROTATION_MODES}, got {self.rotation!r}")
         if self.components != "auto":
-            if type(self.components) is not int or self.components < 1:
+            k = self.components
+            if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
                 raise PcrError(
                     f'components must be "auto" or a positive integer, '
-                    f"got {self.components!r}"
+                    f"got {k!r}"
                 )
 
 
@@ -291,7 +293,9 @@ def run_pipeline(config: RunConfig) -> Report:
 
         stage = "regression"
         response_inc = diffed.column(config.response)
-        predictor_values = np.column_stack([diffed.column(n) for n in predictors])
+        # Stacked 1-D slices, not values[:, idx]: the fit's bits follow the layout.
+        idx = [j for j, n in enumerate(names) if n != config.response]
+        predictor_values = np.column_stack([diffed.values[:, j] for j in idx])
         try:
             report.baseline = fit_ols(
                 predictor_values, response_inc, names=predictors

@@ -259,6 +259,23 @@ CASES = {
         lambda: RunConfig(fixture="fig3", components=True).validate(),
         'components must be "auto" or a positive integer, got True',
     ),
+    # Any integral type counts, numpy's too, but not numpy's bool.
+    "config-components-numpy-bool": (
+        lambda: RunConfig(fixture="fig3", components=np.True_).validate(),
+        f'components must be "auto" or a positive integer, got {np.True_!r}',
+    ),
+    "config-components-numpy-zero": (
+        lambda: RunConfig(fixture="fig3", components=np.int64(0)).validate(),
+        f'components must be "auto" or a positive integer, got {np.int64(0)!r}',
+    ),
+    "config-components-float": (
+        lambda: RunConfig(fixture="fig3", components=2.0).validate(),
+        'components must be "auto" or a positive integer, got 2.0',
+    ),
+    "config-components-numpy-float": (
+        lambda: RunConfig(fixture="fig3", components=np.float64(2.0)).validate(),
+        f'components must be "auto" or a positive integer, got {np.float64(2.0)!r}',
+    ),
     # A run checks its configuration in the input stage.
     "run-config": (
         lambda: run_pipeline(RunConfig(fixture="fig3", components=0)),

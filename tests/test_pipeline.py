@@ -179,6 +179,15 @@ class TestRunConfig:
         with pytest.raises(PcrError, match="components must be"):
             RunConfig(fixture="fig3", components=0).validate()
 
+    def test_a_numpy_integer_count_runs_as_the_int(self, tmp_path):
+        table = planted_panel_table(7)
+        path = write_table(table, tmp_path / "t.csv")
+        for source in (dict(fixture="fig3"), dict(input_path=path)):
+            expected = render_report_text(run_pipeline(RunConfig(**source, components=2)))
+            for k in (np.int64(2), np.uint8(2), np.int32(2)):
+                config = RunConfig(**source, components=k)
+                assert render_report_text(run_pipeline(config)) == expected
+
     def test_emit_report_rejects_unknown_format(self, tmp_path):
         report = run_pipeline(RunConfig(fixture="fig3"))
         with pytest.raises(PcrError, match="json"):
