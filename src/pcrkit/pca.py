@@ -14,13 +14,14 @@ largest angle a sweep turned.
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PcrError
 from .linalg import canonical_columns
-from .preprocess import CorrelationMatrix, TimeSeriesTable
+from .preprocess import CorrelationMatrix, TimeSeriesTable, name_mismatch
 
 # Kaiser criterion: keep components whose eigenvalue exceeds this.
 KAISER_THRESHOLD = 1.0
@@ -97,6 +98,13 @@ class PcaSolution(NamedTuple):
         return None if proportion is None else np.cumsum(proportion)
 
 
+def check_components(k: int | str, positive: bool = False) -> None:
+    """Raise unless ``k`` is ``"auto"`` or a non-bool integer, at least 1 if ``positive``."""
+    integral = isinstance(k, numbers.Integral) and not isinstance(k, bool)
+    if k != "auto" and not (integral and (k >= 1 or not positive)):
+        raise PcrError(f'components must be "auto" or a positive integer, got {k!r}')
+
+
 def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution:
     """Extract principal components from a correlation matrix.
 
@@ -114,10 +122,11 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
     Raises
     ------
     PcrError
-        If the count lies outside [1, L], naming L ("no component count
-        fits" when L is 0), or if ``"auto"`` retains nothing because no
-        eigenvalue clears the threshold.
+        If the count is not ``"auto"`` or an integer, lies outside [1, L]
+        (naming L; "no component count fits" when L is 0), or is ``"auto"``
+        and no eigenvalue clears the threshold.
     """
+    check_components(components)
     values, vectors = r.eigen.eigenvalues, r.eigen.eigenvectors
     usable = int(np.sum(values > SCORE_EIGENVALUE_MIN))
     if r.data is not None:
@@ -244,7 +253,5 @@ def component_scores(z: TimeSeriesTable, w: ScoreWeights) -> np.ndarray:
     those columns.
     """
     if z.names != w.names:
-        missing = [n for n in w.names if n not in z.names]
-        extra = [n for n in z.names if n not in w.names]
-        raise PcrError(f"variable names do not match: missing {missing}, extra {extra}")
+        raise name_mismatch(w.names, z.names)
     return z.values @ w.weights

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from .fixtures import load_fixture
 from .pca import (
     PcaSolution,
     ScoreWeights,
+    check_components,
     component_scores,
     extract,
     rotate_varimax,
@@ -85,13 +85,7 @@ class RunConfig:
             raise PcrError(f"diff must be one of {DIFFERENCE_MODES}, got {self.diff!r}")
         if self.rotation not in ROTATION_MODES:
             raise PcrError(f"rotation must be one of {ROTATION_MODES}, got {self.rotation!r}")
-        if self.components != "auto":
-            k = self.components
-            if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
-                raise PcrError(
-                    f'components must be "auto" or a positive integer, '
-                    f"got {k!r}"
-                )
+        check_components(self.components, positive=True)
 
 
 @dataclass
@@ -130,11 +124,13 @@ def load_table(path) -> TimeSeriesTable:
 
     Expected layout: a header ``year,<name>,...`` followed by one row
     per year, comma-separated, UTF-8 with or without a byte-order mark.
-    Years must parse as 64-bit integers, values as finite floats; a
-    defect in the layout or a cell raises :class:`TableFormatError`
-    naming the line.  Gaps or repeats in the years and repeated or empty
-    names are rejected by :class:`TimeSeriesTable`, whose message names
-    the years or the column instead.
+    One loop reads each data row in file order: its field count, its
+    cells stripped (padding that ``float()`` rejects, ``\\x1c`` to
+    ``\\x1f``, is read too), a 64-bit integer year, float values.  Then
+    every value must be finite.  The first defect raises
+    :class:`TableFormatError` naming the line its record starts on.
+    Gaps or repeats in the years and repeated or empty names are
+    rejected by :class:`TimeSeriesTable`, whose message names them.
     """
     path = Path(path)
     try:
@@ -164,16 +160,30 @@ def load_table(path) -> TimeSeriesTable:
     rows, lines = records[1:], starts[1:]
     if not rows:
         raise TableFormatError(f"{path} has a header but no data rows")
-    # One pass parses every cell; on any failure the rows are read again
-    # one by one, which strips each cell and names the first defect.
-    try:
-        if any(len(cells) != len(header) for cells in rows):
-            raise ValueError("ragged rows")
-        years = np.array([int(cells[0]) for cells in rows], dtype=np.int64)
-        flat = itertools.chain.from_iterable(cells[1:] for cells in rows)
-        values = np.fromiter(map(float, flat), np.float64).reshape(len(rows), -1)
-    except (ValueError, OverflowError):
-        years, values = _read_rows(rows, lines, names)
+    years, flat = [], []
+    for record, line in zip(rows, lines):
+        if len(record) != len(header):
+            raise TableFormatError(
+                f"expected {len(header)} fields, got {len(record)}", line=line
+            )
+        year, *cells = map(str.strip, record)
+        try:
+            years.append(np.int64(int(year)))
+        except (ValueError, OverflowError) as err:
+            raise TableFormatError(
+                f"year {year!r} is not a 64-bit integer", line=line
+            ) from err
+        try:
+            flat.extend(map(float, cells))
+        except ValueError:
+            for name, cell in zip(names, cells):
+                try:
+                    float(cell)
+                except ValueError as err:
+                    raise TableFormatError(
+                        f"column {name!r}: {cell!r} is not a number", line=line
+                    ) from err
+    values = np.array(flat, dtype=np.float64).reshape(len(rows), len(names))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
@@ -182,38 +192,6 @@ def load_table(path) -> TimeSeriesTable:
             line=lines[i],
         )
     return TimeSeriesTable(years=years, names=names, values=values)
-
-
-def _read_rows(rows, lines, names) -> tuple[np.ndarray, np.ndarray]:
-    """Years and values of data ``rows``, read and checked row by row.
-
-    The first defect in reading order raises, naming its line: a field
-    count, then the year, then each cell.  Cells are stripped first, so
-    padding that ``float()`` rejects (``\\x1c``-``\\x1f``) is read too.
-    """
-    years, values = [], []
-    for cells, line in zip(rows, lines):
-        cells = [cell.strip() for cell in cells]
-        if len(cells) != len(names) + 1:
-            raise TableFormatError(
-                f"expected {len(names) + 1} fields, got {len(cells)}", line=line
-            )
-        try:
-            years.append(np.int64(int(cells[0])))
-        except (ValueError, OverflowError) as err:
-            raise TableFormatError(
-                f"year {cells[0]!r} is not a 64-bit integer", line=line
-            ) from err
-        row_values = []
-        for name, cell in zip(names, cells[1:]):
-            try:
-                row_values.append(float(cell))
-            except ValueError as err:
-                raise TableFormatError(
-                    f"column {name!r}: {cell!r} is not a number", line=line
-                ) from err
-        values.append(row_values)
-    return np.asarray(years, dtype=np.int64), np.asarray(values, dtype=np.float64)
 
 
 def write_table(table: TimeSeriesTable, path) -> Path:

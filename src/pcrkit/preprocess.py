@@ -50,13 +50,20 @@ def _checked_names(names: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
+def name_mismatch(wanted: Sequence[str], given: Sequence[str]) -> PcrError:
+    """The error for ``given`` names that do not match ``wanted``, naming both differences."""
+    missing = [n for n in wanted if n not in given]
+    extra = [n for n in given if n not in wanted]
+    return PcrError(f"variable names do not match: missing {missing}, extra {extra}")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeriesTable:
     """A rectangular block of yearly observations.
 
     ``values[i, j]`` is variable ``names[j]`` in year ``years[i]``.
-    Years must be consecutive integers, names distinct and not empty,
-    and all values finite.
+    Years must be consecutive whole numbers (a fractional year raises,
+    never truncated), names distinct and not empty, all values finite.
     """
 
     years: np.ndarray
@@ -64,7 +71,12 @@ class TimeSeriesTable:
     values: np.ndarray
 
     def __post_init__(self):
-        years = np.asarray(self.years, dtype=np.int64)
+        years = np.asarray(self.years)
+        whole = years.dtype.kind != "f" or np.isfinite(years) & (years == np.trunc(years))
+        if not np.all(whole):
+            year = float(years.flat[np.argmin(whole)])
+            raise PcrError(f"year {year!r} is not a whole number")
+        years = years.astype(np.int64, copy=False)
         values = as_checked_array(self.values, "table values")
         if values.ndim != 2:
             raise PcrError(f"table values must be 2-d, got shape {values.shape}")
@@ -91,7 +103,7 @@ class TimeSeriesTable:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.names:
-            raise PcrError(f"variable names do not match: missing [{name!r}], extra []")
+            raise name_mismatch([name], [])
         return self.values[:, self.names.index(name)].copy()
 
 
@@ -259,7 +271,7 @@ class CorrelationMatrix:
         """
         missing = [n for n in names if n not in self.names]
         if missing:
-            raise PcrError(f"variable names do not match: missing {missing}, extra []")
+            raise name_mismatch(missing, [])
         names = tuple(names)
         idx = [self.names.index(n) for n in names]
         if self.data is None:

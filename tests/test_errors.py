@@ -127,6 +127,15 @@ CASES = {
         lambda: table(np.ones((3, 2)), years=[2000, 2001, 2003]),
         "years must be consecutive: 2001 is followed by 2003",
     ),
+    # Whole-valued float years are read as integers; others are not truncated.
+    "years-fractional": (
+        lambda: table(np.ones((3, 2)), years=[1990.5, 1991.5, 1992.5]),
+        "year 1990.5 is not a whole number",
+    ),
+    "years-fractional-later": (
+        lambda: table(np.ones((3, 2)), years=np.array([2000.0, 2001.25, 2002.0])),
+        "year 2001.25 is not a whole number",
+    ),
     "unknown-column": (
         lambda: table(np.ones((3, 2))).column("Z"),
         "variable names do not match: missing ['Z'], extra []",
@@ -205,6 +214,28 @@ CASES = {
     "count-out-of-range": (
         lambda: extract(EQUICORRELATED, 4),
         "component count must be in [1, 3], got 4",
+    ),
+    # ``extract`` applies the count rule of ``RunConfig``; an integer
+    # count outside [1, L] keeps the range message above.
+    "count-float": (
+        lambda: extract(EQUICORRELATED, 2.7),
+        'components must be "auto" or a positive integer, got 2.7',
+    ),
+    "count-bool": (
+        lambda: extract(EQUICORRELATED, True),
+        'components must be "auto" or a positive integer, got True',
+    ),
+    "count-numpy-bool": (
+        lambda: extract(EQUICORRELATED, np.True_),
+        f'components must be "auto" or a positive integer, got {np.True_!r}',
+    ),
+    "count-digit-string": (
+        lambda: extract(EQUICORRELATED, "2"),
+        'components must be "auto" or a positive integer, got \'2\'',
+    ),
+    "count-word": (
+        lambda: extract(EQUICORRELATED, "x"),
+        'components must be "auto" or a positive integer, got \'x\'',
     ),
     "null-component": (
         lambda: extract(SINGULAR, 2),
@@ -400,9 +431,11 @@ def test_line_numbers_count_lines_of_the_file_not_records(tmp_path, text, messag
         (["2000,1,2", "20x1,x,3"], 3, "year '20x1' is not a 64-bit integer"),
         (["2000,1,nan", "2001,x,3"], 3, "column 'IY': 'x' is not a number"),
         (["2000,1,nan", "2001,2,3", "2002,4"], 4, "expected 3 fields, got 2"),
+        (["2000,\x1c1\x1f,2", "2001,2,3", "2002,x,3"], 4, "column 'IY': 'x' is not a number"),
+        (["2000,1,2", "2001,\x1cx\x1f,3"], 3, "column 'IY': 'x' is not a number"),
     ],
     ids=["number-before-short-row", "year-before-number", "number-after-nan",
-         "short-row-after-nan"],
+         "short-row-after-nan", "number-after-padded-row", "padded-number"],
 )
 def test_the_first_defect_in_reading_order_is_reported(tmp_path, header, shift, rows,
                                                         line, message):
@@ -413,6 +446,14 @@ def test_the_first_defect_in_reading_order_is_reported(tmp_path, header, shift, 
     with pytest.raises(PcrError) as excinfo:
         load_table(path)
     assert str(excinfo.value) == f"line {line + shift}: {message}"
+
+
+def test_a_year_beyond_64_bits_names_its_line(tmp_path):
+    path = tmp_path / "years.csv"
+    path.write_text("year,IY\n2000,1\n99999999999999999999,2\n", encoding="utf-8")
+    with pytest.raises(PcrError) as excinfo:
+        load_table(path)
+    assert str(excinfo.value) == "line 3: year '99999999999999999999' is not a 64-bit integer"
 
 
 def test_report_onto_a_directory_names_the_path_and_the_cause(tmp_path):

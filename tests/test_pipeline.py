@@ -150,6 +150,19 @@ class TestLoadTable:
         assert table.years.tolist() == [2000, 2001]
         assert table.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
 
+    def test_a_padded_file_reads_the_same_array(self, tmp_path):
+        golden = Path(__file__).parent / "golden" / "panel9.csv"
+        lines = golden.read_text(encoding="utf-8").splitlines()
+        padded = tmp_path / "padded.csv"
+        # The data rows hold no quoted cells, so splitting on commas is exact.
+        rows = [",".join(f"\x1c {cell}\x1f\t" for cell in line.split(",")) for line in lines[1:]]
+        padded.write_text("\n".join([lines[0], *rows, ""]), encoding="utf-8")
+        plain, spaced = load_table(golden), load_table(padded)
+        assert spaced.years.dtype == np.int64
+        assert spaced.years.tolist() == plain.years.tolist()
+        assert spaced.values.dtype == np.float64 and spaced.values.flags.c_contiguous
+        assert spaced.values.tobytes() == plain.values.tobytes()
+
     def test_byte_order_mark_gives_the_same_report(self, tmp_path):
         # Spreadsheet exports start with a UTF-8 BOM; only the report's
         # source line, which names the file, may differ.
