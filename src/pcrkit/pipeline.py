@@ -123,7 +123,8 @@ def load_table(path) -> TimeSeriesTable:
     """Read a delimited yearly table.
 
     Expected layout: a header ``year,<name>,...`` followed by one row
-    per year, comma-separated, UTF-8 with or without a byte-order mark.
+    per year, comma-separated, UTF-8 with or without a byte-order mark,
+    lines ended by LF, CRLF or CR.
     One loop reads each data row in file order: its field count, its
     cells stripped (padding that ``float()`` rejects, ``\\x1c`` to
     ``\\x1f``, is read too), a 64-bit integer year, float values.  Then
@@ -134,10 +135,12 @@ def load_table(path) -> TimeSeriesTable:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise TableFormatError(f"cannot read {path}: {err}") from err
-    reader = csv.reader(io.StringIO(text))
+    # Untranslated line ends, as the csv module requires: a quoted CR or
+    # LF stays in its cell, and CR, LF and CRLF each end a line.
+    reader = csv.reader(io.StringIO(text, newline=""))
     # records[k] starts on line starts[k]: a quoted cell may span lines,
     # so records and lines differ.
     records, starts = [], [1]
@@ -197,9 +200,11 @@ def load_table(path) -> TimeSeriesTable:
 def write_table(table: TimeSeriesTable, path) -> Path:
     """Serialize a table back to the delimited layout, full precision.
 
-    The header is quoted as ``csv.writer`` quotes it; floats are written
-    with ``repr``, which never needs quoting, so a load/write/load round
-    trip reproduces every value bit for bit.
+    Names are quoted by ``_csv_field``; years and floats, written with
+    ``repr``, never need quoting.  ``load_table`` of the file returns the
+    same names, years and value bits whenever no name has leading or
+    trailing whitespace, which ``load_table`` strips; a name may hold
+    commas, quotes, CR and LF.
     """
     header = ",".join(_csv_field(name) for name in ("year", *table.names))
     rows = (
@@ -503,29 +508,27 @@ def render_report_text(report: Report) -> str:
 
 def render_report_delim(report: Report) -> str:
     """Render the report as flat ``section,key,field,value`` CSV rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("section", "key", "field", "value"))
+    lines = ["section,key,field,value"]
     for _, section, items in _sections(report):
         for item in items:
             if isinstance(item, _Table):
-                # Values are float reprs, which never need quoting, so each
-                # label and column is quoted once and each row is one join.
+                # Float reprs never need quoting: each row is one join.
                 columns = [f"{_csv_field(column)}," for column in item.columns]
                 for label, cells in item.rows():
                     lead = f"{section},{_csv_field(label)},"
-                    rows = f"\n{lead}".join(map(operator.add, columns, cells))
-                    buffer.write(f"{lead}{rows}\n")
+                    lines.append(lead + f"\n{lead}".join(map(operator.add, columns, cells)))
             elif item.row is not None:
-                writer.writerow((section, *item.row))
-    return buffer.getvalue()
+                lines.append(",".join(map(_csv_field, (section, *item.row))))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it in a row of several fields."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-    return buffer.getvalue()[: -len(",\n")]
+    """``text`` as one CSV field (RFC 4180): quoted, its quotes doubled,
+    only if it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _scatter_parts(table: TimeSeriesTable, format: str) -> Iterator[str]:

@@ -62,8 +62,9 @@ class TimeSeriesTable:
     """A rectangular block of yearly observations.
 
     ``values[i, j]`` is variable ``names[j]`` in year ``years[i]``.
-    Years must be consecutive whole numbers (a fractional year raises,
-    never truncated), names distinct and not empty, all values finite.
+    Years must be consecutive whole numbers that fit a 64-bit integer (a
+    fractional year raises, never truncated; a larger one raises, never
+    wraps), names distinct and not empty, all values finite.
     """
 
     years: np.ndarray
@@ -76,6 +77,13 @@ class TimeSeriesTable:
         if not np.all(whole):
             year = float(years.flat[np.argmin(whole)])
             raise PcrError(f"year {year!r} is not a whole number")
+        # Only these kinds can hold a whole number outside int64, which the
+        # cast would wrap.
+        if years.dtype.kind in "fuO":
+            fits = (years >= -(2**63)) & (years < 2**63)
+            if not np.all(fits):
+                year = years.item(int(np.argmin(fits)))
+                raise PcrError(f"year {year!r} is not a 64-bit integer")
         years = years.astype(np.int64, copy=False)
         values = as_checked_array(self.values, "table values")
         if values.ndim != 2:

@@ -136,6 +136,24 @@ CASES = {
         lambda: table(np.ones((3, 2)), years=np.array([2000.0, 2001.25, 2002.0])),
         "year 2001.25 is not a whole number",
     ),
+    # A year outside int64 is named, never wrapped by the cast.
+    "years-float-beyond-64-bits": (
+        lambda: table(np.ones((1, 2)), years=[1e19]),
+        "year 1e+19 is not a 64-bit integer",
+    ),
+    "years-uint64-beyond-64-bits": (
+        lambda: table(np.ones((2, 2)), years=np.array([2**63, 2**63 + 1], dtype=np.uint64)),
+        "year 9223372036854775808 is not a 64-bit integer",
+    ),
+    # numpy reads this list as float64, so its first year is already 2**63.
+    "years-list-beyond-64-bits": (
+        lambda: table(np.ones((2, 2)), years=[2**63 - 1, 2**63]),
+        "year 9.223372036854776e+18 is not a 64-bit integer",
+    ),
+    "years-object-beyond-64-bits": (
+        lambda: table(np.ones((2, 2)), years=np.array([2**64, 2**64 + 1], dtype=object)),
+        "year 18446744073709551616 is not a 64-bit integer",
+    ),
     "unknown-column": (
         lambda: table(np.ones((3, 2))).column("Z"),
         "variable names do not match: missing ['Z'], extra []",

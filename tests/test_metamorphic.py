@@ -24,7 +24,12 @@ predictor's sign or rescaling it by a power of two is exact: the runs
 exit alike, and the results are bit-identical up to those signs.
 Permuting the predictors of a generated table is not exact; the runs
 exit alike, and the results move with their predictors within bounds
-that scale with the eigenvalue gaps rounding is sensitive to.
+that scale with the eigenvalue gaps rounding is sensitive to.  Shifting
+one column's levels, or rescaling it by a factor that is not a power of
+two, is not exact either: it rounds the column's increments by a
+relative amount that grows with the ratio of its levels to its
+increments, and the runs exit alike and agree within bounds stated in
+units of that rounding.
 
 Two properties hold the fit fixed whatever the spectrum feeds it:
 varimax only rotates the retained score space, so the PCR fit with and
@@ -48,6 +53,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import re
 import tempfile
 import warnings
@@ -55,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcrkit import cli
@@ -240,13 +246,14 @@ COLUMN_KINDS = ("scaled", "constant", "duplicate", "near-collinear", "subnormal"
 
 
 @st.composite
-def well_formed_tables(draw):
+def well_formed_tables(draw, name=NAME):
     """Consecutive years, n from 3 to 30, the response IY and 1 to 12
-    predictors whose names may need CSV quoting and rarely sort in header
-    order; each column is a random walk at a scale from 1e-300 to 1e300,
-    a constant, a copy or a near copy of another column, or subnormal."""
+    predictors drawn from ``name``, whose names may need CSV quoting and
+    rarely sort in header order; each column is a random walk at a scale
+    from 1e-300 to 1e300, a constant, a copy or a near copy of another
+    column, or subnormal."""
     n = draw(st.integers(3, 30))
-    predictors = draw(st.lists(NAME, min_size=1, max_size=12, unique=True))
+    predictors = draw(st.lists(name, min_size=1, max_size=12, unique=True))
     names = list(predictors)
     names.insert(draw(st.integers(0, len(predictors))), "IY")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -560,3 +567,91 @@ def test_permuting_predictors_permutes_results_on_generated_tables(table, data):
     nearest = np.minimum(np.concatenate(([np.inf], gaps[: k - 1])), gaps[:k])
     deviation = np.abs(other.solution.loadings - expected * signs).max(axis=0)
     assert np.all(deviation * nearest <= 256 * eps * np.sqrt(lam[:k]) * lam[0])
+
+
+def increment_rounding(column):
+    """The relative error that rounding the levels of ``column`` puts into
+    its increments: a unit in the last place of its largest level over
+    its largest increment, plus the rounding of the increments themselves."""
+    eps = np.finfo(np.float64).eps
+    return eps + np.spacing(np.abs(column).max()) / np.abs(np.diff(column)).max()
+
+
+def moved_units(table, j, column):
+    """How far a run with column ``j`` of ``table`` replaced by ``column``
+    moves from a run on ``table``, after checking that both exit alike.
+
+    Returns the largest move of an eigenvalue, a VIF and R², each in units
+    of the rounding it is sensitive to, as in the permutation property
+    above, with eps replaced by ``increment_rounding(column)``; zeros
+    when both runs fail.  VIFs are compared only when both runs keep as
+    many singular values above the ``VIF_RCOND`` cut: a copy of a column
+    that the change rounds apart from it by more than the cut is an
+    independent column to ``vif``, which then regresses every other
+    column on their difference too.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        base = run_or_exit_code(table, Path(tmp) / "base.csv")
+        other = run_or_exit_code(with_column(table, j, column), Path(tmp) / "other.csv")
+    if isinstance(base, int) or isinstance(other, int):
+        assert other == base
+        return 0.0, 0.0, 0.0
+    unit = increment_rounding(column)
+    lam, k = base.solution.eigenvalues, base.solution.n_components
+    eigenvalues = np.abs(other.solution.eigenvalues - lam).max() / (unit * lam[0])
+    kept = lam[lam > VIF_RCOND**2 * lam[0]]
+    vif = 0.0
+    if len(kept) == np.sum(other.solution.eigenvalues > VIF_RCOND**2 * lam[0]):
+        kappa = np.sqrt(lam[0] / kept[-1])
+        vif = max(
+            0.0 if other.vif[n] == value else abs(other.vif[n] - value) / (unit * kappa * value)
+            for n, value in base.vif.items()
+        )
+    condition = lam[0] / (lam[k - 1] - lam[k])
+    r_squared = abs(other.pcr.r_squared - base.pcr.r_squared) / (unit * condition)
+    return eigenvalues, vif, r_squared
+
+
+GENERATED_TABLES = st.one_of(random_walk_tables(), well_formed_tables())
+
+
+@st.composite
+def shifted_columns(draw):
+    """A generated table, one of its columns j, response included, and
+    that column's levels shifted by up to 1e9 times its largest increment."""
+    table = draw(GENERATED_TABLES)
+    j = draw(st.integers(0, len(table.names) - 1))
+    column = table.values[:, j]
+    size = float(np.abs(np.diff(column)).max())
+    shift = draw(st.sampled_from([-1.0, 1.0])) * size * 10.0 ** draw(st.floats(0, 9))
+    assume(float(np.abs(column).max()) + abs(shift) < 1e307)
+    return table, j, column + shift
+
+
+@st.composite
+def rescaled_columns(draw):
+    """A generated table, one of its columns j, response included, and
+    that column rescaled by a factor from 1e-3 to 1e3 that is not a power
+    of two."""
+    table = draw(GENERATED_TABLES)
+    j = draw(st.integers(0, len(table.names) - 1))
+    factor = 10.0 ** draw(st.floats(-3, 3))
+    assume(math.frexp(factor)[0] != 0.5)
+    return table, j, table.values[:, j] * factor
+
+
+# Each bound is 32 of the units ``moved_units`` measures.  Measured over
+# 5,000 shifts (1,688 ran to completion both ways, 6 of them with the
+# numerical rank changed) and 5,000 rescalings (2,379 ran): at most 3.9
+# and 2.8 for the eigenvalues, 2.3 and 3.7 for a VIF, 1.7 and 3.0 for
+# R².  No exit code differed.
+@settings(max_examples=30, deadline=None)
+@given(case=shifted_columns())
+def test_shifting_a_column_moves_results_within_its_rounding(case):
+    assert max(moved_units(*case)) <= 32
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=rescaled_columns())
+def test_rescaling_a_column_moves_results_within_its_rounding(case):
+    assert max(moved_units(*case)) <= 32

@@ -4,10 +4,13 @@ import itertools
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pcrkit
 from pcrkit import cli, linalg, pca, pipeline
@@ -24,7 +27,7 @@ from pcrkit.pipeline import (
     write_table,
 )
 from pcrkit.preprocess import TimeSeriesTable
-from test_metamorphic import short_wide_panel
+from test_metamorphic import short_wide_panel, well_formed_tables
 from test_pca import tucker_congruence
 
 
@@ -652,6 +655,69 @@ class TestWritersMatchReference:
         assert load_table(tmp_path / "t.csv").names == names
 
 
+# Non-empty names with no leading or trailing whitespace, which
+# ``load_table`` strips, mixing every character that needs quoting.
+CSV_NAME = st.text(alphabet='Ab ,"\r\n', min_size=1, max_size=6).filter(
+    lambda name: name == name.strip() and name != "IY"
+)
+
+
+class TestCsvDialect:
+    """Fields are quoted by RFC 4180; input lines may end in LF, CRLF or CR."""
+
+    GOLDEN = Path(__file__).parent / "golden" / "panel9.csv"
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=well_formed_tables(CSV_NAME))
+    @example(
+        table=TimeSeriesTable(
+            years=np.arange(2000, 2006),
+            names=("IY", "A", "B\rC", "D"),
+            values=np.cumsum(np.arange(24.0).reshape(6, 4) ** 1.5, axis=0),
+        )
+    )
+    def test_names_that_need_quoting_round_trip(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            source = write_table(table, Path(tmp) / "t.csv")
+            again = load_table(source)
+            try:
+                report = run_pipeline(RunConfig(input_path=source))
+            except StageError as err:
+                report = err.report
+        assert again.names == table.names
+        assert again.years.tolist() == table.years.tolist()
+        assert again.values.tobytes() == table.values.tobytes()
+        rows = list(csv.reader(io.StringIO(render_report_delim(report), newline="")))
+        assert all(len(row) == 4 for row in rows)
+        assert [row[3] for row in rows if row[0] == "variables"] == list(table.names)
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_line_ends_read_as_lf(self, tmp_path, end):
+        copy = tmp_path / "panel9.csv"
+        copy.write_bytes(self.GOLDEN.read_bytes().replace(b"\n", end))
+        plain, other = load_table(self.GOLDEN), load_table(copy)
+        assert other.names == plain.names
+        assert other.years.tolist() == plain.years.tolist()
+        assert other.values.tobytes() == plain.values.tobytes()
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_a_bad_cell_names_the_same_line_whatever_the_line_ends(self, tmp_path, end):
+        lines = self.GOLDEN.read_bytes().split(b"\n")
+        # Data rows hold no quoted cells, so splitting on commas is exact.
+        cells = lines[6].split(b",")
+        lines[6] = b",".join([cells[0], b"x", *cells[2:]])
+        copy = tmp_path / "panel9.csv"
+        copy.write_bytes(end.join(lines))
+        with pytest.raises(TableFormatError) as excinfo:
+            load_table(copy)
+        assert str(excinfo.value) == "line 7: column 'IY': 'x' is not a number"
+
+    def test_a_quoted_header_cell_keeps_its_crlf(self, tmp_path):
+        p = tmp_path / "spanning.csv"
+        p.write_bytes(b'year,IY,"A\r\nB"\r\n2000,1,2\r\n2001,2,3\r\n2002,4,3\r\n')
+        assert load_table(p).names == ("IY", "A\r\nB")
+
+
 class TestUnits:
     def test_tiny_levels_keep_pcr_r_squared(self, tmp_path, recwarn):
         # A relative zero-variance guard: levels in units of 1e-150 are
@@ -834,6 +900,24 @@ class TestCli:
                 f"error: [pca] component count must be in [1, 3], got {count}\n"
             )
         assert cli.main(["--input", source, "--components", "3"]) == 0
+
+    def test_one_predictor_needs_an_explicit_count(self, tmp_path, capsys):
+        # A lone variable's eigenvalue is exactly 1, and Kaiser's rule
+        # keeps only eigenvalues above 1.
+        rng = np.random.default_rng(1)
+        table = TimeSeriesTable(
+            years=np.arange(2000, 2010),
+            names=("IY", "X"),
+            values=100.0 + np.cumsum(rng.standard_normal((10, 2)), axis=0),
+        )
+        source = str(write_table(table, tmp_path / "one.csv"))
+        assert cli.main(["--input", source]) == 4
+        assert capsys.readouterr().err == (
+            "error: [pca] automatic retention kept no components: largest eigenvalue "
+            "1.0 does not exceed 1.0\n"
+        )
+        assert cli.main(["--input", source, "--components", "1"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_varimax_cap_names_what_to_do(self, monkeypatch, capsys):
         # fig3 takes 2 sweeps to converge.
