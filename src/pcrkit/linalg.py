@@ -6,9 +6,10 @@ order among ties, and a sign convention on every eigenvector.  Repeated
 calls on the same input therefore give bit-identical output, which the
 deterministic reports rely on.
 
-Least squares goes through a QR factorization with an explicit pivot
-check so that rank deficiency surfaces as a structured error naming the
-offending column instead of a silently garbage coefficient vector.
+Least squares is the QR solver of ``regression.fit_ols``, which checks
+and scales its inputs first.  An explicit pivot check makes rank
+deficiency a structured error naming the offending column instead of a
+silently garbage coefficient vector.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from .errors import PcrError, RankDeficiencyError
 SYMMETRY_TOL = 1e-9
 # A diagonal entry of R at or below this multiple of the norm of its own
 # design column marks that column as dependent on the earlier ones.  The
-# test compares each column with itself, so it does not depend on units.
+# test compares each column with itself, so it does not depend on units
+# once the column is scaled, as fit_ols scales it, so that its norm can
+# neither overflow nor underflow.
 RANK_TOL = 1e-12
 
 
@@ -116,51 +119,34 @@ def column_exponents(x: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(x).max(axis=0, initial=0.0))[1]
 
 
-def solve_least_squares(design, response, names: tuple[str, ...] | None = None) -> np.ndarray:
+def solve_least_squares(design, response, names: tuple[str, ...]) -> np.ndarray:
     """Least-squares coefficients for ``design @ beta ~ response`` via QR.
 
-    Requires at least as many rows as columns.  A numerically dependent
-    column (diagonal of R at or below ``RANK_TOL`` times the norm of that
-    column, both scaled by ``column_exponents`` so the norm cannot
-    overflow) raises :class:`RankDeficiencyError` identifying the column,
-    by name when ``names`` is supplied.  A coefficient too large for a
-    float (a pivot tiny next to the response, as with subnormal data)
-    raises :class:`PcrError` naming its column.
+    It solves what ``fit_ols`` builds and checks: a finite design with
+    more rows than columns, each column scaled by ``column_exponents``,
+    a response of one entry per row, and one name per column.  A column
+    whose diagonal of R is at most ``RANK_TOL`` times its norm raises
+    :class:`RankDeficiencyError` naming it.  A coefficient too large
+    for a float (a pivot tiny next to the response) raises
+    :class:`PcrError` naming its column.
     """
-    x = as_checked_array(design, "design matrix")
-    y = as_checked_array(response, "response vector")
-    if x.ndim != 2:
-        raise PcrError(f"design matrix: expected shape (m, n), got {x.shape}")
-    m, n = x.shape
-    if y.shape != (m,):
-        raise PcrError(f"response vector: expected shape ({m},), got {y.shape}")
-    if m < n:
-        raise PcrError(
-            f"design matrix: expected shape at least as many rows as columns, got {x.shape}"
-        )
-    q, r = np.linalg.qr(x)
+    q, r = np.linalg.qr(design)
     diag = np.abs(np.diagonal(r))
-    e = column_exponents(x)
-    norms = np.linalg.norm(np.ldexp(x, -e), axis=0)
-    dependent = np.flatnonzero(np.ldexp(diag, -e) <= RANK_TOL * norms)
+    dependent = np.flatnonzero(diag <= RANK_TOL * np.linalg.norm(design, axis=0))
     if dependent.size:
         bad = int(dependent[0])
-        name = names[bad] if names is not None and bad < len(names) else None
-        raise RankDeficiencyError(column=bad, pivot=float(diag[bad]), name=name)
+        raise RankDeficiencyError(column=bad, pivot=float(diag[bad]), name=names[bad])
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = q.T @ y
-        for i in range(n - 1, -1, -1):
+        beta = q.T @ response
+        for i in range(beta.size - 1, -1, -1):
             beta[i] = (beta[i] - r[i, i + 1 :] @ beta[i + 1 :]) / r[i, i]
     finite = np.isfinite(beta)
     if not finite.all():
         # Back-substitution runs from the last column: the highest
         # non-finite coefficient is where the overflow began.
         bad = int(np.flatnonzero(~finite)[-1])
-        named = names is not None and bad < len(names)
-        label = f"column {bad} ({names[bad]})" if named else f"column {bad}"
         raise PcrError(
-            f"least-squares coefficient of {label} is not finite: dividing by "
-            f"its pivot {float(r[bad, bad])!r} overflows"
+            f"least-squares coefficient of column {bad} ({names[bad]}) is not finite: "
+            f"dividing by its pivot {float(r[bad, bad])!r} overflows"
         )
     return beta
-

@@ -98,10 +98,10 @@ class PcaSolution(NamedTuple):
         return None if proportion is None else np.cumsum(proportion)
 
 
-def check_components(k: int | str, positive: bool = False) -> None:
-    """Raise unless ``k`` is ``"auto"`` or a non-bool integer, at least 1 if ``positive``."""
+def check_components(k: int | str) -> None:
+    """Raise unless ``k`` is ``"auto"`` or a non-bool integer of at least 1."""
     integral = isinstance(k, numbers.Integral) and not isinstance(k, bool)
-    if k != "auto" and not (integral and (k >= 1 or not positive)):
+    if k != "auto" and not (integral and k >= 1):
         raise PcrError(f'components must be "auto" or a positive integer, got {k!r}')
 
 
@@ -140,7 +140,7 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
             )
     else:
         k = int(components)
-    if not 1 <= k <= usable:
+    if k > usable:
         if components != "auto" and usable:
             raise PcrError(f"component count must be in [1, {usable}], got {components!r}")
         kept = "automatic retention kept" if components == "auto" else "cannot retain"

@@ -85,7 +85,7 @@ class RunConfig:
             raise PcrError(f"diff must be one of {DIFFERENCE_MODES}, got {self.diff!r}")
         if self.rotation not in ROTATION_MODES:
             raise PcrError(f"rotation must be one of {ROTATION_MODES}, got {self.rotation!r}")
-        check_components(self.components, positive=True)
+        check_components(self.components)
 
 
 @dataclass

@@ -244,8 +244,7 @@ class CorrelationMatrix:
     def values(self) -> np.ndarray:
         """The matrix; with ``data``, Z'Z / (n - 1) finished on first read."""
         z = self.data.values
-        r = check_symmetric(z.T @ z / (self.data.n_years - 1), where="correlation matrix")
-        return _finished(self.names, r)
+        return _finished(self.names, z.T @ z / (self.data.n_years - 1))
 
     @functools.cached_property
     def eigen(self) -> EigenDecomposition:

@@ -45,7 +45,9 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
 
     It is solved with each column divided by a power of two
     (``column_exponents``), which is exact, so it does not depend on the
-    data's units.  A coefficient too small for a normal float comes back
+    data's units.  ``solve_least_squares`` relies on that scaling: its
+    rank test takes each column's norm, which cannot then overflow or
+    underflow.  A coefficient too small for a normal float comes back
     subnormal or 0.0; the fitted values and R^2 do not depend on it.
 
     Parameters
@@ -59,8 +61,10 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
     Raises
     ------
     PcrError
-        Fewer than p + 2 observations (no residual degree of freedom),
-        or a coefficient too large for a float, naming its column.
+        Predictors of neither one nor two dimensions, a response that is
+        not one value per row, a name count other than p, fewer than p + 2
+        observations (no residual degree of freedom), or a coefficient
+        too large for a float, naming its column.
     RankDeficiencyError
         A predictor is linearly dependent on earlier ones (or constant,
         which duplicates the intercept); the error names it and gives
@@ -69,10 +73,16 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
     x = as_checked_array(predictors, "predictors")
     if x.ndim == 1:
         x = x[:, None]
+    if x.ndim != 2:
+        raise PcrError(f"predictors: expected shape (n, p), got {x.shape}")
     y = as_checked_array(response, "response")
     n, p = x.shape
+    if y.shape != (n,):
+        raise PcrError(f"response vector: expected shape ({n},), got {y.shape}")
     if names is None:
         names = tuple(f"X{j + 1}" for j in range(p))
+    if len(names) != p:
+        raise PcrError(f"{len(names)} names for {p} predictors")
     if n < p + 2:
         raise PcrError(f"ols with {p} predictors needs at least {p + 2} observations, got {n}")
     e, e_y = column_exponents(x), int(column_exponents(y))

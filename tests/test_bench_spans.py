@@ -37,14 +37,14 @@ def test_every_wrapped_target_resolves():
 
 
 @pytest.mark.parametrize(
-    "config, eigen_calls",
+    "config, eigen_calls, lstsq_calls",
     [
-        (pipeline.RunConfig(input_path=GOLDEN / "panel9.csv"), 0),
-        (pipeline.RunConfig(fixture="fig3"), 3),
+        (pipeline.RunConfig(input_path=GOLDEN / "panel9.csv"), 0, 2),
+        (pipeline.RunConfig(fixture="fig3"), 3, 0),
     ],
     ids=["table", "fixture"],
 )
-def test_traced_run_records_its_spans(config, eigen_calls):
+def test_traced_run_records_its_spans(config, eigen_calls, lstsq_calls):
     original = pipeline.run_pipeline
     report, recorded = traced(config)
     assert pipeline.run_pipeline is original
@@ -55,6 +55,7 @@ def test_traced_run_records_its_spans(config, eigen_calls):
         assert {"preprocess.correlation_matrix", "preprocess.vif"} <= set(names)
     layers = spans.op_layers(recorded)
     assert layers["linalg.eigen_calls"] == eigen_calls
+    assert layers["linalg.lstsq_calls"] == lstsq_calls
 
 
 def test_a_stage_patched_before_the_trace_is_left_alone(monkeypatch):

@@ -73,21 +73,34 @@ CASES = {
         "non-finite entry in base level at index (0,)",
     ),
     "response-shape": (
-        lambda: solve_least_squares(np.ones((3, 2)), np.ones(4)),
+        lambda: fit_ols(np.ones((3, 2)), np.ones(4)),
         "response vector: expected shape (3,), got (4,)",
     ),
+    # A response column, not a vector, once escaped as a bare TypeError.
+    "response-column": (
+        lambda: fit_ols(np.arange(4.0), np.arange(4.0)[:, None]),
+        "response vector: expected shape (4,), got (4, 1)",
+    ),
     "design-rank": (
-        lambda: solve_least_squares(np.ones(3), np.ones(3)),
-        "design matrix: expected shape (m, n), got (3,)",
+        lambda: fit_ols(np.ones((4, 1, 1)), np.ones(4)),
+        "predictors: expected shape (n, p), got (4, 1, 1)",
     ),
     "design-wide": (
-        lambda: solve_least_squares(np.ones((2, 3)), np.ones(2)),
-        "design matrix: expected shape at least as many rows as columns, got (2, 3)",
+        lambda: fit_ols(np.ones((2, 3)), np.ones(2)),
+        "ols with 3 predictors needs at least 5 observations, got 2",
+    ),
+    "design-names": (
+        lambda: fit_ols(np.arange(4.0), np.ones(4), names=("a", "b")),
+        "2 names for 1 predictors",
     ),
     # 2**-1029 is the exact pivot; the coefficient beyond it overflows.
+    # fit_ols scales every column into [0.5, 1), where no pivot is that
+    # small, so the solver is called with such a design directly.
     "coefficient-overflow": (
         lambda: solve_least_squares(
-            [[1.0, -(2.0**-1030)], [1.0, 2.0**-1030]] * 2, [0.0, 1.0] * 2, names=("i", "x")
+            np.array([[1.0, -(2.0**-1030)], [1.0, 2.0**-1030]] * 2),
+            np.array([0.0, 1.0] * 2),
+            names=("i", "x"),
         ),
         "least-squares coefficient of column 1 (x) is not finite: dividing by its "
         "pivot -1.73833895195875e-310 overflows",

@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcrkit.errors import PcrError, RankDeficiencyError
-from pcrkit.linalg import (
-    EigenDecomposition,
-    check_symmetric,
-    eigen_symmetric,
-    solve_least_squares,
-)
+from pcrkit.linalg import EigenDecomposition, check_symmetric, eigen_symmetric
+from pcrkit.regression import fit_ols
 
 
 def eig2_closed_form(a: float, b: float, c: float) -> tuple[float, float]:
@@ -215,75 +211,58 @@ class TestEigenValidation:
 
 
 class TestLeastSquares:
-    def test_exact_line(self):
-        design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        beta = solve_least_squares(design, np.array([1.0, 2.0, 3.0]))
-        assert beta == pytest.approx([1.0, 1.0], abs=1e-12)
+    """``solve_least_squares`` as the product runs it, through ``fit_ols``.
 
-    def test_inconsistent_system_hand_derived(self):
-        # Normal equations of [[1,0],[1,1],[1,2]] against [0,0,3]:
-        # [[3,3],[3,5]] beta = [3,6] so beta = [-1/2, 3/2].
-        design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        beta = solve_least_squares(design, np.array([0.0, 0.0, 3.0]))
-        assert beta == pytest.approx([-0.5, 1.5], abs=1e-12)
+    ``fit_ols`` checks the shapes and values and scales each column by a
+    power of two before the solver sees them, so these cases drive it.
+    The overflow in back-substitution is pinned in ``test_errors.py``.
+    """
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             m = int(rng.integers(5, 40))
-            n = int(rng.integers(1, min(m, 8)))
+            n = int(rng.integers(1, min(m - 1, 8)))
             x = rng.standard_normal((m, n))
             y = rng.standard_normal(m)
-            beta = solve_least_squares(x, y)
-            residual = y - x @ beta
+            residual = y - fit_ols(x, y).fitted
             bound = 1e-8 * max(np.abs(x).max(), 1.0) * max(np.abs(y).max(), 1.0)
-            assert np.abs(x.T @ residual).max() <= bound
+            assert np.abs(np.column_stack([np.ones(m), x]).T @ residual).max() <= bound
 
     def test_rank_deficiency_names_column(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 3))
         x = np.column_stack([x, x[:, 0] + x[:, 1]])
         with pytest.raises(RankDeficiencyError) as excinfo:
-            solve_least_squares(x, rng.standard_normal(20), names=("a", "b", "c", "d"))
-        assert excinfo.value.column == 3
+            fit_ols(x, rng.standard_normal(20), names=("a", "b", "c", "d"))
+        assert excinfo.value.column == 4
         assert excinfo.value.name == "d"
         assert "d" in str(excinfo.value)
-
-    def test_duplicate_column_detected(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((15, 2))
-        x = np.column_stack([x, x[:, 1]])
-        with pytest.raises(RankDeficiencyError) as excinfo:
-            solve_least_squares(x, rng.standard_normal(15))
-        assert excinfo.value.column == 2
 
     def test_rank_test_is_relative_to_each_column(self):
         # A unit intercept next to a column of size 1e150 is not dependent.
         x = np.linspace(-1.0, 2.0, 7) ** 2
-        design = np.column_stack([np.ones(7), 1e150 * x])
-        beta = solve_least_squares(design, 3.0 + 2.0 * x)
-        assert beta[0] == pytest.approx(3.0, rel=1e-12)
-        assert beta[1] * 1e150 == pytest.approx(2.0, rel=1e-12)
+        fit = fit_ols(1e150 * x, 3.0 + 2.0 * x)
+        assert fit.intercept == pytest.approx(3.0, rel=1e-12)
+        assert fit.coefficients[0] * 1e150 == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_rank_test_holds_at_the_ends_of_the_float_range(self, scale):
         # The column norms are taken on exactly rescaled columns, so neither
         # overflows to inf nor underflows to 0.
         x = np.linspace(-1.0, 2.0, 7) ** 2
-        design = np.column_stack([np.ones(7), scale * x])
-        beta = solve_least_squares(design, 3.0 + 2.0 * x)
-        assert beta[0] == pytest.approx(3.0, rel=1e-12)
-        assert beta[1] * scale == pytest.approx(2.0, rel=1e-12)
+        fit = fit_ols(scale * x, 3.0 + 2.0 * x)
+        assert fit.intercept == pytest.approx(3.0, rel=1e-12)
+        assert fit.coefficients[0] * scale == pytest.approx(2.0, rel=1e-12)
 
     def test_underdetermined_rejected(self):
-        with pytest.raises(PcrError, match="at least as many rows as columns"):
-            solve_least_squares(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(PcrError, match="3 predictors needs at least 5 observations, got 2"):
+            fit_ols(np.ones((2, 3)), np.ones(2))
 
     def test_response_shape_checked(self):
         with pytest.raises(PcrError, match="response vector: expected shape"):
-            solve_least_squares(np.ones((3, 1)), np.ones(4))
+            fit_ols(np.arange(3.0), np.ones(4))
 
     def test_rejects_non_finite_response(self):
-        with pytest.raises(PcrError, match="non-finite entry in response vector"):
-            solve_least_squares(np.ones((3, 1)), np.array([1.0, np.nan, 2.0]))
-
+        with pytest.raises(PcrError, match="non-finite entry in response"):
+            fit_ols(np.arange(3.0), np.array([1.0, np.nan, 2.0]))
