@@ -27,18 +27,17 @@ class TableFormatError(PcrError):
 class RankDeficiencyError(PcrError):
     """Design matrix is numerically rank deficient.
 
-    ``column`` is the index of the first dependent column; ``name`` is the
-    variable name when the caller knows one.
+    ``column`` is the index of the first dependent column and ``name``
+    its variable name.
     """
 
-    def __init__(self, column: int, pivot: float, name: str | None = None):
+    def __init__(self, column: int, pivot: float, name: str):
         self.column = column
         self.pivot = pivot
         self.name = name
-        label = f"column {column}" if name is None else f"column {column} ({name})"
         super().__init__(
-            f"design matrix is rank deficient: {label} is linearly dependent "
-            f"on earlier columns (pivot {pivot!r})"
+            f"design matrix is rank deficient: column {column} ({name}) is linearly "
+            f"dependent on earlier columns (pivot {pivot!r})"
         )
 
 

@@ -59,13 +59,16 @@ def published_correlations() -> np.ndarray:
 def nearest_valid_correlation(values) -> np.ndarray:
     """Project a slightly indefinite correlation matrix to a valid one.
 
-    Eigenvalues below ``REPAIR_FLOOR`` times the largest eigenvalue are
-    raised to that floor, the matrix is rebuilt, and a congruence scales
-    its diagonal back to 1.  That preserves definiteness, so the result
-    is strictly positive definite; it is symmetric with a unit diagonal
-    up to rounding, which :class:`CorrelationMatrix` removes.  For
-    matrices that are only indefinite through rounding, entries move on
-    the order of the eigenvalue deficit, inside the rounding radius.
+    ``values`` must be a finite symmetric table, as
+    ``published_correlations`` builds it: ``eigen_symmetric`` does not
+    check.  Eigenvalues below ``REPAIR_FLOOR`` times the largest
+    eigenvalue are raised to that floor, the matrix is rebuilt, and a
+    congruence scales its diagonal back to 1.  That preserves
+    definiteness, so the result is strictly positive definite; it is
+    symmetric with a unit diagonal up to rounding, which
+    :class:`CorrelationMatrix` removes.  For matrices that are only
+    indefinite through rounding, entries move on the order of the
+    eigenvalue deficit, inside the rounding radius.
     """
     eig = eigen_symmetric(values)
     lifted = np.maximum(eig.eigenvalues, REPAIR_FLOOR * float(eig.eigenvalues.max()))

@@ -4,7 +4,8 @@ The eigensolver is LAPACK's symmetric driver behind ``numpy.linalg.eigh``
 with a fixed contract on top: eigenvalues in descending order, a stable
 order among ties, and a sign convention on every eigenvector.  Repeated
 calls on the same input therefore give bit-identical output, which the
-deterministic reports rely on.
+deterministic reports rely on.  It trusts its callers to pass a finite
+symmetric matrix, as ``CorrelationMatrix`` ensures, and checks neither.
 
 Least squares is the QR solver of ``regression.fit_ols``, which checks
 and scales its inputs first.  An explicit pivot check makes rank
@@ -20,8 +21,6 @@ import numpy as np
 
 from .errors import PcrError, RankDeficiencyError
 
-# Relative symmetry tolerance for inputs that claim to be symmetric.
-SYMMETRY_TOL = 1e-9
 # A diagonal entry of R at or below this multiple of the norm of its own
 # design column marks that column as dependent on the earlier ones.  The
 # test compares each column with itself, so it does not depend on units
@@ -30,33 +29,13 @@ SYMMETRY_TOL = 1e-9
 RANK_TOL = 1e-12
 
 
-def as_checked_array(a, where: str = "matrix") -> np.ndarray:
+def as_checked_array(a, where: str) -> np.ndarray:
     """Return ``a`` as a float64 array, rejecting NaN and infinity."""
     out = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(out)):
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
         raise PcrError(f"non-finite entry in {where} at index {bad}")
     return out
-
-
-def check_symmetric(a, where: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is a square, finite, symmetric 2-d array.
-
-    Symmetry is relative: |a_ij - a_ji| must not exceed ``SYMMETRY_TOL``
-    times the largest absolute entry.  Returns a float64 copy.
-    """
-    out = as_checked_array(a, where)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise PcrError(f"expected a square 2-d matrix, got shape {out.shape}")
-    scale = np.abs(out).max() if out.size else 0.0
-    gap = np.abs(out - out.T)
-    worst = gap.max() if gap.size else 0.0
-    if worst > SYMMETRY_TOL * max(scale, 1.0):
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise PcrError(
-            f"matrix is not symmetric: |a[{i},{j}] - a[{j},{i}]| = {float(gap[i, j])!r}"
-        )
-    return out.copy()
 
 
 class EigenDecomposition(NamedTuple):
@@ -78,7 +57,8 @@ def eigen_symmetric(a) -> EigenDecomposition:
     Parameters
     ----------
     a : array_like
-        Symmetric matrix.  Asymmetric or non-finite input raises.
+        Finite and symmetric, which the caller guarantees: ``numpy.linalg.eigh``
+        reads only the lower triangle and checks neither.
 
     Returns
     -------
@@ -86,7 +66,7 @@ def eigen_symmetric(a) -> EigenDecomposition:
         Sorted descending; the sort is stable, so equal eigenvalues keep
         the order ``numpy.linalg.eigh`` returns them in.
     """
-    values, vectors = np.linalg.eigh(check_symmetric(a))
+    values, vectors = np.linalg.eigh(a)
     return EigenDecomposition(*canonical_columns(values, vectors))
 
 

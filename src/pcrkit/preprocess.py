@@ -23,11 +23,13 @@ from .linalg import (
     EigenDecomposition,
     as_checked_array,
     canonical_columns,
-    check_symmetric,
     column_exponents,
     eigen_symmetric,
 )
 
+# Bare values may differ from their transpose by this much, relative to
+# their largest entry or 1, before they are rejected as asymmetric.
+SYMMETRY_TOL = 1e-9
 # A correlation matrix may dip this far below zero in its smallest
 # eigenvalue before it is rejected as indefinite.
 PSD_TOL = 1e-8
@@ -200,11 +202,13 @@ def _finished(names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
 class CorrelationMatrix:
     """A validated Pearson correlation matrix with distinct, non-empty names.
 
-    Built from exactly one source.  Bare ``values`` must be symmetric,
-    with a unit diagonal and within [-1, 1] up to rounding; their exact
-    form (``_finished``) is stored, decomposed by ``eigen_symmetric`` on
+    Built from exactly one source.  Bare ``values`` are checked here and
+    nowhere else: finite and square, symmetric within ``SYMMETRY_TOL``
+    (1e-9, relative to the largest entry or 1), with a unit diagonal and
+    entries in [-1, 1] within 1e-12.  Their exact form (``_finished``, a
+    new array) is stored, decomposed by ``eigen_symmetric`` on
     construction and rejected unless positive semidefinite up to
-    ``PSD_TOL``.  ``data`` is a standardized table Z of at least two
+    ``PSD_TOL`` (1e-8).  ``data`` is a standardized table Z of at least two
     rows: the matrix is Z'Z / (n - 1), semidefinite by construction,
     computed and finished as bare values are when ``values`` is first
     read, and ``eigen`` comes from one thin SVD of Z.  ``eigen`` holds
@@ -218,7 +222,15 @@ class CorrelationMatrix:
         if (values is None) == (data is None):
             raise PcrError("a correlation matrix takes exactly one of values and data")
         if data is None:
-            values = check_symmetric(values, where="correlation matrix")
+            values = as_checked_array(values, "correlation matrix")
+            if values.ndim != 2 or values.shape[0] != values.shape[1]:
+                raise PcrError(f"expected a square 2-d matrix, got shape {values.shape}")
+            gap = np.abs(values - values.T)
+            if gap.size and gap.max() > SYMMETRY_TOL * max(np.abs(values).max(), 1.0):
+                i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+                raise PcrError(
+                    f"matrix is not symmetric: |a[{i},{j}] - a[{j},{i}]| = {float(gap[i, j])!r}"
+                )
         elif data.n_years < 2:
             raise PcrError(f"correlation needs at least 2 observations, got {data.n_years}")
         p = values.shape[0] if data is None else len(data.names)

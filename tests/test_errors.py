@@ -18,7 +18,7 @@ import pytest
 from pcrkit import pca
 from pcrkit.errors import PcrError, StageError
 from pcrkit.fixtures import load_fixture
-from pcrkit.linalg import check_symmetric, solve_least_squares
+from pcrkit.linalg import solve_least_squares
 from pcrkit.pca import component_scores, extract, rotate_varimax, score_weights
 from pcrkit.pipeline import (
     Report,
@@ -56,18 +56,6 @@ TWO_COMPONENTS = extract(EQUICORRELATED, 2)
 
 CASES = {
     # dense linear algebra
-    "non-square": (
-        lambda: check_symmetric(np.zeros((2, 3))),
-        "expected a square 2-d matrix, got shape (2, 3)",
-    ),
-    "asymmetric": (
-        lambda: check_symmetric([[1.0, 0.5], [0.2, 1.0]]),
-        "matrix is not symmetric: |a[0,1] - a[1,0]| = 0.3",
-    ),
-    "non-finite-matrix": (
-        lambda: check_symmetric([[1.0, 0.0], [np.nan, 1.0]]),
-        "non-finite entry in matrix at index (1, 0)",
-    ),
     "non-finite-base": (
         lambda: reconstruct_prices(np.inf, [1.0, 2.0]),
         "non-finite entry in base level at index (0,)",
@@ -194,6 +182,22 @@ CASES = {
     "correlation-rows": (
         lambda: correlation_matrix(table(np.zeros((1, 2)))),
         "correlation needs at least 2 observations, got 1",
+    ),
+    "non-square": (
+        lambda: CorrelationMatrix(("a", "b"), np.zeros((2, 3))),
+        "expected a square 2-d matrix, got shape (2, 3)",
+    ),
+    "asymmetric": (
+        lambda: CorrelationMatrix(("a", "b"), [[1.0, 0.5], [0.2, 1.0]]),
+        "matrix is not symmetric: |a[0,1] - a[1,0]| = 0.3",
+    ),
+    "non-finite-matrix": (
+        lambda: CorrelationMatrix(("a", "b"), [[1.0, 0.0], [np.nan, 1.0]]),
+        "non-finite entry in correlation matrix at index (1, 0)",
+    ),
+    "infinite-matrix": (
+        lambda: CorrelationMatrix(("a", "b"), [[np.inf, 0.0], [0.0, 1.0]]),
+        "non-finite entry in correlation matrix at index (0, 0)",
     ),
     "no-variables": (
         lambda: CorrelationMatrix((), np.zeros((0, 0))),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcrkit.errors import PcrError, RankDeficiencyError
-from pcrkit.linalg import EigenDecomposition, check_symmetric, eigen_symmetric
+from pcrkit.linalg import EigenDecomposition, eigen_symmetric
 from pcrkit.regression import fit_ols
 
 
@@ -179,35 +179,6 @@ class TestEigenProperties:
         scale = max(np.abs(m).max(), 1.0)
         assert np.abs(rebuilt - m).max() <= 1e-9 * scale
         assert abs(eig.eigenvalues.sum() - np.trace(m)) <= 1e-9 * scale * m.shape[0]
-
-
-class TestEigenValidation:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(PcrError) as excinfo:
-            eigen_symmetric(np.array([[1.0, 2.0], [0.5, 1.0]]))
-        assert str(excinfo.value) == "matrix is not symmetric: |a[0,1] - a[1,0]| = 1.5"
-
-    def test_rejects_non_square(self):
-        with pytest.raises(PcrError, match="square"):
-            eigen_symmetric(np.ones((2, 3)))
-
-    def test_rejects_nan(self):
-        m = np.eye(3)
-        m[1, 2] = m[2, 1] = np.nan
-        with pytest.raises(PcrError) as excinfo:
-            eigen_symmetric(m)
-        assert str(excinfo.value) == "non-finite entry in matrix at index (1, 2)"
-
-    def test_rejects_infinity(self):
-        m = np.eye(2)
-        m[0, 0] = np.inf
-        with pytest.raises(PcrError, match="non-finite entry in matrix"):
-            eigen_symmetric(m)
-
-    def test_check_symmetric_tolerates_roundoff(self):
-        m = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
-        out = check_symmetric(m)
-        assert out.shape == (2, 2)
 
 
 class TestLeastSquares:

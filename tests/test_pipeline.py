@@ -1033,6 +1033,18 @@ class TestCli:
         assert "[failure]" in text
         assert "stage: pca" in text
 
+    def test_partial_report_onto_a_file_is_skipped(self, tmp_path, capsys):
+        # The partial report cannot be written under a regular file; the
+        # stage's own error is the only one printed and the file is kept.
+        source = Path(__file__).parent / "golden" / "panel9.csv"
+        out = tmp_path / "taken"
+        out.write_bytes(b"keep me\n")
+        assert cli.main(["--input", str(source), "--components", "40", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [pca] component count must be in [1, 9], got 40\n"
+        assert out.read_bytes() == b"keep me\n"
+
     def test_ridge_flag_unblocks_duplicate(self, tmp_path, capsys):
         # The duplicate runs without any flag, and --ridge no longer exists.
         table = planted_panel_table(18, duplicate="GVA")

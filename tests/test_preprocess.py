@@ -306,6 +306,16 @@ class TestCorrelation:
         assert np.abs(r.values - values).max() <= 1e-10
         assert abs(r.eigen.eigenvalues.sum() - p) <= 1e-15
 
+    def test_neither_writes_nor_aliases_the_callers_values(self):
+        values = np.array([[1.0, 0.5 + 1e-10], [0.5, 1.0]])
+        before = values.copy()
+        r = CorrelationMatrix(("a", "b"), values)
+        assert values.tobytes() == before.tobytes()
+        stored = r.values.copy()
+        values[0, 1] = values[1, 0] = -0.25
+        assert np.array_equal(r.values, stored)
+        assert not np.shares_memory(r.values, values)
+
     def test_validation_rejects_bad_diagonal(self):
         with pytest.raises(PcrError, match="diagonal"):
             CorrelationMatrix(
