@@ -93,7 +93,7 @@ class FixtureData(NamedTuple):
 FIXTURE_NAMES = ("fig3",)
 
 
-def load_fixture(name: str = "fig3") -> FixtureData:
+def load_fixture(name: str) -> FixtureData:
     """Load a bundled fixture by name.
 
     ``fig3`` is the nine-indicator table documented in the module

@@ -82,7 +82,7 @@ def canonical_columns(key: np.ndarray, columns: np.ndarray, *others: np.ndarray)
     """
     order = np.argsort(-key, kind="stable")
     columns = columns[:, order]
-    pivots = np.abs(columns).argmax(axis=0) if columns.size else order
+    pivots = np.abs(columns).argmax(axis=0)
     signs = np.where(columns[pivots, np.arange(order.size)] < 0.0, -1.0, 1.0)
     return (key[order], columns * signs, *(m[:, order] * signs for m in others))
 
@@ -96,7 +96,7 @@ def column_exponents(x: np.ndarray) -> np.ndarray:
     or underflow to zero.  Subnormal inputs have already lost precision
     that no scaling restores.
     """
-    return np.frexp(np.abs(x).max(axis=0, initial=0.0))[1]
+    return np.frexp(np.abs(x).max(axis=0))[1]
 
 
 def solve_least_squares(design, response, names: tuple[str, ...]) -> np.ndarray:

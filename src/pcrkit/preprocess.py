@@ -98,7 +98,7 @@ class TimeSeriesTable:
         if len(self.names) != values.shape[1]:
             raise PcrError(f"{len(self.names)} names for {values.shape[1]} columns")
         names = _checked_names(self.names)
-        if years.size > 1 and not np.all(np.diff(years) == 1):
+        if not np.all(np.diff(years) == 1):
             gap = int(np.argmax(np.diff(years) != 1))
             raise PcrError(
                 f"years must be consecutive: {years[gap]} is followed by {years[gap + 1]}"
@@ -278,10 +278,6 @@ class CorrelationMatrix:
         eigenvalues = np.zeros(p)
         eigenvalues[: s.size] = squares * p / squares.sum()
         return EigenDecomposition(*canonical_columns(eigenvalues, vt.T))
-
-    @property
-    def p(self) -> int:
-        return len(self.names)
 
     def submatrix(self, names: tuple[str, ...]) -> "CorrelationMatrix":
         """Principal submatrix for the given variable names, in that order.

@@ -40,7 +40,7 @@ class OlsFit(NamedTuple):
     residual_se: float
 
 
-def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFit:
+def fit_ols(predictors, response, names: tuple[str, ...]) -> OlsFit:
     """Fit response = intercept + predictors @ beta by least squares.
 
     It is solved with each column divided by a power of two
@@ -54,14 +54,13 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
     ----------
     predictors : array_like, shape (n, p)
     response : array_like, shape (n,)
-    names : tuple of str, optional
-        Predictor names for error messages and the fit record; defaults
-        to X1..Xp.
+    names : tuple of str
+        One name per predictor, for error messages and the fit record.
 
     Raises
     ------
     PcrError
-        Predictors of neither one nor two dimensions, a response that is
+        Predictors that are not two-dimensional, a response that is
         not one value per row, a name count other than p, fewer than p + 2
         observations (no residual degree of freedom), or a coefficient
         too large for a float, naming its column.
@@ -71,16 +70,12 @@ def fit_ols(predictors, response, names: tuple[str, ...] | None = None) -> OlsFi
         the pivot of its scaled column.
     """
     x = as_checked_array(predictors, "predictors")
-    if x.ndim == 1:
-        x = x[:, None]
     if x.ndim != 2:
         raise PcrError(f"predictors: expected shape (n, p), got {x.shape}")
     y = as_checked_array(response, "response")
     n, p = x.shape
     if y.shape != (n,):
         raise PcrError(f"response vector: expected shape ({n},), got {y.shape}")
-    if names is None:
-        names = tuple(f"X{j + 1}" for j in range(p))
     if len(names) != p:
         raise PcrError(f"{len(names)} names for {p} predictors")
     if n < p + 2:

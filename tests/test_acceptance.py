@@ -178,7 +178,7 @@ def test_06_pcr_equals_ols_at_full_rank():
             x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.3)
             y = x @ rng.uniform(-1.5, 1.5, size=p) + rng.standard_normal(n)
             pcr_fit, _ = pcr_fit_for(x, y, k=p)
-            ols_fit = fit_ols(x, y)
+            ols_fit = fit_ols(x, y, names=tuple(f"x{j}" for j in range(p)))
             assert np.abs(pcr_fit.fitted - ols_fit.fitted).max() <= 1e-8
 
     run_criterion(6, "PCR with all components reproduces the OLS fit", 5.0, body)

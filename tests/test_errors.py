@@ -61,24 +61,28 @@ CASES = {
         "non-finite entry in base level at index (0,)",
     ),
     "response-shape": (
-        lambda: fit_ols(np.ones((3, 2)), np.ones(4)),
+        lambda: fit_ols(np.ones((3, 2)), np.ones(4), names=("a", "b")),
         "response vector: expected shape (3,), got (4,)",
     ),
     # A response column, not a vector, once escaped as a bare TypeError.
     "response-column": (
-        lambda: fit_ols(np.arange(4.0), np.arange(4.0)[:, None]),
+        lambda: fit_ols(np.arange(4.0)[:, None], np.arange(4.0)[:, None], names=("x",)),
         "response vector: expected shape (4,), got (4, 1)",
     ),
     "design-rank": (
-        lambda: fit_ols(np.ones((4, 1, 1)), np.ones(4)),
+        lambda: fit_ols(np.ones((4, 1, 1)), np.ones(4), names=("x",)),
         "predictors: expected shape (n, p), got (4, 1, 1)",
     ),
+    "design-one-dimensional": (
+        lambda: fit_ols(np.arange(4.0), np.arange(4.0), names=("x",)),
+        "predictors: expected shape (n, p), got (4,)",
+    ),
     "design-wide": (
-        lambda: fit_ols(np.ones((2, 3)), np.ones(2)),
+        lambda: fit_ols(np.ones((2, 3)), np.ones(2), names=("a", "b", "c")),
         "ols with 3 predictors needs at least 5 observations, got 2",
     ),
     "design-names": (
-        lambda: fit_ols(np.arange(4.0), np.ones(4), names=("a", "b")),
+        lambda: fit_ols(np.arange(4.0)[:, None], np.ones(4), names=("a", "b")),
         "2 names for 1 predictors",
     ),
     # 2**-1029 is the exact pivot; the coefficient beyond it overflows.
@@ -293,7 +297,7 @@ CASES = {
     ),
     # regression
     "ols-rows": (
-        lambda: fit_ols(np.ones((3, 2)), np.ones(3)),
+        lambda: fit_ols(np.ones((3, 2)), np.ones(3), names=("a", "b")),
         "ols with 2 predictors needs at least 4 observations, got 3",
     ),
     # Solved on columns scaled to [0.5, 1), the coefficient is finite

@@ -196,7 +196,7 @@ class TestLeastSquares:
             n = int(rng.integers(1, min(m - 1, 8)))
             x = rng.standard_normal((m, n))
             y = rng.standard_normal(m)
-            residual = y - fit_ols(x, y).fitted
+            residual = y - fit_ols(x, y, names=tuple("abcdefg"[:n])).fitted
             bound = 1e-8 * max(np.abs(x).max(), 1.0) * max(np.abs(y).max(), 1.0)
             assert np.abs(np.column_stack([np.ones(m), x]).T @ residual).max() <= bound
 
@@ -213,7 +213,7 @@ class TestLeastSquares:
     def test_rank_test_is_relative_to_each_column(self):
         # A unit intercept next to a column of size 1e150 is not dependent.
         x = np.linspace(-1.0, 2.0, 7) ** 2
-        fit = fit_ols(1e150 * x, 3.0 + 2.0 * x)
+        fit = fit_ols(1e150 * x[:, None], 3.0 + 2.0 * x, names=("x",))
         assert fit.intercept == pytest.approx(3.0, rel=1e-12)
         assert fit.coefficients[0] * 1e150 == pytest.approx(2.0, rel=1e-12)
 
@@ -222,18 +222,18 @@ class TestLeastSquares:
         # The column norms are taken on exactly rescaled columns, so neither
         # overflows to inf nor underflows to 0.
         x = np.linspace(-1.0, 2.0, 7) ** 2
-        fit = fit_ols(scale * x, 3.0 + 2.0 * x)
+        fit = fit_ols(scale * x[:, None], 3.0 + 2.0 * x, names=("x",))
         assert fit.intercept == pytest.approx(3.0, rel=1e-12)
         assert fit.coefficients[0] * scale == pytest.approx(2.0, rel=1e-12)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(PcrError, match="3 predictors needs at least 5 observations, got 2"):
-            fit_ols(np.ones((2, 3)), np.ones(2))
+            fit_ols(np.ones((2, 3)), np.ones(2), names=("a", "b", "c"))
 
     def test_response_shape_checked(self):
         with pytest.raises(PcrError, match="response vector: expected shape"):
-            fit_ols(np.arange(3.0), np.ones(4))
+            fit_ols(np.arange(3.0)[:, None], np.ones(4), names=("x",))
 
     def test_rejects_non_finite_response(self):
         with pytest.raises(PcrError, match="non-finite entry in response"):
-            fit_ols(np.arange(3.0), np.array([1.0, np.nan, 2.0]))
+            fit_ols(np.arange(3.0)[:, None], np.array([1.0, np.nan, 2.0]), names=("x",))

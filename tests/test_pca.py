@@ -119,12 +119,12 @@ class TestExtract:
         r = correlation_matrix(random_z(2))
         sol = extract(r, 2)
         assert sol.communality + sol.uniqueness == pytest.approx(
-            np.ones(r.p), abs=1e-12
+            np.ones(len(r.names)), abs=1e-12
         )
 
     def test_full_rank_reconstructs_correlation(self):
         r = correlation_matrix(random_z(3))
-        sol = extract(r, r.p)
+        sol = extract(r, len(r.names))
         rebuilt = sol.loadings @ sol.loadings.T
         assert np.abs(rebuilt - r.values).max() <= 1e-10
 
@@ -198,7 +198,7 @@ class TestVarimax:
         rot = rotate_varimax(extract(r, 3))
         ss = (rot.rotated_loadings**2).sum(axis=0)
         assert np.all(np.diff(ss) <= 1e-12)
-        assert rot.rotated_proportion == pytest.approx(ss / r.p, abs=1e-14)
+        assert rot.rotated_proportion == pytest.approx(ss / len(r.names), abs=1e-14)
 
     def test_sign_convention(self):
         r = correlation_matrix(random_z(12, p=5))
@@ -309,7 +309,7 @@ class TestScoreWeights:
         matrices = [fx.matrix.submatrix(fx.matrix.names[1:])]
         matrices += [correlation_matrix(random_z(seed, p=6)) for seed in range(20)]
         for r in matrices:
-            for k in range(1, r.p + 1):
+            for k in range(1, len(r.names) + 1):
                 sol = extract(r, k)
                 loadings = sol.loadings
                 if rotate:
