@@ -30,8 +30,20 @@ RANK_TOL = 1e-12
 
 
 def as_checked_array(a, where: str) -> np.ndarray:
-    """Return ``a`` as a float64 array, rejecting NaN and infinity."""
-    out = np.asarray(a, dtype=np.float64)
+    """Return ``a`` as a float64 array, rejecting NaN and infinity.
+
+    This is where outside numbers are read: numeric strings convert as
+    ``float()`` reads them, and complex input or an entry that cannot be
+    read raises :class:`PcrError` naming ``where``, as a non-finite one does.
+    """
+    try:
+        out = np.asarray(a)
+        if out.dtype.kind != "c":
+            out = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise PcrError(f"cannot read {where} as numbers: {err}") from None
+    if out.dtype.kind == "c":
+        raise PcrError(f"{where} must be real, got {out.dtype}")
     if not np.all(np.isfinite(out)):
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
         raise PcrError(f"non-finite entry in {where} at index {bad}")

@@ -39,8 +39,8 @@ class PcaSolution(NamedTuple):
 
     ``eigenvalues`` holds the full spectrum in descending order even
     when fewer components are retained.  ``loadings`` is p x k for the
-    retained components.  After rotation, ``rotated_loadings`` and the
-    k x k orthogonal ``rotation`` satisfy
+    k = ``n_components`` retained components.  After rotation,
+    ``rotated_loadings`` and the k x k orthogonal ``rotation`` satisfy
     ``rotated_loadings == loadings @ rotation`` up to rounding (a few
     units in the last place) and the rotated columns are ordered by
     descending sum of squared loadings.
@@ -54,7 +54,6 @@ class PcaSolution(NamedTuple):
     """
 
     names: tuple[str, ...]
-    n_components: int
     eigenvalues: np.ndarray
     loadings: np.ndarray
     rotated_loadings: np.ndarray | None = None
@@ -64,6 +63,10 @@ class PcaSolution(NamedTuple):
     @property
     def p(self) -> int:
         return len(self.names)
+
+    @property
+    def n_components(self) -> int:
+        return self.loadings.shape[1]
 
     @property
     def component_names(self) -> tuple[str, ...]:
@@ -147,9 +150,7 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
         advice = f"retain at most {usable} components" if usable else "no component count fits"
         raise PcrError(f"{kept} {k} components; {advice}")
     loadings = vectors[:, :k] * np.sqrt(values[:k])
-    return PcaSolution(
-        names=r.names, n_components=k, eigenvalues=values.copy(), loadings=loadings
-    )
+    return PcaSolution(names=r.names, eigenvalues=values.copy(), loadings=loadings)
 
 
 def rotate_varimax(solution: PcaSolution) -> PcaSolution:

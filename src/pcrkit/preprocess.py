@@ -66,7 +66,8 @@ class TimeSeriesTable:
     ``values[i, j]`` is variable ``names[j]`` in year ``years[i]``.
     Years must be consecutive whole numbers that fit a 64-bit integer (a
     fractional year raises, never truncated; a larger one raises, never
-    wraps), names distinct and not empty, all values finite.
+    wraps), names distinct and not empty, all values finite.  Numeric
+    strings convert; complex or unreadable years and values raise.
     """
 
     years: np.ndarray
@@ -74,19 +75,24 @@ class TimeSeriesTable:
     values: np.ndarray
 
     def __post_init__(self):
-        years = np.asarray(self.years)
-        whole = years.dtype.kind != "f" or np.isfinite(years) & (years == np.trunc(years))
-        if not np.all(whole):
-            year = float(years.flat[np.argmin(whole)])
-            raise PcrError(f"year {year!r} is not a whole number")
-        # Only these kinds can hold a whole number outside int64, which the
-        # cast would wrap.
-        if years.dtype.kind in "fuO":
-            fits = (years >= -(2**63)) & (years < 2**63)
-            if not np.all(fits):
-                year = years.item(int(np.argmin(fits)))
-                raise PcrError(f"year {year!r} is not a 64-bit integer")
-        years = years.astype(np.int64, copy=False)
+        try:
+            years = np.asarray(self.years)
+            if years.dtype.kind == "c":
+                raise PcrError(f"years must be real, got {years.dtype}")
+            whole = years.dtype.kind != "f" or np.isfinite(years) & (years == np.trunc(years))
+            if not np.all(whole):
+                year = float(years.flat[np.argmin(whole)])
+                raise PcrError(f"year {year!r} is not a whole number")
+            # Only these kinds can hold a whole number outside int64, which
+            # the cast would wrap.
+            if years.dtype.kind in "fuO":
+                fits = (years >= -(2**63)) & (years < 2**63)
+                if not np.all(fits):
+                    year = years.item(int(np.argmin(fits)))
+                    raise PcrError(f"year {year!r} is not a 64-bit integer")
+            years = years.astype(np.int64, copy=False)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise PcrError(f"cannot read years as whole numbers: {err}") from None
         values = as_checked_array(self.values, "table values")
         if values.ndim != 2:
             raise PcrError(f"table values must be 2-d, got shape {values.shape}")
@@ -202,7 +208,8 @@ def _finished(names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
 class CorrelationMatrix:
     """A validated Pearson correlation matrix with distinct, non-empty names.
 
-    Built from exactly one source.  Bare ``values`` are checked here and
+    Built from ``names`` and bare ``values``, or from ``data`` alone,
+    whose column names it takes.  Bare values are checked here and
     nowhere else: finite and square, symmetric within ``SYMMETRY_TOL``
     (1e-9, relative to the largest entry or 1), with a unit diagonal and
     entries in [-1, 1] within 1e-12.  Their exact form (``_finished``, a
@@ -218,9 +225,10 @@ class CorrelationMatrix:
     names: tuple[str, ...]
     data: TimeSeriesTable | None = field(default=None, repr=False)
 
-    def __init__(self, names: Sequence[str], values=None, data: TimeSeriesTable | None = None):
-        if (values is None) == (data is None):
-            raise PcrError("a correlation matrix takes exactly one of values and data")
+    def __init__(self, names: Sequence[str] | None = None, values=None,
+                 data: TimeSeriesTable | None = None):
+        if (names is None, values is None) != (data is not None,) * 2:
+            raise PcrError("a correlation matrix takes names and values, or data alone")
         if data is None:
             values = as_checked_array(values, "correlation matrix")
             if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -238,9 +246,7 @@ class CorrelationMatrix:
             raise PcrError("correlation matrix has no variables")
         if data is None and len(names) != p:
             raise PcrError(f"{len(names)} names for a {p}-row matrix")
-        names = _checked_names(names)
-        if data is not None and data.names != names:
-            raise PcrError(f"data columns {data.names} do not match {names}")
+        names = _checked_names(names) if data is None else data.names
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "data", data)
         if data is None:
@@ -292,7 +298,7 @@ class CorrelationMatrix:
         if self.data is None:
             return CorrelationMatrix(names, self.values[np.ix_(idx, idx)])
         return CorrelationMatrix(
-            names, data=TimeSeriesTable(self.data.years, names, self.data.values[:, idx])
+            data=TimeSeriesTable(self.data.years, names, self.data.values[:, idx])
         )
 
 
@@ -303,7 +309,7 @@ def correlation_matrix(z: TimeSeriesTable) -> CorrelationMatrix:
     :class:`CorrelationMatrix` computes from ``z`` when it is first read
     and finishes exactly; the spectrum comes from ``z`` too.
     """
-    return CorrelationMatrix(z.names, data=z)
+    return CorrelationMatrix(data=z)
 
 
 def scatter_pairs(names: Sequence[str]) -> list[tuple[int, int]]:

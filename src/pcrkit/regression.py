@@ -145,13 +145,14 @@ def reconstruct_prices(base: float, increments) -> PricePath:
     by sequential addition (``np.cumsum``) so that reconstructing from
     exact differences replays the original series bit for bit.
     ``levels[t]`` belongs to the year of ``increments[t]``; the years stay
-    with the increments.
+    with the increments.  ``as_checked_array`` reads and checks both
+    the base and the increments.
     """
     inc = as_checked_array(increments, "increments")
     if inc.ndim != 1:
         raise PcrError(f"increments: expected shape (n,), got {inc.shape}")
-    base_value = float(base)
-    if not np.isfinite(base_value):
-        raise PcrError("non-finite entry in base level at index (0,)")
-    levels = np.cumsum(np.concatenate(([base_value], inc)))[1:]
-    return PricePath(base=base_value, levels=levels)
+    base_level = as_checked_array([base], "base level")
+    if base_level.shape != (1,):
+        raise PcrError(f"base level: expected one number, got shape {base_level.shape[1:]}")
+    levels = np.cumsum(np.concatenate((base_level, inc)))[1:]
+    return PricePath(base=float(base_level[0]), levels=levels)

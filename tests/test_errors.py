@@ -101,6 +101,30 @@ CASES = {
         lambda: reconstruct_prices(0.0, np.ones((2, 2))),
         "increments: expected shape (n,), got (2, 2)",
     ),
+    # Outside numbers are read in one place, ``as_checked_array``: complex
+    # input once lost its imaginary part with a ComplexWarning, and text
+    # that is not a number escaped as a bare ValueError.
+    "predictors-complex": (
+        lambda: fit_ols(np.arange(5.0)[:, None] + 0j, np.arange(5.0) ** 2, names=("x",)),
+        "predictors must be real, got complex128",
+    ),
+    "response-text": (
+        lambda: fit_ols(np.arange(5.0)[:, None], ["a"] * 5, names=("x",)),
+        "cannot read response as numbers: could not convert string to float: 'a'",
+    ),
+    "increments-text": (
+        lambda: reconstruct_prices(1.0, ["x"]),
+        "cannot read increments as numbers: could not convert string to float: 'x'",
+    ),
+    # A base of more than one number once escaped as a bare TypeError.
+    "base-shape": (
+        lambda: reconstruct_prices(np.array([1.0, 2.0]), [1.0, 2.0]),
+        "base level: expected one number, got shape (2,)",
+    ),
+    "base-text": (
+        lambda: reconstruct_prices("x", [1.0]),
+        "cannot read base level as numbers: could not convert string to float: 'x'",
+    ),
     "rank-deficient": (
         lambda: fit_ols([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]], [1.0, 3.0, 2.0, 5.0],
                         names=("a", "b")),
@@ -127,6 +151,23 @@ CASES = {
     "duplicate-names": (
         lambda: table(np.ones((3, 3)), names=("IY", "A", "A")),
         "duplicate column name 'A'",
+    ),
+    "values-complex": (
+        lambda: TimeSeriesTable([2000, 2001, 2002], NAMES, np.ones((3, 2)) + 0j),
+        "table values must be real, got complex128",
+    ),
+    "values-text": (
+        lambda: TimeSeriesTable([2000, 2001], ("IY",), [["1"], ["x"]]),
+        "cannot read table values as numbers: could not convert string to float: 'x'",
+    ),
+    "years-complex": (
+        lambda: TimeSeriesTable(np.array([2000, 2001]) + 0j, ("IY",), [[1.0], [2.0]]),
+        "years must be real, got complex128",
+    ),
+    "years-none": (
+        lambda: TimeSeriesTable(np.array([2000, None]), ("IY",), [[1.0], [2.0]]),
+        "cannot read years as whole numbers: '>=' not supported between instances of "
+        "'NoneType' and 'int'",
     ),
     "years-gap": (
         lambda: table(np.ones((3, 2)), years=[2000, 2001, 2003]),
@@ -223,23 +264,38 @@ CASES = {
         lambda: CorrelationMatrix(("a", "a"), [[1.0, 0.5], [0.5, 1.0]]),
         "duplicate column name 'a'",
     ),
+    "matrix-text": (
+        lambda: CorrelationMatrix(("a", "b"), [["1", "x"], ["x", "1"]]),
+        "cannot read correlation matrix as numbers: could not convert string to float: 'x'",
+    ),
     "out-of-range": (
         lambda: CorrelationMatrix(("a", "b"), [[1.0, 1.5], [1.5, 1.0]]),
         "correlation out of [-1, 1] at (a, b): 1.5",
     ),
+    # A matrix takes names and bare values, or data alone: the data's
+    # columns are its names, so names given beside data are refused
+    # whether or not they match.
     "data-names": (
         lambda: CorrelationMatrix(("a", "b"), data=table(np.zeros((3, 2)), names=("b", "a"))),
-        "data columns ('b', 'a') do not match ('a', 'b')",
+        "a correlation matrix takes names and values, or data alone",
+    ),
+    "names-with-data": (
+        lambda: CorrelationMatrix(("a", "b"), data=table(np.zeros((3, 2)), names=("a", "b"))),
+        "a correlation matrix takes names and values, or data alone",
     ),
     "values-and-data": (
         lambda: CorrelationMatrix(
             ("a", "b"), np.eye(2), data=table(np.zeros((3, 2)), names=("a", "b"))
         ),
-        "a correlation matrix takes exactly one of values and data",
+        "a correlation matrix takes names and values, or data alone",
+    ),
+    "values-without-names": (
+        lambda: CorrelationMatrix(values=np.eye(2)),
+        "a correlation matrix takes names and values, or data alone",
     ),
     "no-source": (
         lambda: CorrelationMatrix(("a", "b")),
-        "a correlation matrix takes exactly one of values and data",
+        "a correlation matrix takes names and values, or data alone",
     ),
     "submatrix-unknown": (
         lambda: EQUICORRELATED.submatrix(("a", "z")),
@@ -374,6 +430,23 @@ def test_message(case):
     with pytest.raises(PcrError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_unreadable_year_is_named():
+    # numpy 2 shows the text as np.str_('x'); the cause is int()'s own.
+    with pytest.raises(PcrError) as excinfo:
+        TimeSeriesTable(["1", "x"], ("IY",), [[1.0], [2.0]])
+    assert re.fullmatch(
+        r"cannot read years as whole numbers: invalid literal for int\(\) with base 10: "
+        r"(np\.str_\('x'\)|'x')",
+        str(excinfo.value),
+    )
+
+
+def test_numeric_text_still_reads():
+    t = TimeSeriesTable(["2000", "2001"], ("IY",), [["1.5"], [" 2 "]])
+    assert t.years.tolist() == [2000, 2001] and t.values.tolist() == [[1.5], [2.0]]
+    assert reconstruct_prices("1.5", ["1"]).levels.tolist() == [2.5]
 
 
 def test_indefinite_correlation_names_its_smallest_eigenvalue():

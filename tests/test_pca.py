@@ -134,6 +134,22 @@ class TestExtract:
         assert sol.cumulative == pytest.approx(np.cumsum(sol.proportion), abs=1e-15)
         assert np.all(sol.proportion[:-1] >= sol.proportion[1:] - 1e-15)
 
+    def test_component_count_follows_replaced_loadings(self):
+        # A record made with ``_replace`` keeps no stale copy of the count:
+        # its names, shares and weights follow the loadings it holds.
+        fig3 = load_fixture("fig3").matrix
+        sol = extract(fig3.submatrix(tuple(n for n in fig3.names if n != "IY")))
+        assert sol.n_components == 2
+        one = sol._replace(loadings=sol.loadings[:, :1])
+        assert one.n_components == 1
+        assert one.component_names == ("PC1",)
+        assert one.proportion.shape == (1,)
+        w = score_weights(one)
+        assert w.weights.shape == (8, 1)
+        assert w.component_names == ("PC1",)
+        assert np.array_equal(w.weights, score_weights(sol).weights[:, :1])
+        assert rotate_varimax(one).component_names == ("RC1",)
+
     def test_determinism(self):
         r = correlation_matrix(random_z(5))
         a = extract(r, 2)

@@ -1100,11 +1100,12 @@ class TestCli:
         assert done.stdout.strip() == repr(staged)
 
     def test_records_keep_only_what_they_computed(self):
-        # Shares of variance, communalities and the fixture's repair
-        # shift are properties of these fields.
-        assert len(PcaSolution._fields) == 7
+        # Shares of variance, communalities, the component count (the
+        # width of the loadings) and the fixture's repair shift are
+        # properties of these fields.
+        assert len(PcaSolution._fields) == 6
         assert PcaSolution._fields == (
-            "names", "n_components", "eigenvalues", "loadings",
+            "names", "eigenvalues", "loadings",
             "rotated_loadings", "rotation", "rotation_sweeps",
         )
         assert len(FixtureData._fields) == 3

@@ -363,6 +363,11 @@ class TestCorrelation:
         r = correlation_matrix(z)
         assert np.array_equal(r.values.view(np.uint64), finished.view(np.uint64))
 
+    def test_data_matrix_takes_the_names_of_its_data(self):
+        z = standardize(random_walk_table(15, n_vars=3))
+        assert correlation_matrix(z).names == z.names
+        assert CorrelationMatrix(data=z).names == z.names
+
     def test_submatrix_of_a_data_matrix_slices_only_the_data(self):
         r = correlation_matrix(standardize(random_walk_table(14, n_vars=4)))
         sub = r.submatrix(("V4", "V2"))
