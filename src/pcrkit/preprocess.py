@@ -44,8 +44,11 @@ VIF_MAX = 1e12
 
 def _checked_names(names: Sequence[str]) -> tuple[str, ...]:
     names = tuple(names)
-    if "" in names:
-        raise PcrError(f"column name {names.index('') + 1} of {len(names)} is empty")
+    for i, name in enumerate(names, 1):
+        if not isinstance(name, str):
+            raise PcrError(f"column name {i} of {len(names)} is {type(name).__name__}, not str")
+        if not name:
+            raise PcrError(f"column name {i} of {len(names)} is empty")
     if len(set(names)) != len(names):
         name = next(n for i, n in enumerate(names) if n in names[:i])
         raise PcrError(f"duplicate column name {name!r}")
@@ -64,10 +67,12 @@ class TimeSeriesTable:
     """A rectangular block of yearly observations.
 
     ``values[i, j]`` is variable ``names[j]`` in year ``years[i]``.
-    Years must be consecutive whole numbers that fit a 64-bit integer (a
-    fractional year raises, never truncated; a larger one raises, never
-    wraps), names distinct and not empty, all values finite.  Numeric
-    strings convert; complex or unreadable years and values raise.
+    Years come in an integer, float, object or numeric-text array (any
+    other dtype, bool and ``datetime64`` too, raises, named) and must be
+    consecutive whole numbers that fit a 64-bit integer: a fractional
+    year raises, never truncated, whatever holds it; a larger one
+    raises, never wraps.  Names are distinct non-empty strings, values
+    finite.  Numeric strings convert; complex or unreadable values raise.
     """
 
     years: np.ndarray
@@ -77,21 +82,19 @@ class TimeSeriesTable:
     def __post_init__(self):
         try:
             years = np.asarray(self.years)
-            if years.dtype.kind == "c":
-                raise PcrError(f"years must be real, got {years.dtype}")
-            whole = years.dtype.kind != "f" or np.isfinite(years) & (years == np.trunc(years))
-            if not np.all(whole):
-                year = float(years.flat[np.argmin(whole)])
-                raise PcrError(f"year {year!r} is not a whole number")
-            # Only these kinds can hold a whole number outside int64, which
-            # the cast would wrap.
+            if years.dtype.kind not in "iufOUS":
+                raise PcrError(f"cannot read years of dtype {years.dtype}")
+            # Only these kinds can hold a fraction, which the cast would
+            # truncate, or a whole number outside int64, which it would wrap.
             if years.dtype.kind in "fuO":
-                fits = (years >= -(2**63)) & (years < 2**63)
-                if not np.all(fits):
-                    year = years.item(int(np.argmin(fits)))
-                    raise PcrError(f"year {year!r} is not a 64-bit integer")
+                for year in years.ravel().tolist():
+                    fits = year >= -(2**63) and year < 2**63
+                    if year % 1 != 0:
+                        raise PcrError(f"year {year!r} is not a whole number")
+                    if not fits:
+                        raise PcrError(f"year {year!r} is not a 64-bit integer")
             years = years.astype(np.int64, copy=False)
-        except (TypeError, ValueError, OverflowError) as err:
+        except (TypeError, ValueError, ArithmeticError) as err:
             raise PcrError(f"cannot read years as whole numbers: {err}") from None
         values = as_checked_array(self.values, "table values")
         if values.ndim != 2:

@@ -11,6 +11,8 @@ that number and check the number separately.
 import errno
 import os
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +150,10 @@ CASES = {
         lambda: table(np.ones((3, 2)), names=("IY", "")),
         "column name 2 of 2 is empty",
     ),
+    "names-not-text": (
+        lambda: table(np.ones((3, 2)), names=(1, 2)),
+        "column name 1 of 2 is int, not str",
+    ),
     "duplicate-names": (
         lambda: table(np.ones((3, 3)), names=("IY", "A", "A")),
         "duplicate column name 'A'",
@@ -160,9 +166,20 @@ CASES = {
         lambda: TimeSeriesTable([2000, 2001], ("IY",), [["1"], ["x"]]),
         "cannot read table values as numbers: could not convert string to float: 'x'",
     ),
+    # Years are read from integer, float, object and numeric-text arrays alone.
     "years-complex": (
         lambda: TimeSeriesTable(np.array([2000, 2001]) + 0j, ("IY",), [[1.0], [2.0]]),
-        "years must be real, got complex128",
+        "cannot read years of dtype complex128",
+    ),
+    "years-bool": (
+        lambda: TimeSeriesTable([False, True], ("IY",), [[1.0], [2.0]]),
+        "cannot read years of dtype bool",
+    ),
+    "years-datetime": (
+        lambda: TimeSeriesTable(
+            np.array(["2000", "2001"], dtype="datetime64[Y]"), ("IY",), [[1.0], [2.0]]
+        ),
+        "cannot read years of dtype datetime64[Y]",
     ),
     "years-none": (
         lambda: TimeSeriesTable(np.array([2000, None]), ("IY",), [[1.0], [2.0]]),
@@ -182,6 +199,14 @@ CASES = {
         lambda: table(np.ones((3, 2)), years=np.array([2000.0, 2001.25, 2002.0])),
         "year 2001.25 is not a whole number",
     ),
+    "years-object-fractional": (
+        lambda: table(np.ones((2, 2)), years=np.array([2000.5, 2001.5], dtype=object)),
+        "year 2000.5 is not a whole number",
+    ),
+    "years-fraction": (
+        lambda: table(np.ones((2, 2)), years=[Fraction(4001, 2), Fraction(4003, 2)]),
+        "year Fraction(4001, 2) is not a whole number",
+    ),
     # A year outside int64 is named, never wrapped by the cast.
     "years-float-beyond-64-bits": (
         lambda: table(np.ones((1, 2)), years=[1e19]),
@@ -199,6 +224,11 @@ CASES = {
     "years-object-beyond-64-bits": (
         lambda: table(np.ones((2, 2)), years=np.array([2**64, 2**64 + 1], dtype=object)),
         "year 18446744073709551616 is not a 64-bit integer",
+    ),
+    # Beyond float range too: the range test comes before any float conversion.
+    "years-object-beyond-floats": (
+        lambda: table(np.ones((2, 2)), years=np.array([10**400, 10**400 + 1], dtype=object)),
+        f"year {10**400} is not a 64-bit integer",
     ),
     "unknown-column": (
         lambda: table(np.ones((3, 2))).column("Z"),
@@ -259,6 +289,10 @@ CASES = {
     "matrix-empty-name": (
         lambda: CorrelationMatrix(("a", ""), np.eye(2)),
         "column name 2 of 2 is empty",
+    ),
+    "matrix-names-not-text": (
+        lambda: CorrelationMatrix(("a", 2), np.eye(2)),
+        "column name 2 of 2 is int, not str",
     ),
     "matrix-duplicate-names": (
         lambda: CorrelationMatrix(("a", "a"), [[1.0, 0.5], [0.5, 1.0]]),
@@ -441,6 +475,12 @@ def test_unreadable_year_is_named():
         r"(np\.str_\('x'\)|'x')",
         str(excinfo.value),
     )
+
+
+def test_decimal_nan_year_is_a_pcr_error():
+    # A quiet decimal NaN raises InvalidOperation, not TypeError, when compared.
+    with pytest.raises(PcrError, match="^cannot read years as whole numbers: "):
+        TimeSeriesTable(np.array([Decimal("NaN"), Decimal(1)]), ("IY",), [[1.0], [2.0]])
 
 
 def test_numeric_text_still_reads():

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcrkit.errors import PcrError
@@ -76,6 +77,71 @@ def exact_vif(z):
         x = exact_solve([[r[a][b] for b in others] for a in others], r_j)
         out.append(float(1 / (r[j][j] - sum(a * b for a, b in zip(r_j, x)))))
     return out
+
+
+# Near today, and at each edge of int64 and uint64, and beyond any float.
+YEAR_STARTS = st.one_of(
+    st.integers(1900, 2100),
+    st.integers(-(2**63) - 2, -(2**63) + 1),
+    st.integers(2**63 - 3, 2**63 + 1),
+    st.integers(2**64 - 3, 2**64),
+    st.just(10**400),
+)
+
+
+@st.composite
+def year_arrays(draw):
+    """Consecutive years, perhaps one fractional or no number, in an array of one kind.
+
+    Returns the array and the Python values it holds, each exactly.
+    """
+    start, n = draw(YEAR_STARTS), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["int64", "uint64", "float64", "object", "text"]))
+    years = list(range(start, start + n))
+    if kind in ("int64", "uint64"):
+        assume(np.iinfo(kind).min <= start and years[-1] <= np.iinfo(kind).max)
+        return np.array(years, dtype=kind), years
+    if kind == "text":
+        return np.array([str(y) for y in years]), years
+    given = [Fraction(y) for y in years]
+    if draw(st.booleans()):
+        fraction = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 3)]))
+        given[draw(st.integers(0, n - 1))] += fraction
+    if draw(st.booleans()):
+        given[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf]))
+    if kind == "float64":
+        assume(start < 2**1000)
+        array = np.array([float(v) for v in given])
+        return array, array.tolist()
+    given = [draw(st.sampled_from(_held_as(v))) for v in given]
+    return np.array(given, dtype=object), given
+
+
+def _held_as(v):
+    """The Python objects that hold year ``v`` exactly."""
+    if isinstance(v, float):
+        return [v]
+    forms = [v, int(v)] if v.denominator == 1 else [v]
+    return forms + [float(v)] if abs(v) < 2**1000 and float(v) == v else forms
+
+
+@given(year_arrays())
+@settings(max_examples=300, deadline=None)
+def test_years_are_the_numbers_given_or_raise(case):
+    # A year is never truncated, rounded or wrapped into another integer.
+    array, given = case
+    exact = [Fraction(v) for v in given if not isinstance(v, float) or math.isfinite(v)]
+    readable = (
+        len(exact) == len(given)
+        and all(v.denominator == 1 and -(2**63) <= v < 2**63 for v in exact)
+        and all(b - a == 1 for a, b in zip(exact, exact[1:]))
+    )
+    try:
+        years = TimeSeriesTable(array, ("a",), np.ones((len(given), 1))).years.tolist()
+    except PcrError:
+        assert not readable
+    else:
+        assert readable and years == exact
 
 
 class TestTableValidation:
