@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_components_arg,
         default=RunConfig.components,
         metavar="auto|K",
-        help="components to retain: 'auto' applies the eigenvalue-above-1 rule",
+        help="components to retain: 'auto' keeps eigenvalues above 1, at most as many as fit",
     )
     parser.add_argument(
         "--rotation",

@@ -23,7 +23,6 @@ from .errors import PcrError
 from .linalg import canonical_columns
 from .preprocess import CorrelationMatrix, TimeSeriesTable, name_mismatch
 
-# Kaiser criterion: keep components whose eigenvalue exceeds this.
 KAISER_THRESHOLD = 1.0
 # Varimax stops after a sweep in which no plane turned by more than
 # this (radians); loadings then lie within ~10x this of the fixed point.
@@ -95,17 +94,17 @@ class PcaSolution(NamedTuple):
             return None
         return (self.rotated_loadings**2).sum(axis=0) / self.p
 
-    @property
-    def rotated_cumulative(self) -> np.ndarray | None:
-        proportion = self.rotated_proportion
-        return None if proportion is None else np.cumsum(proportion)
-
 
 def check_components(k: int | str) -> None:
     """Raise unless ``k`` is ``"auto"`` or a non-bool integer of at least 1."""
     integral = isinstance(k, numbers.Integral) and not isinstance(k, bool)
     if k != "auto" and not (integral and k >= 1):
         raise PcrError(f'components must be "auto" or a positive integer, got {k!r}')
+
+
+def kaiser_count(eigenvalues: np.ndarray) -> int:
+    """How many eigenvalues Kaiser's rule keeps: those strictly above 1."""
+    return int(np.sum(eigenvalues > KAISER_THRESHOLD))
 
 
 def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution:
@@ -116,39 +115,36 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
     r : CorrelationMatrix
         Validated correlation matrix.
     components : int or "auto"
-        Number of components to retain.  ``"auto"`` applies the Kaiser
-        rule (eigenvalue strictly above 1).  Either count must lie in
-        [1, L]: L counts the eigenvalues above ``SCORE_EIGENVALUE_MIN``
-        and is at most n - 2 when ``r`` carries ``data`` of n rows, so
-        that the PCR fit keeps a residual degree of freedom.
+        Number of components to retain, at most L: L counts eigenvalues
+        above ``SCORE_EIGENVALUE_MIN``, and is at most n - 2 when ``r``
+        carries ``data`` of n rows so that the PCR fit keeps a residual
+        degree of freedom.  ``"auto"`` keeps ``kaiser_count`` capped at
+        L; on noise, Kaiser's rule keeps too many (Zwick & Velicer 1986).
 
     Raises
     ------
     PcrError
-        If the count is not ``"auto"`` or an integer, lies outside [1, L]
-        (naming L; "no component count fits" when L is 0), or is ``"auto"``
-        and no eigenvalue clears the threshold.
+        If the count is not ``"auto"`` or a positive integer, is an
+        integer above L (naming L), is ``"auto"`` and no eigenvalue
+        clears the threshold, or L is 0 ("no component count fits").
     """
     check_components(components)
     values, vectors = r.eigen.eigenvalues, r.eigen.eigenvectors
     usable = int(np.sum(values > SCORE_EIGENVALUE_MIN))
     if r.data is not None:
         usable = min(usable, r.data.n_years - 2)
-    if components == "auto":
-        k = int(np.sum(values > KAISER_THRESHOLD))
-        if k == 0:
-            raise PcrError(
-                "automatic retention kept no components: largest eigenvalue "
-                f"{float(values[0])!r} does not exceed {KAISER_THRESHOLD}"
-            )
-    else:
-        k = int(components)
-    if k > usable:
-        if components != "auto" and usable:
-            raise PcrError(f"component count must be in [1, {usable}], got {components!r}")
+    k = kaiser_count(values) if components == "auto" else int(components)
+    if k == 0:
+        raise PcrError(
+            "automatic retention kept no components: largest eigenvalue "
+            f"{float(values[0])!r} does not exceed {KAISER_THRESHOLD}"
+        )
+    if not usable:
         kept = "automatic retention kept" if components == "auto" else "cannot retain"
-        advice = f"retain at most {usable} components" if usable else "no component count fits"
-        raise PcrError(f"{kept} {k} components; {advice}")
+        raise PcrError(f"{kept} {k} components; no component count fits")
+    if components != "auto" and k > usable:
+        raise PcrError(f"component count must be in [1, {usable}], got {components!r}")
+    k = min(k, usable)
     loadings = vectors[:, :k] * np.sqrt(values[:k])
     return PcaSolution(names=r.names, eigenvalues=values.copy(), loadings=loadings)
 

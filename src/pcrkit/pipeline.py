@@ -33,6 +33,7 @@ from .pca import (
     check_components,
     component_scores,
     extract,
+    kaiser_count,
     rotate_varimax,
     score_weights,
 )
@@ -420,10 +421,13 @@ def _sections(report: Report):
         rc = solution.component_names
         share = ("proportion", "cumulative")
         yield "eigenvalues", "eigenvalues", _sequence(_reprs(solution.eigenvalues))
+        kaiser = kaiser_count(solution.eigenvalues) if requested == "auto" else k
+        capped = f"kaiser rule kept {kaiser}; capped at {k}"
         yield "retention", "retention", [
             _Line(f"retained {k} of {solution.p} components ({requested})", None),
             _Line(None, ("requested", "", requested)),
             _Line(None, ("kept", "", str(k))),
+            *([_Line(capped, ("kaiser", "capped", str(kaiser)))] if kaiser > k else []),
         ]
         yield "proportion of variance", "proportion", [
             _Table("component", share, pc, np.column_stack(
@@ -432,7 +436,7 @@ def _sections(report: Report):
         if solution.rotated_proportion is not None:
             yield "rotated proportion of variance", "rotated_proportion", [
                 _Table("component", share, rc, np.column_stack(
-                    (solution.rotated_proportion, solution.rotated_cumulative)))
+                    (solution.rotated_proportion, np.cumsum(solution.rotated_proportion))))
             ]
         yield "loadings", "loadings", [
             _Table("name", pc, solution.names, solution.loadings)

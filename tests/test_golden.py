@@ -77,6 +77,10 @@ EXACT_CASES = [
         (f"panel9_short_failure.{ext}", ["--input", "panel9_short.csv", "--components", "9"], 4)
         for ext in ("txt", "csv")
     ),
+    *(
+        (f"short_wide_report.{ext}", ["--input", "short_wide.csv"], 0)
+        for ext in ("txt", "csv")
+    ),
 ]
 
 

@@ -39,10 +39,11 @@ with every component retained the scores span the predictors, so the
 PCR fit is the baseline OLS fit (on panel9 and over generated tables,
 whatever the scales of the predictors and the response).
 
-The limit a failing run names is exact: over generated tables, wide
-random walks among them, whenever the automatic count fails naming the
-largest count L that fits, it fails in the pca stage, keeping L
-components runs to completion and keeping L + 1 fails naming L again.
+Wide panels run under the defaults: over wide random walks and
+planted-factor panels, the automatic count keeps Kaiser's count capped
+at the largest count L that fits, says so in the report exactly when
+the cap binds, and the run completes unless varimax hits its sweep cap;
+an explicit L + 1 fails in the pca stage naming L.
 
 The last test feeds arbitrary bytes to the command line: every file is
 either a report or an error message naming the stage, never a
@@ -66,7 +67,14 @@ from hypothesis import strategies as st
 
 from pcrkit import cli
 from pcrkit.errors import STAGE_EXIT_CODES, StageError
-from pcrkit.pipeline import RunConfig, load_table, run_pipeline, write_table
+from pcrkit.pipeline import (
+    RunConfig,
+    load_table,
+    render_report_delim,
+    render_report_text,
+    run_pipeline,
+    write_table,
+)
 from pcrkit.preprocess import VIF_RCOND, TimeSeriesTable
 
 PANEL9 = Path(__file__).parent / "golden" / "panel9.csv"
@@ -481,32 +489,70 @@ def short_wide_panel():
     )
 
 
-# Every message that names the largest count a run can keep.
-LIMIT = re.compile(r"retain at most (\d+) components$|count must be in \[1, (\d+)\]")
+@st.composite
+def planted_factor_tables(draw):
+    """IY and 2 to 60 predictors over 4 to 30 years, built as
+    ``bench/panels.py`` builds its panels: the increments carry k planted
+    factors, one per equal block of predictors, with signed loadings in
+    [0.7, 1.3] and noise of standard deviation 0.2; the response mixes
+    all factors; the levels cumulate the increments onto base levels in
+    [50, 150).  k runs from 1 to p // 10, so a short panel keeps more
+    factors than its increments leave room for."""
+    n = draw(st.integers(4, 30))
+    p = draw(st.integers(2, 60))
+    k = draw(st.integers(1, max(1, p // 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = rng.standard_normal((n - 1, k))
+    loading = rng.uniform(0.7, 1.3, p) * rng.choice((-1.0, 1.0), p)
+    predictors = factors[:, np.arange(p) * k // p] * loading
+    predictors += 0.2 * rng.standard_normal((n - 1, p))
+    response = factors @ rng.uniform(0.5, 1.5, k) + 0.2 * rng.standard_normal(n - 1)
+    base = rng.uniform(50.0, 150.0, p + 1)
+    increments = np.column_stack([response, predictors])
+    return TimeSeriesTable(
+        years=np.arange(1950, 1950 + n),
+        names=("IY",) + tuple(f"X{j:02d}" for j in range(1, p + 1)),
+        values=np.vstack([base, base + np.cumsum(increments, axis=0)]),
+    )
 
 
-def exit_and_limit(source, **options):
-    """The exit code of a run and the count its message names, if any."""
-    try:
-        run_pipeline(RunConfig(input_path=source, **options))
-    except StageError as err:
-        match = LIMIT.search(str(err))
-        return err.exit_code, match and int(match.group(1) or match.group(2))
-    return 0, None
+# The message of an explicit count above the largest count L that fits.
+LIMIT = re.compile(r"component count must be in \[1, (\d+)\], got (\d+)$")
 
 
-@settings(max_examples=50, deadline=None)
-@given(table=st.one_of(random_walk_tables(), well_formed_tables()))
+def limit_named(source, components):
+    """The L that a run keeping ``components`` (more than fit) names."""
+    with pytest.raises(StageError) as excinfo:
+        run_pipeline(RunConfig(input_path=source, components=components))
+    assert excinfo.value.exit_code == 4
+    match = LIMIT.search(str(excinfo.value))
+    assert match and match.group(2) == str(components)
+    return int(match.group(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=st.one_of(random_walk_tables(), planted_factor_tables()))
 @example(table=short_wide_panel())
-def test_the_count_a_failing_run_names_fits_and_one_more_does_not(table):
+def test_auto_keeps_at_most_the_count_that_fits_and_one_more_does_not(table):
+    # Under the defaults a run completes, unless varimax hits its sweep
+    # cap.  It keeps Kaiser's count capped at L, the count an explicit
+    # p + 1 names, and says so exactly when the cap binds; L + 1 fails
+    # naming L again.
     with tempfile.TemporaryDirectory() as tmp:
         source = write_table(table, Path(tmp) / "input.csv")
-        code, limit = exit_and_limit(source)
-        if not limit:
-            return
-        assert code == 4
-        assert exit_and_limit(source, components=limit, rotation="none") == (0, None)
-        assert exit_and_limit(source, components=limit + 1) == (4, limit)
+        try:
+            run_pipeline(RunConfig(input_path=source))
+        except StageError as err:
+            assert err.exit_code == 4
+            assert "varimax rotation did not converge" in str(err)
+        report = run_pipeline(RunConfig(input_path=source, rotation="none"))
+        limit = limit_named(source, len(table.names))
+        kaiser = int(np.sum(report.solution.eigenvalues > 1.0))
+        assert report.solution.n_components == min(kaiser, limit)
+        capped = f"kaiser rule kept {kaiser}; capped at {limit}\n"
+        assert (capped in render_report_text(report)) == (kaiser > limit)
+        assert (",kaiser,capped," in render_report_delim(report)) == (kaiser > limit)
+        assert limit_named(source, limit + 1) == limit
 
 
 @settings(max_examples=50, deadline=None)

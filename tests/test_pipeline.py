@@ -887,19 +887,24 @@ class TestCli:
 
     def test_short_wide_panel_names_a_count_that_fits(self, tmp_path, capsys):
         # 5 increments leave room for 3 components, while Kaiser keeps 4
-        # and 5 eigenvalues are nonzero.  Every count above 3 fails in
-        # the pca stage naming 3.
+        # and 5 eigenvalues are nonzero.  The default run keeps 3 and
+        # says so; every explicit count above 3 fails in the pca stage
+        # naming 3.
         source = str(write_table(short_wide_panel(), tmp_path / "wide.csv"))
-        assert cli.main(["--input", source]) == 4
-        assert capsys.readouterr().err == (
-            "error: [pca] automatic retention kept 4 components; retain at most 3 components\n"
-        )
+        assert cli.main(["--input", source]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert (
+            "[retention]\nretained 3 of 30 components (auto)\n"
+            "kaiser rule kept 4; capped at 3\n\n"
+        ) in out
         for count in ("5", "4"):
             assert cli.main(["--input", source, "--components", count]) == 4
             assert capsys.readouterr().err == (
                 f"error: [pca] component count must be in [1, 3], got {count}\n"
             )
         assert cli.main(["--input", source, "--components", "3"]) == 0
+        assert "capped" not in capsys.readouterr().out
 
     def test_one_predictor_needs_an_explicit_count(self, tmp_path, capsys):
         # A lone variable's eigenvalue is exactly 1, and Kaiser's rule
