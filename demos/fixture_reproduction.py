@@ -11,6 +11,7 @@ decimals.  Everything downstream runs on the repaired matrix.
 import numpy as np
 
 from pcrkit import extract, load_fixture, rotate_varimax, score_weights
+from pcrkit.pca import VARIMAX_TOL
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -34,7 +35,9 @@ print(f"Kaiser retention keeps {sol.n_components} components "
 print(f"unrotated variance proportions: {sol.proportion}")
 
 rot = rotate_varimax(sol)
-print(f"varimax converged in {rot.rotation_sweeps} sweeps")
+state = "settled" if rot.last_sweep_angle <= VARIMAX_TOL else "stopped at its cap"
+print(f"varimax {state} after {rot.rotation_sweeps} sweeps "
+      f"(last sweep turned {rot.last_sweep_angle:.1e} rad)")
 print(f"rotated variance proportions:   {rot.rotated_proportion}")
 print()
 

@@ -9,7 +9,7 @@ Loadings follow the factor-analysis convention: column j of the loading
 matrix is sqrt(lambda_j) times the j-th eigenvector, so squared loadings
 sum to the eigenvalue down a column and to the communality across a row.
 Varimax turns each plane by Kaiser's closed-form angle and stops on the
-largest angle a sweep turned.
+largest angle a sweep turned, or at the sweep cap.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class PcaSolution(NamedTuple):
     ``rotated_loadings`` and the k x k orthogonal ``rotation`` satisfy
     ``rotated_loadings == loadings @ rotation`` up to rounding (a few
     units in the last place) and the rotated columns are ordered by
-    descending sum of squared loadings.
+    descending sum of squared loadings.  ``last_sweep_angle`` exceeds
+    ``VARIMAX_TOL`` only when varimax stopped at its sweep cap.
 
     Everything else is a property of these fields.  Variance
     proportions are reported for both conventions: per unrotated
@@ -58,6 +59,7 @@ class PcaSolution(NamedTuple):
     rotated_loadings: np.ndarray | None = None
     rotation: np.ndarray | None = None
     rotation_sweeps: int = 0
+    last_sweep_angle: float = 0.0
 
     @property
     def p(self) -> int:
@@ -155,12 +157,12 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
     Classic pairwise formulation (Kaiser 1958): each column pair turns
     by the closed-form angle that maximizes the varimax criterion in its
     plane, in full sweeps until no plane turns by more than
-    ``VARIMAX_TOL`` radians.  After ``VARIMAX_MAX_SWEEPS`` sweeps it
-    raises :class:`~pcrkit.errors.PcrError`, whose residual is the
-    largest angle of the last sweep.  Rows are Kaiser-normalized (scaled
-    to unit communality) during rotation.  A single retained component
-    has no plane to rotate in, so its one sweep leaves it unchanged,
-    with the identity rotation.
+    ``VARIMAX_TOL`` radians, or for ``VARIMAX_MAX_SWEEPS`` sweeps; the
+    rotation reached is kept, as it turns only the retained subspace and
+    cannot change the PCR fit.  ``last_sweep_angle`` is the largest angle
+    (radians) of the last sweep.  Rows are Kaiser-normalized (scaled to
+    unit communality) during rotation.  A single retained component has
+    no plane to rotate in, so its one sweep returns the identity rotation.
 
     The rotated columns are reordered by descending sum of squared
     loadings and sign-fixed so each column's largest-magnitude loading
@@ -194,18 +196,13 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
                 largest = max(largest, abs(phi))
         if largest <= VARIMAX_TOL:
             break
-    else:
-        raise PcrError(
-            f"varimax rotation did not converge in {VARIMAX_MAX_SWEEPS} sweeps, "
-            f"residual {float(largest)!r}; use rotation 'none' or retain "
-            f"at most {k - 1} components"
-        )
 
     rotated = bt[:p] * h[:, None]
     # Order by explained variance and fix signs; fold both into the
     # rotation so that loadings @ rotation still gives rotated.
     _, rotated, t = canonical_columns((rotated**2).sum(axis=0), rotated, bt[p:])
-    return solution._replace(rotated_loadings=rotated, rotation=t, rotation_sweeps=sweeps)
+    return solution._replace(rotated_loadings=rotated, rotation=t, rotation_sweeps=sweeps,
+                             last_sweep_angle=float(largest))
 
 
 class ScoreWeights(NamedTuple):

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import PcrError, StageError, TableFormatError
 from .fixtures import load_fixture
 from .pca import (
+    VARIMAX_TOL,
     PcaSolution,
     ScoreWeights,
     check_components,
@@ -429,6 +430,10 @@ def _sections(report: Report):
             _Line(None, ("kept", "", str(k))),
             *([_Line(capped, ("kaiser", "capped", str(kaiser)))] if kaiser > k else []),
         ]
+        if solution.last_sweep_angle > VARIMAX_TOL:
+            sweeps, angle = str(solution.rotation_sweeps), repr(solution.last_sweep_angle)
+            stopped = f"varimax stopped after {sweeps} sweeps; last sweep turned {angle} rad"
+            yield "rotation", "rotation", [_Line(stopped, ("stopped", sweeps, angle))]
         yield "proportion of variance", "proportion", [
             _Table("component", share, pc, np.column_stack(
                 (solution.proportion, solution.cumulative)))

@@ -3,9 +3,9 @@
 Each case drives one public call into one failure and asserts the whole
 message, which is all a caller (and the command line, after its
 ``[stage]`` prefix) ever sees.  Every error is a ``PcrError``; the
-message alone names the cause.  Two messages end in a float that the
-eigensolver or the rotation computes, so those cases pin the text up to
-that number and check the number separately.
+message alone names the cause.  One message ends in a float that the
+eigensolver computes, so that case pins the text up to that number and
+checks the number separately.
 """
 
 import errno
@@ -17,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcrkit import pca
 from pcrkit.errors import PcrError, StageError
 from pcrkit.fixtures import load_fixture
 from pcrkit.linalg import solve_least_squares
-from pcrkit.pca import component_scores, extract, rotate_varimax, score_weights
+from pcrkit.pca import component_scores, extract, score_weights
 from pcrkit.pipeline import (
     Report,
     RunConfig,
@@ -500,22 +499,6 @@ def test_indefinite_correlation_names_its_smallest_eigenvalue():
     smallest = float(message[len(prefix):])
     assert message == prefix + repr(smallest)
     assert smallest == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_varimax_names_its_sweep_cap_and_residual(monkeypatch):
-    monkeypatch.setattr(pca, "VARIMAX_MAX_SWEEPS", 1)
-    fig3 = load_fixture("fig3").matrix
-    solution = extract(fig3.submatrix(tuple(n for n in fig3.names if n != "IY")), 2)
-    with pytest.raises(PcrError) as excinfo:
-        rotate_varimax(solution)
-    message = str(excinfo.value)
-    match = re.fullmatch(
-        r"varimax rotation did not converge in 1 sweeps, residual (\S+); "
-        r"use rotation 'none' or retain at most 1 components",
-        message,
-    )
-    assert match is not None, message
-    assert float(match.group(1)) > 0.0
 
 
 def test_output_into_a_file_names_the_path_and_the_cause(tmp_path):

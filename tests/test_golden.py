@@ -81,6 +81,10 @@ EXACT_CASES = [
         (f"short_wide_report.{ext}", ["--input", "short_wide.csv"], 0)
         for ext in ("txt", "csv")
     ),
+    *(
+        (f"unsettled_report.{ext}", ["--input", "unsettled.csv"], 0)
+        for ext in ("txt", "csv")
+    ),
 ]
 
 

@@ -42,8 +42,9 @@ whatever the scales of the predictors and the response).
 Wide panels run under the defaults: over wide random walks and
 planted-factor panels, the automatic count keeps Kaiser's count capped
 at the largest count L that fits, says so in the report exactly when
-the cap binds, and the run completes unless varimax hits its sweep cap;
-an explicit L + 1 fails in the pca stage naming L.
+the cap binds, and the run completes with the fit of an unrotated run,
+whether or not varimax settles within its sweep cap; an explicit L + 1
+fails in the pca stage naming L.
 
 The last test feeds arbitrary bytes to the command line: every file is
 either a report or an error message naming the stage, never a
@@ -79,6 +80,10 @@ from pcrkit.preprocess import VIF_RCOND, TimeSeriesTable
 
 PANEL9 = Path(__file__).parent / "golden" / "panel9.csv"
 PANEL30 = Path(__file__).parent / "golden" / "panel30.csv"
+# Table 18 of ``tools/wide_tally.py``'s sample (p = 33, n = 15): Kaiser
+# keeps 12 components, and varimax stops at its sweep cap, its last sweep
+# turning 1.5e-5 rad.
+UNSETTLED = Path(__file__).parent / "golden" / "unsettled.csv"
 ROTATIONS = ["none", "varimax"]
 
 
@@ -342,9 +347,12 @@ def test_rotation_does_not_change_the_fit_on_well_formed_tables(table):
         for rotation in ROTATIONS:
             try:
                 fits.append(run_pipeline(RunConfig(input_path=source, rotation=rotation)).pcr)
-            except StageError:
-                pass
-    if len(fits) < 2:
+            except StageError as err:
+                fits.append(err.exit_code)
+    # Rotation cannot fail a run, and the fit does not depend on it: the
+    # two runs fail alike or complete alike.
+    if isinstance(fits[0], int) or isinstance(fits[1], int):
+        assert fits[0] == fits[1]
         return
     increments = np.diff(table.values[:, table.names.index("IY")])
     tolerance = 1024 * np.spacing(np.abs(increments).max())
@@ -533,19 +541,18 @@ def limit_named(source, components):
 @settings(max_examples=40, deadline=None)
 @given(table=st.one_of(random_walk_tables(), planted_factor_tables()))
 @example(table=short_wide_panel())
+@example(table=load_table(UNSETTLED))
 def test_auto_keeps_at_most_the_count_that_fits_and_one_more_does_not(table):
-    # Under the defaults a run completes, unless varimax hits its sweep
-    # cap.  It keeps Kaiser's count capped at L, the count an explicit
-    # p + 1 names, and says so exactly when the cap binds; L + 1 fails
-    # naming L again.
+    # Under the defaults a run completes, with the fit of an unrotated
+    # run whether or not varimax settled.  It keeps Kaiser's count capped
+    # at L, the count an explicit p + 1 names, and says so exactly when
+    # the cap binds; L + 1 fails naming L again.
     with tempfile.TemporaryDirectory() as tmp:
         source = write_table(table, Path(tmp) / "input.csv")
-        try:
-            run_pipeline(RunConfig(input_path=source))
-        except StageError as err:
-            assert err.exit_code == 4
-            assert "varimax rotation did not converge" in str(err)
+        rotated = run_pipeline(RunConfig(input_path=source)).pcr
         report = run_pipeline(RunConfig(input_path=source, rotation="none"))
+        scale = np.abs(report.pcr.fitted).max()
+        np.testing.assert_allclose(rotated.fitted, report.pcr.fitted, rtol=0, atol=1e-12 * scale)
         limit = limit_named(source, len(table.names))
         kaiser = int(np.sum(report.solution.eigenvalues > 1.0))
         assert report.solution.n_components == min(kaiser, limit)

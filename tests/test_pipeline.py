@@ -30,6 +30,8 @@ from pcrkit.preprocess import TimeSeriesTable
 from test_metamorphic import short_wide_panel, well_formed_tables
 from test_pca import tucker_congruence
 
+PANEL9 = Path(__file__).parent / "golden" / "panel9.csv"
+
 
 def render_scatter_text(report, out_dir):
     """The scatter file ``emit_report`` writes in the text layout."""
@@ -241,7 +243,7 @@ class TestMatrixMode:
         # Nothing derived from the rotation outlives it in a copy.
         report = run_pipeline(RunConfig(fixture="fig3"))
         report.solution = report.solution._replace(
-            rotated_loadings=None, rotation=None, rotation_sweeps=0
+            rotated_loadings=None, rotation=None, rotation_sweeps=0, last_sweep_angle=0.0
         )
         report.weights = score_weights(report.solution)
         report.config.rotation = "none"
@@ -924,13 +926,40 @@ class TestCli:
         assert cli.main(["--input", source, "--components", "1"]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_varimax_cap_names_what_to_do(self, monkeypatch, capsys):
-        # fig3 takes 2 sweeps to converge.
+    @pytest.mark.parametrize(
+        "source, args",
+        [
+            (dict(fixture="fig3"), ["--fixture", "fig3"]),
+            (
+                dict(input_path=str(PANEL9), components=3),
+                ["--input", str(PANEL9), "--components", "3"],
+            ),
+        ],
+        ids=["fig3", "panel9"],
+    )
+    def test_a_rotation_stopped_at_its_cap_keeps_the_run(self, source, args, monkeypatch, capsys):
+        # fig3 takes 2 sweeps to settle, panel9 with 3 components more.
+        # The run completes, and its [rotation] section says where it stopped.
         monkeypatch.setattr(pca, "VARIMAX_MAX_SWEEPS", 1)
-        assert cli.main(["--fixture", "fig3"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: [pca] varimax rotation did not converge in 1 sweeps, ")
-        assert err.endswith("; use rotation 'none' or retain at most 1 components\n")
+        report = run_pipeline(RunConfig(**source))
+        solution = report.solution
+        assert solution.rotation_sweeps == 1
+        assert solution.last_sweep_angle > pca.VARIMAX_TOL
+        k = solution.n_components
+        assert np.abs(solution.rotation.T @ solution.rotation - np.eye(k)).max() <= 1e-12
+        angle = repr(solution.last_sweep_angle)
+        line = f"varimax stopped after 1 sweeps; last sweep turned {angle} rad"
+        for format, expected in (
+            ("text", f"\n[rotation]\n{line}\n"), ("delim", f"\nrotation,stopped,1,{angle}\n")
+        ):
+            assert cli.main([*args, "--format", format]) == 0
+            out = capsys.readouterr().out
+            assert out == pipeline.render_report(report, format)
+            assert expected in out
+        if report.pcr is not None:
+            unrotated = run_pipeline(RunConfig(**source, rotation="none")).pcr
+            assert abs(report.pcr.r_squared - unrotated.r_squared) <= 1e-12
+            np.testing.assert_allclose(report.pcr.fitted, unrotated.fitted, rtol=0, atol=1e-12)
 
     def test_header_without_data_columns_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "years.csv"
@@ -1108,10 +1137,10 @@ class TestCli:
         # Shares of variance, communalities, the component count (the
         # width of the loadings) and the fixture's repair shift are
         # properties of these fields.
-        assert len(PcaSolution._fields) == 6
+        assert len(PcaSolution._fields) == 7
         assert PcaSolution._fields == (
             "names", "eigenvalues", "loadings",
-            "rotated_loadings", "rotation", "rotation_sweeps",
+            "rotated_loadings", "rotation", "rotation_sweeps", "last_sweep_angle",
         )
         assert len(FixtureData._fields) == 3
         assert FixtureData._fields == ("name", "printed", "matrix")

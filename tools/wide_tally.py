@@ -11,9 +11,11 @@ normals; the levels are the cumulative sums down each column, ``IY``
 first, then ``X01``..``Xp``.  Each table is written by ``write_table``
 to a temporary directory and run through ``run_pipeline`` with the
 default settings.  The tool prints how many runs ended with each exit
-code and cause, then the slowest run, its shape and the sweeps varimax
-took.  It runs whatever ``pcrkit`` the path imports, so two checkouts
-can be compared by pointing ``PYTHONPATH`` at each.
+code (a failure with its message); how many stopped varimax at its sweep
+cap, their largest last-sweep angle and their largest gap to the fit of
+``rotation="none"``, relative to its largest value; then the slowest run.
+It runs whatever ``pcrkit`` the path imports, so two checkouts can be
+compared by pointing ``PYTHONPATH`` at each.
 """
 
 import argparse
@@ -25,15 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from pcrkit.errors import StageError
+from pcrkit.pca import VARIMAX_TOL
 from pcrkit.pipeline import RunConfig, run_pipeline, write_table
 from pcrkit.preprocess import TimeSeriesTable
-
-# Message fragment -> cause, for the failures a wide table can meet.  The
-# sweep cap's advice also reads "retain at most", so it is matched first.
-CAUSES = (
-    ("varimax rotation did not converge", "varimax sweep cap"),
-    ("retain at most", "auto kept more than fit"),
-)
 
 
 def tables(seed: int, count: int):
@@ -47,17 +43,12 @@ def tables(seed: int, count: int):
         yield TimeSeriesTable(years=np.arange(2000, 2000 + n), names=names, values=levels)
 
 
-def cause(message: str) -> str:
-    return next((c for fragment, c in CAUSES if fragment in message), message)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--tables", type=int, default=150)
     args = parser.parse_args(argv)
-    tally = collections.Counter()
-    slowest = (0.0, "")
+    tally, stopped, slowest = collections.Counter(), [], (0.0, "")
     with tempfile.TemporaryDirectory() as tmp:
         for i, table in enumerate(tables(args.seed, args.tables)):
             source = write_table(table, Path(tmp) / f"table{i}.csv")
@@ -65,18 +56,25 @@ def main(argv=None) -> int:
             try:
                 report = run_pipeline(RunConfig(input_path=source))
                 outcome = (0, "completed")
-                detail = (f"kept {report.solution.n_components}, "
-                          f"{report.solution.rotation_sweeps} sweeps")
+                solution = report.solution
+                detail = f"kept {solution.n_components}, {solution.rotation_sweeps} sweeps"
             except StageError as err:
-                outcome = (err.exit_code, cause(str(err)))
+                outcome = (err.exit_code, str(err))
                 detail = outcome[1]
             seconds = time.perf_counter() - start
             tally[outcome] += 1
             shape = f"table {i}: p = {len(table.names) - 1}, n = {table.n_years}"
             slowest = max(slowest, (seconds, f"{shape}, exit {outcome[0]} ({detail})"))
+            if outcome[0] == 0 and solution.last_sweep_angle > VARIMAX_TOL:
+                none = run_pipeline(RunConfig(input_path=source, rotation="none")).pcr.fitted
+                stopped.append((solution.last_sweep_angle,
+                                np.abs(report.pcr.fitted - none).max() / np.abs(none).max()))
     print(f"{args.tables} tables, default_rng({args.seed})")
     for (code, why), count in sorted(tally.items()):
         print(f"exit {code}: {count:4d}  {why}")
+    print(f"stopped at the sweep cap: {len(stopped)}; largest last-sweep angle "
+          f"{max(stopped, default=(0.0,))[0]:.3g} rad; largest gap of the fit to "
+          f"rotation 'none' {max((g for _, g in stopped), default=0.0):.2g} relative")
     print(f"slowest: {slowest[0]:.3f} s, {slowest[1]}")
     return 0
 
