@@ -18,7 +18,6 @@ from pcrkit import (
     fit_ols,
     fit_pcr,
     rotate_varimax,
-    score_weights,
     standardize,
     vif,
     TimeSeriesTable,
@@ -41,9 +40,8 @@ def pcr_r_squared(matrix, columns):
     z = standardize(table)
     r = correlation_matrix(z).submatrix(columns)
     sol = rotate_varimax(extract(r, 4))  # keep all four directions
-    w = score_weights(sol)
-    scores = component_scores(r.data, w)
-    fit = fit_pcr(scores, y, w.component_names)
+    scores = component_scores(r.data, sol)
+    fit = fit_pcr(scores, y, sol.component_names)
     return fit.r_squared, sol.eigenvalues
 
 

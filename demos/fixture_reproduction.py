@@ -15,8 +15,9 @@ from pcrkit.pca import VARIMAX_TOL
 
 np.set_printoptions(precision=4, suppress=True)
 
-fx = load_fixture("fig3")
-print(f"fixture: {fx.name}, variables: {', '.join(fx.matrix.names)}")
+fixture = "fig3"
+fx = load_fixture(fixture)
+print(f"fixture: {fixture}, variables: {', '.join(fx.matrix.names)}")
 print(f"printed matrix smallest eigenvalue: "
       f"{np.linalg.eigvalsh(fx.printed)[0]: .6f}  (indefinite)")
 print(f"repaired smallest eigenvalue:       "
@@ -52,8 +53,8 @@ print()
 w = score_weights(rot)
 print("regression-method score weights:")
 print(header)
-for i, name in enumerate(w.names):
-    row = "".join(f"{v:10.3f}" for v in w.weights[i])
+for name, weights in zip(rot.names, w):
+    row = "".join(f"{v:10.3f}" for v in weights)
     print(f"{name:>10}{row}")
 print()
 
@@ -62,6 +63,6 @@ print()
 # than below, so it is statistically inseparable from that block at
 # two-decimal precision -- the one place this matrix refuses to split
 # demand from investment.
-rc1 = {n: float(v) for n, v in zip(w.names, w.weights[:, 0])}
+rc1 = {n: float(v) for n, v in zip(rot.names, w[:, 0])}
 for name in sorted(rc1, key=rc1.get, reverse=True):
     print(f"  RC1 weight {name:>5}: {rc1[name]: .4f}")

@@ -24,7 +24,6 @@ from pcrkit import (
     render_report_text,
     rotate_varimax,
     run_pipeline,
-    score_weights,
     standardize,
     vif,
     write_table,
@@ -80,9 +79,8 @@ print(f"retained {rot.n_components} components, rotated proportions "
 
 # Stage 3: scores, then ordinary least squares of the response
 # increment on them.
-w = score_weights(rot)
-scores = component_scores(sub.data, w)
-fit = fit_pcr(scores, diffed.column("IY"), w.component_names)
+scores = component_scores(sub.data, rot)
+fit = fit_pcr(scores, diffed.column("IY"), rot.component_names)
 coefs = {n: round(float(c), 3) for n, c in zip(fit.predictor_names, fit.coefficients)}
 print(f"PCR R^2 = {fit.r_squared:.4f}; coefficients {coefs}")
 

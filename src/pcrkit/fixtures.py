@@ -80,7 +80,6 @@ def nearest_valid_correlation(values) -> np.ndarray:
 class FixtureData(NamedTuple):
     """A bundled correlation table plus its repaired, validated matrix."""
 
-    name: str
     printed: np.ndarray
     matrix: CorrelationMatrix
 
@@ -107,7 +106,5 @@ def load_fixture(name: str) -> FixtureData:
     printed = published_correlations()
     repaired = nearest_valid_correlation(printed)
     return FixtureData(
-        name=name,
-        printed=printed,
-        matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired),
+        printed=printed, matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired)
     )

@@ -10,6 +10,8 @@ matrix is sqrt(lambda_j) times the j-th eigenvector, so squared loadings
 sum to the eigenvalue down a column and to the communality across a row.
 Varimax turns each plane by Kaiser's closed-form angle and stops on the
 largest angle a sweep turned, or at the sweep cap.
+Score weights and component scores are functions of a solution, not
+records: ``score_weights(solution)`` gives the same array each time.
 """
 
 from __future__ import annotations
@@ -205,25 +207,15 @@ def rotate_varimax(solution: PcaSolution) -> PcaSolution:
                              last_sweep_angle=float(largest))
 
 
-class ScoreWeights(NamedTuple):
-    """Regression-method weights mapping standardized data to scores.
+def score_weights(solution: PcaSolution) -> np.ndarray:
+    """Regression-method component score weights W = R^-1 L, p x k.
 
-    ``weights`` is p x k: component scores are ``Z @ weights``.  The
-    weights solve R @ W = L for the effective loadings L (the
-    minimum-norm solution when R is singular), so on the data that
-    produced R the scores are the least-squares projections of the
-    components.
-    """
-
-    names: tuple[str, ...]
-    component_names: tuple[str, ...]
-    weights: np.ndarray
-
-
-def score_weights(solution: PcaSolution) -> ScoreWeights:
-    """Regression-method component score weights W = R^-1 L.
-
-    R is the correlation matrix ``solution`` was extracted from.  The
+    R is the correlation matrix ``solution`` was extracted from.  Rows
+    of W follow ``solution.names`` and columns
+    ``solution.component_names``; component scores are ``Z @ W``.  W
+    solves R @ W = L for the effective loadings L (the minimum-norm
+    solution when R is singular), so on the data that produced R the
+    scores are the least-squares projections of the components.  The
     loadings are L = V_k Lambda_k^(1/2) T, with T the varimax rotation
     (the identity when unrotated), so R^-1 L = (loadings / lambda_k) @ T
     depends on the solution alone and nothing is inverted; ``extract``
@@ -232,20 +224,16 @@ def score_weights(solution: PcaSolution) -> ScoreWeights:
     weights = solution.loadings / solution.eigenvalues[: solution.n_components]
     if solution.rotation is not None:
         weights = weights @ solution.rotation
-    return ScoreWeights(
-        names=solution.names,
-        component_names=solution.component_names,
-        weights=weights,
-    )
+    return weights
 
 
-def component_scores(z: TimeSeriesTable, w: ScoreWeights) -> np.ndarray:
-    """Component scores of a standardized table, one row per year.
+def component_scores(z: TimeSeriesTable, solution: PcaSolution) -> np.ndarray:
+    """Component scores ``z.values @ score_weights(solution)``, one row per year.
 
-    The columns of ``z`` must match the weight rows exactly; for a
+    The columns of ``z`` must match ``solution.names`` exactly; for a
     wider table, ``correlation_matrix(z).submatrix(names).data`` holds
     those columns.
     """
-    if z.names != w.names:
-        raise name_mismatch(w.names, z.names)
-    return z.values @ w.weights
+    if z.names != solution.names:
+        raise name_mismatch(solution.names, z.names)
+    return z.values @ score_weights(solution)

@@ -30,7 +30,6 @@ from .fixtures import load_fixture
 from .pca import (
     VARIMAX_TOL,
     PcaSolution,
-    ScoreWeights,
     check_components,
     component_scores,
     extract,
@@ -109,7 +108,6 @@ class Report:
     baseline: OlsFit | None = None
     baseline_error: str | None = None
     solution: PcaSolution | None = None
-    weights: ScoreWeights | None = None
     scores: np.ndarray | None = None
     pcr: OlsFit | None = None
     prices: PricePath | None = None
@@ -224,7 +222,9 @@ def run_pipeline(config: RunConfig) -> Report:
     extract and rotate components, score, regress the response increment
     on the scores, rebuild the price path from the fitted increments.
     The report keeps the increments for the scatter file.  Matrix mode
-    (fixture input): extraction, rotation and weights only.
+    (fixture input): extraction and rotation only.  The report keeps the
+    solution and no score weights: ``score_weights(report.solution)``
+    gives them, and the renderers call it.
 
     The raw-variable baseline regression is deliberately non-fatal: on
     strongly collinear data it is expected to fail, and its verbatim
@@ -271,10 +271,9 @@ def run_pipeline(config: RunConfig) -> Report:
         if config.rotation == "varimax":
             solution = rotate_varimax(solution)
         report.solution = solution
-        report.weights = score_weights(solution)
         if report.mode == "matrix":
             return report
-        report.scores = component_scores(subset.data, report.weights)
+        report.scores = component_scores(subset.data, solution)
 
         stage = "regression"
         response_inc = diffed.column(config.response)
@@ -287,9 +286,7 @@ def run_pipeline(config: RunConfig) -> Report:
             )
         except PcrError as err:
             report.baseline_error = str(err)
-        report.pcr = fit_pcr(
-            report.scores, response_inc, report.weights.component_names
-        )
+        report.pcr = fit_pcr(report.scores, response_inc, solution.component_names)
         if config.diff == "absolute":
             base = float(table.column(config.response)[0])
             report.prices = reconstruct_prices(base, report.pcr.fitted)
@@ -454,16 +451,11 @@ def _sections(report: Report):
             _Table("name", ("h2", "u2"), solution.names, np.column_stack(
                 (solution.communality, solution.uniqueness)))
         ]
-
-    weights = report.weights
-    if weights is not None:
         yield "score weights", "score_weights", [
-            _Table("name", weights.component_names, weights.names, weights.weights)
+            _Table("name", rc, solution.names, score_weights(solution))
         ]
-    if report.scores is not None and years is not None:
-        yield "component scores", "scores", [
-            _Table("year", weights.component_names, years, report.scores)
-        ]
+        if report.scores is not None and years is not None:
+            yield "component scores", "scores", [_Table("year", rc, years, report.scores)]
     if report.pcr is not None:
         yield "pcr", "pcr", _fit_lines(report.pcr)
     if report.prices is not None:

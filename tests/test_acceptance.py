@@ -66,9 +66,8 @@ def pcr_fit_for(x, y, k):
     z = standardize(table)
     r = correlation_matrix(z).submatrix(names)
     sol = rotate_varimax(extract(r, k))
-    w = score_weights(sol)
-    scores = component_scores(r.data, w)
-    return fit_pcr(scores, table.column("Y"), w.component_names), sol
+    scores = component_scores(r.data, sol)
+    return fit_pcr(scores, table.column("Y"), sol.component_names), sol
 
 
 def test_01_fixture_integrity():
@@ -109,12 +108,12 @@ def test_03_demand_component_structure():
         demand = {"PD", "GVA", "GDHI"}
         satisfied = False
         detail = []
-        for j in range(w.weights.shape[1]):
-            column = w.weights[:, j]
+        for j in range(w.shape[1]):
+            column = w[:, j]
             for sign in (1.0, -1.0):
                 signed = [
                     (float(v * sign), name)
-                    for v, name in zip(column, w.names)
+                    for v, name in zip(column, sol.names)
                     if v * sign > 0.0
                 ]
                 signed.sort(reverse=True)
@@ -123,7 +122,7 @@ def test_03_demand_component_structure():
                 top = signed[:3]
                 names = {name for _, name in top}
                 spread = top[0][0] - top[2][0]
-                detail.append((w.component_names[j], names, round(spread, 4)))
+                detail.append((sol.component_names[j], names, round(spread, 4)))
                 if names == demand and spread < 0.05:
                     satisfied = True
         assert satisfied, (

@@ -18,6 +18,7 @@ import pytest
 
 import pcrkit
 from pcrkit import errors
+from pcrkit.pca import score_weights
 from pcrkit.pipeline import RunConfig, load_table, run_pipeline
 
 ROOT = Path(__file__).parents[1]
@@ -64,6 +65,7 @@ def test_readme_library_example_runs_on_golden_panel9():
     assert scope["inflation"] == report.vif
     assert scope["fit"].r_squared == report.pcr.r_squared
     assert np.array_equal(scope["scores"], report.scores)
+    assert np.array_equal(score_weights(scope["sol"]), score_weights(report.solution))
     assert np.array_equal(scope["path"].levels, report.prices.levels)
 
 

@@ -20,7 +20,7 @@ import pytest
 from pcrkit.errors import PcrError, StageError
 from pcrkit.fixtures import load_fixture
 from pcrkit.linalg import solve_least_squares
-from pcrkit.pca import component_scores, extract, score_weights
+from pcrkit.pca import component_scores, extract
 from pcrkit.pipeline import (
     Report,
     RunConfig,
@@ -380,7 +380,7 @@ CASES = {
     "scores-names": (
         lambda: component_scores(
             table(np.zeros((3, 3)), names=("a", "b", "d")),
-            score_weights(TWO_COMPONENTS),
+            TWO_COMPONENTS,
         ),
         "variable names do not match: missing ['c'], extra ['d']",
     ),

@@ -145,9 +145,8 @@ class TestExtract:
         assert one.component_names == ("PC1",)
         assert one.proportion.shape == (1,)
         w = score_weights(one)
-        assert w.weights.shape == (8, 1)
-        assert w.component_names == ("PC1",)
-        assert np.array_equal(w.weights, score_weights(sol).weights[:, :1])
+        assert w.shape == (8, 1)
+        assert np.array_equal(w, score_weights(sol)[:, :1])
         assert rotate_varimax(one).component_names == ("RC1",)
 
     def test_determinism(self):
@@ -287,24 +286,22 @@ class TestScoreWeights:
         # W = R^-1 L with L = sqrt(0.9) * (1, 1): both entries equal
         # sqrt(0.9) * (1 - 0.8) / (1 - 0.64) = 1/sqrt(3.6).
         r = corr([[1.0, 0.8], [0.8, 1.0]])
-        w = score_weights(extract(r, 1))
+        sol = extract(r, 1)
         expected = 1.0 / np.sqrt(3.6)
-        assert w.weights[:, 0] == pytest.approx([expected, expected], abs=1e-12)
-        assert w.component_names == ("PC1",)
+        assert score_weights(sol)[:, 0] == pytest.approx([expected, expected], abs=1e-12)
+        assert sol.component_names == ("PC1",)
 
     def test_unrotated_scores_are_uncorrelated_unit_variance(self):
         z = random_z(15, n=80, p=5)
         r = correlation_matrix(z)
-        w = score_weights(extract(r, 2))
-        f = component_scores(z, w)
+        f = component_scores(z, extract(r, 2))
         cov = f.T @ f / (f.shape[0] - 1)
         assert np.abs(cov - np.eye(2)).max() <= 1e-6
 
     def test_rotated_scores_are_uncorrelated_unit_variance(self):
         z = random_z(16, n=80, p=5)
         r = correlation_matrix(z)
-        w = score_weights(rotate_varimax(extract(r, 2)))
-        f = component_scores(z, w)
+        f = component_scores(z, rotate_varimax(extract(r, 2)))
         cov = f.T @ f / (f.shape[0] - 1)
         assert np.abs(cov - np.eye(2)).max() <= 1e-6
 
@@ -314,8 +311,8 @@ class TestScoreWeights:
         # the null direction, naming the count that can be scored.
         r = corr([[1.0, 1.0], [1.0, 1.0]])
         w = score_weights(extract(r, 1))
-        assert np.all(np.isfinite(w.weights))
-        assert (w.weights.T @ r.values @ w.weights)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(w))
+        assert (w.T @ r.values @ w)[0, 0] == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(PcrError, match=r"^component count must be in \[1, 1\], got 2$"):
             extract(r, 2)
 
@@ -332,30 +329,41 @@ class TestScoreWeights:
                     sol = rotate_varimax(sol)
                     loadings = sol.rotated_loadings
                 expected = np.linalg.solve(r.values, loadings)
-                got = score_weights(sol).weights
+                got = score_weights(sol)
                 assert np.abs(got - expected).max() <= 1e-10
 
     def test_component_labels_follow_rotation(self):
         r = correlation_matrix(random_z(17))
         rot = rotate_varimax(extract(r, 2))
-        w = score_weights(rot)
-        assert w.component_names == ("RC1", "RC2")
+        assert rot.component_names == ("RC1", "RC2")
+        assert score_weights(rot).shape[1] == len(rot.component_names)
 
 
 class TestComponentScores:
     def test_name_alignment_enforced(self):
         z = random_z(18)
         r = correlation_matrix(z)
-        w = score_weights(extract(r, 1))
         narrowed = r.submatrix(z.names[:2]).data
         with pytest.raises(PcrError, match="variable names do not match"):
-            component_scores(narrowed, w)
+            component_scores(narrowed, extract(r, 1))
 
     def test_scores_shape(self):
         z = random_z(19, n=30, p=4)
         r = correlation_matrix(z)
-        f = component_scores(z, score_weights(extract(r, 2)))
+        f = component_scores(z, extract(r, 2))
         assert f.shape == (30, 2)
+
+    @pytest.mark.parametrize("rotation", ["varimax", "none"])
+    def test_scores_are_the_data_times_the_weights(self, rotation):
+        # The weights are a function of the solution: scoring through
+        # the solution and multiplying by its weights give the same bits.
+        report = run_pipeline(RunConfig(input_path=GOLDEN / "panel9.csv", rotation=rotation))
+        sol = report.solution
+        z = correlation_matrix(standardize(report.increments)).submatrix(sol.names).data
+        w = score_weights(sol)
+        assert type(w) is np.ndarray and w.shape == (sol.p, sol.n_components)
+        assert np.array_equal(component_scores(z, sol), z.values @ w)
+        assert np.array_equal(report.scores, z.values @ w)
 
 
 class TestTuckerCongruence:

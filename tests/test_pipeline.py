@@ -225,7 +225,7 @@ class TestMatrixMode:
         assert report.correlation is not None
         assert report.solution is not None
         assert report.solution.n_components == 2
-        assert report.weights is not None
+        assert score_weights(report.solution).shape == (8, 2)
         # No observations: these stay empty.
         assert report.vif is None
         assert report.scores is None
@@ -237,7 +237,8 @@ class TestMatrixMode:
     def test_rotation_none(self):
         report = run_pipeline(RunConfig(fixture="fig3", rotation="none"))
         assert report.solution.rotated_loadings is None
-        assert report.weights.component_names == ("PC1", "PC2")
+        assert report.solution.component_names == ("PC1", "PC2")
+        assert score_weights(report.solution).shape == (8, 2)
 
     def test_unrotated_copy_renders_as_an_unrotated_run(self):
         # Nothing derived from the rotation outlives it in a copy.
@@ -245,7 +246,6 @@ class TestMatrixMode:
         report.solution = report.solution._replace(
             rotated_loadings=None, rotation=None, rotation_sweeps=0, last_sweep_angle=0.0
         )
-        report.weights = score_weights(report.solution)
         report.config.rotation = "none"
         unrotated = run_pipeline(RunConfig(fixture="fig3", rotation="none"))
         for render in (render_report_text, render_report_delim):
@@ -1136,14 +1136,18 @@ class TestCli:
     def test_records_keep_only_what_they_computed(self):
         # Shares of variance, communalities, the component count (the
         # width of the loadings) and the fixture's repair shift are
-        # properties of these fields.
+        # properties of these fields.  The score weights are a function
+        # of the solution, so the report does not keep them, and the
+        # fixture's name is the caller's argument, so it does not either.
         assert len(PcaSolution._fields) == 7
         assert PcaSolution._fields == (
             "names", "eigenvalues", "loadings",
             "rotated_loadings", "rotation", "rotation_sweeps", "last_sweep_angle",
         )
-        assert len(FixtureData._fields) == 3
-        assert FixtureData._fields == ("name", "printed", "matrix")
+        assert len(FixtureData._fields) == 2
+        assert FixtureData._fields == ("printed", "matrix")
+        assert not hasattr(pipeline.Report(), "weights")
+        assert not hasattr(pca, "ScoreWeights")
 
     @pytest.mark.parametrize(
         "components, code", [("1", 0), ("auto", 4)], ids=["fixed", "auto"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcrkit.errors import PcrError, RankDeficiencyError
-from pcrkit.pca import component_scores, extract, rotate_varimax, score_weights
+from pcrkit.pca import component_scores, extract, rotate_varimax
 from pcrkit.preprocess import correlation_matrix, difference, standardize
 from pcrkit.regression import fit_ols, fit_pcr, reconstruct_prices
 from test_preprocess import make_table
@@ -17,10 +17,9 @@ def fitted_pipeline(seed, n=24, p=3, k=None):
     z = standardize(table)
     r = correlation_matrix(z).submatrix(table.names[1:])
     sol = rotate_varimax(extract(r, k if k is not None else p))
-    w = score_weights(sol)
-    scores = component_scores(r.data, w)
-    fit = fit_pcr(scores, table.column("Y"), w.component_names)
-    return table, z, w, scores, fit
+    scores = component_scores(r.data, sol)
+    fit = fit_pcr(scores, table.column("Y"), sol.component_names)
+    return table, z, sol, scores, fit
 
 
 class TestFitOls:
