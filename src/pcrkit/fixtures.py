@@ -106,5 +106,6 @@ def load_fixture(name: str) -> FixtureData:
     printed = published_correlations()
     repaired = nearest_valid_correlation(printed)
     return FixtureData(
-        printed=printed, matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired)
+        printed=printed,
+        matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired),
     )

@@ -10,8 +10,7 @@ matrix is sqrt(lambda_j) times the j-th eigenvector, so squared loadings
 sum to the eigenvalue down a column and to the communality across a row.
 Varimax turns each plane by Kaiser's closed-form angle and stops on the
 largest angle a sweep turned, or at the sweep cap.
-Score weights and component scores are functions of a solution, not
-records: ``score_weights(solution)`` gives the same array each time.
+Score weights and component scores are computed from a solution on each call.
 """
 
 from __future__ import annotations

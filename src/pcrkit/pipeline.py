@@ -21,6 +21,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -117,6 +118,11 @@ class Report:
     def mode(self) -> str | None:
         """The mode of the run's config: ``matrix``, ``table`` or ``None``."""
         return self.config.mode
+
+    @property
+    def weights(self) -> SimpleNamespace:
+        """``score_weights(solution)`` as ``.weights``; only bench/test_bench.py reads it."""
+        return SimpleNamespace(weights=score_weights(self.solution))
 
 
 def load_table(path) -> TimeSeriesTable:
@@ -455,7 +461,9 @@ def _sections(report: Report):
             _Table("name", rc, solution.names, score_weights(solution))
         ]
         if report.scores is not None and years is not None:
-            yield "component scores", "scores", [_Table("year", rc, years, report.scores)]
+            yield "component scores", "scores", [
+                _Table("year", rc, years, report.scores)
+            ]
     if report.pcr is not None:
         yield "pcr", "pcr", _fit_lines(report.pcr)
     if report.prices is not None:

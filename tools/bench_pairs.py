@@ -12,69 +12,39 @@ run at a time; the parent runs first in even pairs and the change in odd
 ones.  Each run's last output line is its JSON result, and a run that is
 not ``correct`` stops the tool.
 
-Two states make a comparison meaningless, and the tool refuses them:
+Two states would make a comparison meaningless:
 
-- Bytecode.  Before the first pair it checks, for the running
-  interpreter, whether each checkout's ``src/pcrkit/*.py`` has current
-  bytecode.  A CLI op compiles every module that has none, ~15 ms of a
-  ~145 ms ``fig3-cli`` op, so the tool stops unless both checkouts have
-  it for every module or both for none.  It checks once: with
-  ``PYTHONDONTWRITEBYTECODE`` unset, the first run in a checkout without
-  bytecode writes it, and the later pairs run with it.
-- Short runs.  Each run's details line (its second to last) gives its
-  sample count.  ``op_ms_tail`` is the sample with ten above it, which
-  lies under the median below 21 samples, so when any run had fewer the
-  tool prints ``op_ms_tail`` as not comparable instead of a verdict.
+- Bytecode.  A CLI op compiles every pcrkit module that has no current
+  bytecode, ~15 ms of a ~145 ms ``fig3-cli`` op.  So before the first
+  pair the tool compiles ``src`` in each checkout with the benchmark
+  command's own interpreter (``python3 -m compileall -q src``), and both
+  sides run with current bytecode.
+- Short runs.  ``op_ms_tail`` is the sample with ten above it, which
+  lies at or under the median in a short run.  Each run's details line
+  (its second to last) gives the tail's percentile, so when any run's is
+  at most 50 the tool prints ``op_ms_tail`` as not comparable instead of
+  a verdict.
 
 For every end-to-end metric of the parent's ``BENCHMARK.json`` it prints
 each side's median and quartiles, the pairs the change won (ties count
 for neither side), and whether the medians differ by more than the
 parent's interquartile range, in the direction the metric calls better.
 A gain may be claimed only when the change wins at least nine pairs in
-ten and that last column reads ``yes``.  The tool reads what the
-benchmark prints and writes nothing.
+ten and that last column reads ``yes``.  Apart from that bytecode,
+the tool writes nothing.
 """
 
 import argparse
-import importlib.util
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-# bench/run.py reports as op_ms_tail the sample with ten samples above
-# it; from 21 samples on, that sample is at or above the median.
-TAIL_MIN_SAMPLES = 21
-
-
-def has_current_bytecode(source: Path) -> bool:
-    """Whether this interpreter would load ``source``'s cached bytecode."""
-    try:
-        header = Path(importlib.util.cache_from_source(source)).read_bytes()[:16]
-    except OSError:
-        return False
-    if len(header) < 16 or header[:4] != importlib.util.MAGIC_NUMBER:
-        return False
-    flags = int.from_bytes(header[4:8], "little")
-    if flags == 0:  # timestamp-based: the source's mtime and size
-        stat = source.stat()
-        return header[8:16] == ((int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
-                                + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
-    if not flags & 2:  # hash-based, unchecked: loaded as it is
-        return True
-    return header[8:16] == importlib.util.source_hash(source.read_bytes())
-
-
-def bytecode_state(checkout: Path) -> tuple[int, int]:
-    """How many of ``checkout``'s pcrkit modules have current bytecode, of how many."""
-    sources = sorted((checkout / "src" / "pcrkit").glob("*.py"))
-    return sum(map(has_current_bytecode, sources)), len(sources)
-
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``: its metrics, name to value, and
-    its sample count under ``samples``."""
+    its tail's percentile under ``tail_percentile``."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     argv = [*spec["command"], "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -86,7 +56,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result.get("correct"):
         sys.exit(f"error: {checkout} seed {seed} was not correct: {lines[-1]}")
     details = json.loads(lines[-2])
-    return {"samples": details["samples"],
+    return {"tail_percentile": details["tail_percentile"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -116,14 +86,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2, to give quartiles")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    states = {side: bytecode_state(path) for side, path in sides.items()}
-    if not (all(current == total for current, total in states.values())
-            or all(current == 0 for current, _ in states.values())):
-        found = " and ".join(f"the {side} ({sides[side]}) for {current} of {total}"
-                             for side, (current, total) in states.items())
-        sys.exit(f"error: current bytecode under src/pcrkit: {found} modules; "
-                 "a CLI op compiles each module without it, so give both checkouts "
-                 "bytecode for every module or for none")
+    for path in sides.values():
+        spec = json.loads((path / "BENCHMARK.json").read_text(encoding="utf-8"))
+        subprocess.run([spec["command"][0], "-m", "compileall", "-q", "src"],
+                       cwd=path, check=True)
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -136,12 +102,12 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs, {args.seconds:g} s each run")
     print(f"{'metric':<12} {'parent median [q1, q3]':<28} {'change median [q1, q3]':<28} "
           f"{'wins':<6} better by more than the parent's IQR")
-    fewest = min(r["samples"] for side in runs.values() for r in side)
+    lowest = min(r["tail_percentile"] for side in runs.values() for r in side)
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        if name == "op_ms_tail" and fewest < TAIL_MIN_SAMPLES:
-            print(f"{name:<12} not comparable: a run had {fewest} samples, and below "
-                  f"{TAIL_MIN_SAMPLES} the tail lies under the median")
+        if name == "op_ms_tail" and lowest <= 50:
+            print(f"{name:<12} not comparable: a run's tail lies at its "
+                  f"{lowest:g}th percentile, not above the median")
             continue
         print(summary(name, metric["better"], [r[name] for r in runs["parent"]],
                       [r[name] for r in runs["change"]]))
