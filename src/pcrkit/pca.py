@@ -49,9 +49,9 @@ class PcaSolution(NamedTuple):
     Everything else is a property of these fields.  Variance
     proportions are reported for both conventions: per unrotated
     component, lambda_j / p; per rotated component, the sum of squared
-    rotated loadings over p (``None`` when unrotated).  Their cumulative
-    sums over the retained components agree because rotation only
-    redistributes explained variance.
+    rotated loadings over p (``None`` when unrotated).  Their running
+    sums agree because rotation only redistributes explained variance;
+    the report derives them, and the uniquenesses 1 - ``communality``.
     """
 
     names: tuple[str, ...]
@@ -80,16 +80,8 @@ class PcaSolution(NamedTuple):
         return self.eigenvalues[: self.n_components] / self.p
 
     @property
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.proportion)
-
-    @property
     def communality(self) -> np.ndarray:
         return (self.loadings**2).sum(axis=1)
-
-    @property
-    def uniqueness(self) -> np.ndarray:
-        return 1.0 - self.communality
 
     @property
     def rotated_proportion(self) -> np.ndarray | None:

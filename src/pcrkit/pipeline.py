@@ -423,6 +423,7 @@ def _sections(report: Report):
         k = solution.n_components
         pc = tuple(f"PC{j + 1}" for j in range(k))
         rc = solution.component_names
+        rotated = solution.rotated_loadings is not None
         share = ("proportion", "cumulative")
         yield "eigenvalues", "eigenvalues", _sequence(_reprs(solution.eigenvalues))
         kaiser = kaiser_count(solution.eigenvalues) if requested == "auto" else k
@@ -433,15 +434,15 @@ def _sections(report: Report):
             _Line(None, ("kept", "", str(k))),
             *([_Line(capped, ("kaiser", "capped", str(kaiser)))] if kaiser > k else []),
         ]
-        if solution.last_sweep_angle > VARIMAX_TOL:
+        if rotated and solution.last_sweep_angle > VARIMAX_TOL:
             sweeps, angle = str(solution.rotation_sweeps), repr(solution.last_sweep_angle)
             stopped = f"varimax stopped after {sweeps} sweeps; last sweep turned {angle} rad"
             yield "rotation", "rotation", [_Line(stopped, ("stopped", sweeps, angle))]
         yield "proportion of variance", "proportion", [
             _Table("component", share, pc, np.column_stack(
-                (solution.proportion, solution.cumulative)))
+                (solution.proportion, np.cumsum(solution.proportion))))
         ]
-        if solution.rotated_proportion is not None:
+        if rotated:
             yield "rotated proportion of variance", "rotated_proportion", [
                 _Table("component", share, rc, np.column_stack(
                     (solution.rotated_proportion, np.cumsum(solution.rotated_proportion))))
@@ -449,13 +450,13 @@ def _sections(report: Report):
         yield "loadings", "loadings", [
             _Table("name", pc, solution.names, solution.loadings)
         ]
-        if solution.rotated_loadings is not None:
+        if rotated:
             yield "rotated loadings", "rotated_loadings", [
                 _Table("name", rc, solution.names, solution.rotated_loadings)
             ]
         yield "communality", "communality", [
             _Table("name", ("h2", "u2"), solution.names, np.column_stack(
-                (solution.communality, solution.uniqueness)))
+                (solution.communality, 1.0 - solution.communality)))
         ]
         yield "score weights", "score_weights", [
             _Table("name", rc, solution.names, score_weights(solution))

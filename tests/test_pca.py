@@ -90,7 +90,6 @@ class TestExtract:
         assert sol.loadings[:, 0] == pytest.approx([expected, expected], abs=1e-12)
         assert sol.proportion[0] == pytest.approx(0.9, abs=1e-12)
         assert sol.communality == pytest.approx([0.9, 0.9], abs=1e-12)
-        assert sol.uniqueness == pytest.approx([0.1, 0.1], abs=1e-12)
         assert sol.component_names == ("PC1",)
 
     def test_kaiser_auto_retention(self):
@@ -115,23 +114,15 @@ class TestExtract:
         col_ss = (sol.loadings**2).sum(axis=0)
         assert col_ss == pytest.approx(sol.eigenvalues[:3], abs=1e-10)
 
-    def test_communality_plus_uniqueness_is_one(self):
-        r = correlation_matrix(random_z(2))
-        sol = extract(r, 2)
-        assert sol.communality + sol.uniqueness == pytest.approx(
-            np.ones(len(r.names)), abs=1e-12
-        )
-
     def test_full_rank_reconstructs_correlation(self):
         r = correlation_matrix(random_z(3))
         sol = extract(r, len(r.names))
         rebuilt = sol.loadings @ sol.loadings.T
         assert np.abs(rebuilt - r.values).max() <= 1e-10
 
-    def test_proportions_cumulative(self):
+    def test_proportions_descend(self):
         r = correlation_matrix(random_z(4))
         sol = extract(r, 3)
-        assert sol.cumulative == pytest.approx(np.cumsum(sol.proportion), abs=1e-15)
         assert np.all(sol.proportion[:-1] >= sol.proportion[1:] - 1e-15)
 
     def test_component_count_follows_replaced_loadings(self):

@@ -398,6 +398,21 @@ class TestStageErrors:
         # Partial products survive on the attached report.
         assert excinfo.value.report.names == ("IY", "GVA")
 
+    @pytest.mark.xfail(strict=True, reason="standardize tests sd == 0.0 exactly")
+    def test_column_constant_up_to_rounding_fails_preprocess(self, tmp_path):
+        # T's increments are 0.1 up to the rounding of levels near 100:
+        # two distinct values with sd 7.2e-15.  That is no variance.
+        rng = np.random.default_rng(1)
+        walks = [np.cumsum(rng.standard_normal(12)) for _ in range(3)]
+        values = np.column_stack([*walks, 100 + 0.1 * np.arange(12)])
+        table = TimeSeriesTable(np.arange(2000, 2012), ("IY", "A", "B", "T"), values)
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "t.csv")))
+        assert excinfo.value.stage == "preprocess"
+        assert str(excinfo.value.__cause__) == (
+            "column 'T' has zero variance and cannot be standardized"
+        )
+
     def test_pca_stage(self, tmp_path):
         table = planted_panel_table(9)
         path = write_table(table, tmp_path / "t.csv")
@@ -489,6 +504,32 @@ class TestRendering:
     def test_grid_equal_to_its_transpose_only_up_to_signed_zeros_prints_each_cell(self):
         grid = pipeline._Table("name", ("a", "b"), ("a", "b"), np.array([[1.0, 0.0], [-0.0, 1.0]]))
         assert [cells for _, cells in grid.rows()] == [["1.0", "0.0"], ["-0.0", "1.0"]]
+
+    @pytest.mark.parametrize("components", ["auto", 3])
+    def test_running_shares_and_uniquenesses_follow_the_printed_columns(self, components):
+        report = run_pipeline(RunConfig(input_path=PANEL9, components=components))
+        text = render_report_text(report)
+
+        def grid(title):
+            rows = text.split(f"\n[{title}]\n")[1].split("\n\n")[0].splitlines()[1:]
+            return np.array([[float(v) for v in row.rsplit(" ", 2)[1:]] for row in rows])
+
+        for title in ("proportion of variance", "rotated proportion of variance"):
+            shares = grid(title)
+            assert len(shares) == report.solution.n_components
+            assert np.array_equal(shares[:, 1], np.cumsum(shares[:, 0]))
+        h2u2 = grid("communality")
+        assert len(h2u2) == report.solution.p
+        assert np.array_equal(h2u2[:, 1], 1.0 - h2u2[:, 0])
+
+    def test_unrotated_solution_prints_no_rotation_section(self):
+        # unsettled.csv stops varimax at its cap; with the rotation
+        # stripped, nothing is left for [rotation] to describe.
+        report = run_pipeline(RunConfig(input_path=PANEL9.with_name("unsettled.csv")))
+        assert "\n[rotation]\n" in render_report_text(report)
+        report.solution = report.solution._replace(rotated_loadings=None, rotation=None)
+        assert "\n[rotation]\n" not in render_report_text(report)
+        assert "\nrotation,stopped," not in render_report_delim(report)
 
     def test_failure_section_rendered(self, tmp_path):
         try:

@@ -556,6 +556,31 @@ class TestVif:
                 expected = least_squares_vif(z, j, drop=("S",))
                 assert out[name] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            1.0, 1e3, 1e6,
+            *(
+                pytest.param(m, marks=pytest.mark.xfail(
+                    strict=True, reason="VIF_RCOND does not know the rounding of the levels"))
+                for m in (1e7, 1e8, 1e9, 1e10, 1e11, 1e12)
+            ),
+        ],
+    )
+    def test_shifted_copy_keeps_the_other_vifs(self, m):
+        # B is A shifted by m times A's largest step, so A and B have the
+        # same increments up to the rounding of B's levels.  A and B stay
+        # exactly collinear, and C and E keep their VIFs of m = 0.  At
+        # m >= 1e7 that rounding lifts a singular value above the cut.
+        w = np.random.default_rng(11).standard_normal((24, 4)).cumsum(axis=0)
+        a, c, e = w[:, 1], w[:, 2], w[:, 3]
+        b = a + m * np.abs(np.diff(a)).max()
+        t = make_table(np.column_stack([a, b, c, e]), names=("A", "B", "C", "E"))
+        out = vif(correlation_matrix(standardize(difference(t))))
+        assert (out["A"], out["B"]) == (float("inf"), float("inf"))
+        assert out["C"] == pytest.approx(1.011137365881278, rel=1e-9)
+        assert out["E"] == pytest.approx(1.0127912585239578, rel=1e-9)
+
     @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6])
     def test_near_collinear_matches_exact_oracle(self, delta):
         # X6 = X0 + 0.5 X1 + delta * noise over 30 years of random-walk

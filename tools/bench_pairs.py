@@ -15,10 +15,10 @@ not ``correct`` stops the tool.
 Two states would make a comparison meaningless:
 
 - Bytecode.  A CLI op compiles every pcrkit module that has no current
-  bytecode, ~15 ms of a ~145 ms ``fig3-cli`` op.  So before the first
-  pair the tool compiles ``src`` in each checkout with the benchmark
-  command's own interpreter (``python3 -m compileall -q src``), and both
-  sides run with current bytecode.
+  bytecode, ~15 ms of a ~145 ms ``fig3-cli`` op.  Both sides run as a
+  fresh checkout does, with no bytecode: before the first pair the tool
+  deletes ``src/pcrkit/__pycache__`` in each checkout, and every run
+  has ``PYTHONDONTWRITEBYTECODE=1`` so that none is written.
 - Short runs.  ``op_ms_tail`` is the sample with ten above it, which
   lies at or under the median in a short run.  Each run's details line
   (its second to last) gives the tail's percentile, so when any run's is
@@ -30,12 +30,14 @@ each side's median and quartiles, the pairs the change won (ties count
 for neither side), and whether the medians differ by more than the
 parent's interquartile range, in the direction the metric calls better.
 A gain may be claimed only when the change wins at least nine pairs in
-ten and that last column reads ``yes``.  Apart from that bytecode,
-the tool writes nothing.
+ten and that last column reads ``yes``.  Apart from deleting that
+bytecode, the tool writes nothing.
 """
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,7 +50,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     argv = [*spec["command"], "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {checkout} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
@@ -87,9 +90,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for path in sides.values():
-        spec = json.loads((path / "BENCHMARK.json").read_text(encoding="utf-8"))
-        subprocess.run([spec["command"][0], "-m", "compileall", "-q", "src"],
-                       cwd=path, check=True)
+        shutil.rmtree(path / "src" / "pcrkit" / "__pycache__", ignore_errors=True)
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
