@@ -2,33 +2,36 @@
 
 The fixture ships as a printed two-decimal correlation table between a
 housing price index (IY) and eight economic indicators.  Rounding made
-the printed matrix slightly indefinite, so ``load_fixture`` repairs it
-by flooring the eigenvalues; the repair moves no entry by more than
-0.005, which keeps every value equal to the printed one at two
-decimals.  Everything downstream runs on the repaired matrix.
+the printed matrix (``published_correlations()``) slightly indefinite,
+so ``load_fixture`` returns it repaired by flooring the eigenvalues;
+the repair moves no entry by more than 0.005, which keeps every value
+equal to the printed one at two decimals.  Everything downstream runs
+on the repaired matrix.
 """
 
 import numpy as np
 
 from pcrkit import extract, load_fixture, rotate_varimax, score_weights
+from pcrkit.fixtures import published_correlations
 from pcrkit.pca import VARIMAX_TOL
 
 np.set_printoptions(precision=4, suppress=True)
 
 fixture = "fig3"
-fx = load_fixture(fixture)
-print(f"fixture: {fixture}, variables: {', '.join(fx.matrix.names)}")
+matrix, printed = load_fixture(fixture), published_correlations()
+print(f"fixture: {fixture}, variables: {', '.join(matrix.names)}")
 print(f"printed matrix smallest eigenvalue: "
-      f"{np.linalg.eigvalsh(fx.printed)[0]: .6f}  (indefinite)")
+      f"{np.linalg.eigvalsh(printed)[0]: .6f}  (indefinite)")
 print(f"repaired smallest eigenvalue:       "
-      f"{fx.matrix.eigen.eigenvalues[-1]: .2e}")
-print(f"largest repair adjustment:          {fx.max_adjustment:.6f} < 0.005")
+      f"{matrix.eigen.eigenvalues[-1]: .2e}")
+shift = np.abs(matrix.values - printed).max()
+print(f"largest repair adjustment:          {shift:.6f} < 0.005")
 print()
 
 # The response row is diagnostic only; components come from the 8x8
 # predictor block.
-predictors = tuple(n for n in fx.matrix.names if n != "IY")
-sub = fx.matrix.submatrix(predictors)
+predictors = tuple(n for n in matrix.names if n != "IY")
+sub = matrix.submatrix(predictors)
 
 sol = extract(sub, "auto")
 print(f"Kaiser retention keeps {sol.n_components} components "

@@ -18,8 +18,6 @@ exact form, which satisfies every invariant a computed one does.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import TableFormatError
@@ -77,35 +75,20 @@ def nearest_valid_correlation(values) -> np.ndarray:
     return rebuilt / np.outer(scale, scale)
 
 
-class FixtureData(NamedTuple):
-    """A bundled correlation table plus its repaired, validated matrix."""
-
-    printed: np.ndarray
-    matrix: CorrelationMatrix
-
-    @property
-    def max_adjustment(self) -> float:
-        """The largest entry change the validity repair made."""
-        return float(np.abs(self.matrix.values - self.printed).max())
-
-
 FIXTURE_NAMES = ("fig3",)
 
 
-def load_fixture(name: str) -> FixtureData:
-    """Load a bundled fixture by name.
+def load_fixture(name: str) -> CorrelationMatrix:
+    """Load a bundled fixture by name, repaired and validated.
 
     ``fig3`` is the nine-indicator table documented in the module
-    docstring.  Unknown names raise :class:`TableFormatError` listing
-    what is available.
+    docstring; ``published_correlations()`` is its printed form.
+    Unknown names raise :class:`TableFormatError` listing what is
+    available.
     """
     if name not in FIXTURE_NAMES:
         raise TableFormatError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
-    printed = published_correlations()
-    repaired = nearest_valid_correlation(printed)
-    return FixtureData(
-        printed=printed,
-        matrix=CorrelationMatrix(names=INDICATOR_NAMES, values=repaired),
-    )
+    repaired = nearest_valid_correlation(published_correlations())
+    return CorrelationMatrix(INDICATOR_NAMES, repaired)

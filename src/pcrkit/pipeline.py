@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PcrError, StageError, TableFormatError
-from .fixtures import load_fixture
+from .fixtures import load_fixture, published_correlations
 from .pca import (
     VARIMAX_TOL,
     PcaSolution,
@@ -103,7 +103,6 @@ class Report:
     config: RunConfig = field(default_factory=RunConfig)
     names: tuple[str, ...] = ()
     increments: TimeSeriesTable | None = None
-    fixture_adjustment: float | None = None
     correlation: CorrelationMatrix | None = None
     vif: dict[str, float] | None = None
     baseline: OlsFit | None = None
@@ -244,8 +243,8 @@ def run_pipeline(config: RunConfig) -> Report:
     try:
         config.validate()
         if report.mode == "matrix":
-            fixture = load_fixture(config.fixture)
-            names = fixture.matrix.names
+            correlation = load_fixture(config.fixture)
+            names = correlation.names
         else:
             table = load_table(config.input_path)
             names = table.names
@@ -259,10 +258,7 @@ def run_pipeline(config: RunConfig) -> Report:
             )
         report.names = names
 
-        if report.mode == "matrix":
-            report.fixture_adjustment = fixture.max_adjustment
-            correlation = fixture.matrix
-        else:
+        if report.mode == "table":
             stage = "preprocess"
             diffed = difference(table, config.diff)
             correlation = correlation_matrix(standardize(diffed))
@@ -397,8 +393,8 @@ def _sections(report: Report):
     if report.increments is not None:
         years = [str(y) for y in report.increments.years.tolist()]
         yield "years", "years", _sequence(years)
-    if report.fixture_adjustment is not None:
-        shift = repr(float(report.fixture_adjustment))
+    if mode == "matrix" and report.correlation is not None:
+        shift = repr(float(np.abs(report.correlation.values - published_correlations()).max()))
         yield "fixture adjustment", "fixture_adjustment", [
             _Line(f"max entry change after validity repair: {shift}", ("", "", shift))
         ]

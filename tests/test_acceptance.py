@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pcrkit.errors import RankDeficiencyError
-from pcrkit.fixtures import load_fixture
+from pcrkit.fixtures import load_fixture, published_correlations
 from pcrkit.linalg import eigen_symmetric
 from pcrkit.pca import (
     component_scores,
@@ -51,13 +51,13 @@ def run_criterion(number: int, label: str, budget: float, body) -> None:
 
 
 def fixture_predictor_solution(rotate=True):
-    fx = load_fixture("fig3")
-    predictors = tuple(n for n in fx.matrix.names if n != "IY")
-    sub = fx.matrix.submatrix(predictors)
+    fig3 = load_fixture("fig3")
+    predictors = tuple(n for n in fig3.names if n != "IY")
+    sub = fig3.submatrix(predictors)
     sol = extract(sub, "auto")
     if rotate:
         sol = rotate_varimax(sol)
-    return fx, sub, sol
+    return fig3, sub, sol
 
 
 def pcr_fit_for(x, y, k):
@@ -72,14 +72,14 @@ def pcr_fit_for(x, y, k):
 
 def test_01_fixture_integrity():
     def body():
-        fx = load_fixture("fig3")
-        assert fx.printed.shape == (9, 9)
-        assert np.array_equal(np.round(fx.matrix.values, 2), fx.printed)
-        values = fx.matrix.values
+        fig3, printed = load_fixture("fig3"), published_correlations()
+        assert printed.shape == (9, 9)
+        assert np.array_equal(np.round(fig3.values, 2), printed)
+        values = fig3.values
         assert np.array_equal(values, values.T)
         assert np.array_equal(np.diagonal(values), np.ones(9))
         assert np.abs(values).max() <= 1.0
-        assert float(fx.matrix.eigen.eigenvalues[-1]) >= -1e-8
+        assert float(fig3.eigen.eigenvalues[-1]) >= -1e-8
 
     run_criterion(1, "embedded fixture matches the printed table and is valid", 0.1, body)
 

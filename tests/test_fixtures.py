@@ -36,29 +36,26 @@ class TestPublishedTable:
 
 class TestRepair:
     def test_repaired_equals_printed_at_two_decimals(self):
-        fx = load_fixture("fig3")
-        assert np.array_equal(np.round(fx.matrix.values, 2), fx.printed)
+        fig3 = load_fixture("fig3")
+        assert np.array_equal(np.round(fig3.values, 2), published_correlations())
 
     def test_repaired_is_positive_definite(self):
-        fx = load_fixture("fig3")
-        assert fx.matrix.eigen.eigenvalues[-1] > 0.0
+        assert load_fixture("fig3").eigen.eigenvalues[-1] > 0.0
 
     def test_adjustment_is_small_and_recorded(self):
-        fx = load_fixture("fig3")
-        assert 0.0 < fx.max_adjustment < 0.005
-        assert fx.max_adjustment == pytest.approx(0.00428, abs=5e-5)
+        shift = np.abs(load_fixture("fig3").values - published_correlations()).max()
+        assert 0.0 < shift < 0.005
+        assert shift == pytest.approx(0.00428, abs=5e-5)
 
     def test_diagonal_exactly_one(self):
-        fx = load_fixture("fig3")
-        assert np.array_equal(np.diagonal(fx.matrix.values), np.ones(9))
+        assert np.array_equal(np.diagonal(load_fixture("fig3").values), np.ones(9))
 
     def test_repair_leaves_valid_matrix_unchanged(self):
         good = np.array([[1.0, 0.3], [0.3, 1.0]])
         assert np.abs(nearest_valid_correlation(good) - good).max() <= 1e-12
 
     def test_names_in_published_order(self):
-        fx = load_fixture("fig3")
-        assert fx.matrix.names == INDICATOR_NAMES
+        assert load_fixture("fig3").names == INDICATOR_NAMES
         assert INDICATOR_NAMES[0] == "IY"
 
 
@@ -73,4 +70,4 @@ class TestRegistry:
     def test_load_is_deterministic(self):
         a = load_fixture("fig3")
         b = load_fixture("fig3")
-        assert np.array_equal(a.matrix.values, b.matrix.values)
+        assert np.array_equal(a.values, b.values)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcrkit.errors import PcrError, RankDeficiencyError
-from pcrkit.linalg import EigenDecomposition, eigen_symmetric
+from pcrkit.linalg import eigen_symmetric
 from pcrkit.regression import fit_ols
 
 

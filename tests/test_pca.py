@@ -128,7 +128,7 @@ class TestExtract:
     def test_component_count_follows_replaced_loadings(self):
         # A record made with ``_replace`` keeps no stale copy of the count:
         # its names, shares and weights follow the loadings it holds.
-        fig3 = load_fixture("fig3").matrix
+        fig3 = load_fixture("fig3")
         sol = extract(fig3.submatrix(tuple(n for n in fig3.names if n != "IY")))
         assert sol.n_components == 2
         one = sol._replace(loadings=sol.loadings[:, :1])
@@ -309,8 +309,8 @@ class TestScoreWeights:
 
     @pytest.mark.parametrize("rotate", [False, True])
     def test_closed_form_equals_solve(self, rotate):
-        fx = load_fixture("fig3")
-        matrices = [fx.matrix.submatrix(fx.matrix.names[1:])]
+        fig3 = load_fixture("fig3")
+        matrices = [fig3.submatrix(fig3.names[1:])]
         matrices += [correlation_matrix(random_z(seed, p=6)) for seed in range(20)]
         for r in matrices:
             for k in range(1, len(r.names) + 1):

@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcrkit
-from pcrkit import cli, linalg, pca, pipeline
+from pcrkit import cli, fixtures, linalg, pca, pipeline
 from pcrkit.errors import PcrError, StageError, TableFormatError
-from pcrkit.fixtures import INDICATOR_NAMES, FixtureData
+from pcrkit.fixtures import INDICATOR_NAMES, load_fixture, published_correlations
 from pcrkit.pca import PcaSolution, score_weights
 from pcrkit.pipeline import (
     RunConfig,
@@ -27,7 +27,7 @@ from pcrkit.pipeline import (
     run_pipeline,
     write_table,
 )
-from pcrkit.preprocess import TimeSeriesTable
+from pcrkit.preprocess import CorrelationMatrix, TimeSeriesTable
 from test_metamorphic import short_wide_panel, well_formed_tables
 from test_pca import tucker_congruence
 
@@ -222,8 +222,11 @@ class TestMatrixMode:
         assert report.solution.names == tuple(
             n for n in INDICATOR_NAMES if n != "IY"
         )
-        assert report.fixture_adjustment is not None
-        assert report.correlation is not None
+        # The correlation is the repaired fixture; the report derives
+        # the repair shift from it and the printed table.
+        assert np.array_equal(report.correlation.values, load_fixture("fig3").values)
+        shift = repr(float(np.abs(report.correlation.values - published_correlations()).max()))
+        assert f"max entry change after validity repair: {shift}\n" in render_report_text(report)
         assert report.solution is not None
         assert report.solution.n_components == 2
         assert score_weights(report.solution).shape == (8, 2)
@@ -259,7 +262,8 @@ class TestMatrixMode:
         assert excinfo.value.exit_code == 2
         # The response is checked before the report takes anything from the fixture.
         assert excinfo.value.report.names == ()
-        assert excinfo.value.report.fixture_adjustment is None
+        assert excinfo.value.report.correlation is None
+        assert "[fixture adjustment]" not in render_report_text(excinfo.value.report)
 
 
 class TestTableMode:
@@ -1109,6 +1113,35 @@ class TestCli:
         assert "[failure]" in text
         assert "stage: pca" in text
 
+    @pytest.mark.parametrize(
+        "args, code, shown",
+        [(["--components", "9"], 4, True), (["--response", "NOPE"], 2, False)],
+        ids=["pca", "input"],
+    )
+    def test_partial_fixture_report_derives_the_repair_shift(
+        self, tmp_path, capsys, args, code, shown
+    ):
+        # A run that fails at pca holds the repaired matrix, so its files
+        # carry the successful run's shift; one that fails at input does not.
+        full = run_pipeline(RunConfig(fixture="fig3"))
+        (row,) = [r for r in render_report_delim(full).splitlines() if r.startswith("fixture_")]
+        shift = row.rpartition(",")[2]
+        section = f"[fixture adjustment]\nmax entry change after validity repair: {shift}\n"
+        assert row == f"fixture_adjustment,,,{shift}"
+        assert section in render_report_text(full)
+        for format, name, key, wanted in (
+            ("text", "report.txt", "[fixture adjustment]", section),
+            ("delim", "report.csv", "fixture_adjustment", f"\n{row}\n"),
+        ):
+            out = tmp_path / format
+            argv = ["--fixture", "fig3", *args, "--format", format, "--out", str(out)]
+            assert cli.main(argv) == code
+            written = (out / name).read_text()
+            assert "failure" in written
+            assert (wanted in written) is shown
+            assert (key in written) is shown
+        capsys.readouterr()
+
     def test_partial_report_onto_a_file_is_skipped(self, tmp_path, capsys):
         # The partial report cannot be written under a regular file; the
         # stage's own error is the only one printed and the file is kept.
@@ -1176,19 +1209,22 @@ class TestCli:
         assert done.stdout.strip() == repr(staged)
 
     def test_records_keep_only_what_they_computed(self):
-        # Shares of variance, communalities, the component count (the
-        # width of the loadings) and the fixture's repair shift are
-        # properties of these fields.  The score weights are a function
-        # of the solution, so the report does not keep them, and the
-        # fixture's name is the caller's argument, so it does not either.
+        # Shares of variance, communalities and the component count (the
+        # width of the loadings) are properties of these fields.  The
+        # score weights are a function of the solution, so the report does
+        # not keep them, and the fixture's name is the caller's argument,
+        # so it does not either.  A fixture is its repaired matrix; the
+        # printed table is ``published_correlations()``, so the report
+        # derives the repair shift from the two.
         assert len(PcaSolution._fields) == 7
         assert PcaSolution._fields == (
             "names", "eigenvalues", "loadings",
             "rotated_loadings", "rotation", "rotation_sweeps", "last_sweep_angle",
         )
-        assert len(FixtureData._fields) == 2
-        assert FixtureData._fields == ("printed", "matrix")
-        assert "weights" not in {f.name for f in dataclasses.fields(pipeline.Report)}
+        assert type(load_fixture("fig3")) is CorrelationMatrix
+        assert not hasattr(fixtures, "FixtureData")
+        report_fields = {f.name for f in dataclasses.fields(pipeline.Report)}
+        assert not report_fields & {"weights", "fixture_adjustment"}
         assert not hasattr(pca, "ScoreWeights")
 
     @pytest.mark.parametrize(

@@ -411,7 +411,7 @@ class TestCorrelation:
                 ("a", "b", "c"), [[1.0, 0.0, 0.3], [-0.0, 1.0, -0.0], [0.3, 0.0, 1.0]]
             ),
             lambda: correlation_matrix(standardize(random_walk_table(12, n_vars=6))),
-            lambda: load_fixture("fig3").matrix,
+            lambda: load_fixture("fig3"),
         ],
         ids=["signed-zeros", "data", "fig3"],
     )
