@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=REPORT_FORMATS,
         default="text",
-        help="report layout, in files and on stdout (default: %(default)s)",
+        help="report layout, in the report file and on stdout (default: %(default)s)",
     )
     return parser
 

@@ -537,31 +537,25 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _scatter_parts(table: TimeSeriesTable, format: str) -> Iterator[str]:
-    """The scatter file of ``table`` in ``format``, one piece per pair.
+def _scatter_parts(table: TimeSeriesTable) -> Iterator[str]:
+    """The scatter file of ``table`` as CSV, one piece per pair.
 
-    Both layouts write one ``year x y`` row per increment and pair; text
-    separates with spaces and heads each pair with its names, CSV
-    separates with commas and leads each row with the quoted names.
-    Each column is formatted once and its x cells and y cells are built
-    once, so the p+1 columns that all pairs share cost O(p*n)
-    formatting, not O(p^2*n).  Each pair's rows are one join over a list
-    that slice assignment fills with those cells, so no row becomes a
-    string of its own.
+    One ``x_name,y_name,year,x,y`` row per increment and pair, led by
+    the quoted names.  Each column is formatted once and its x cells and
+    y cells are built once, so the p+1 columns that all pairs share cost
+    O(p*n) formatting, not O(p^2*n).  Each pair's rows are one join over
+    a list that slice assignment fills with those cells, so no row
+    becomes a string of its own.
     """
-    text = format == "text"
-    sep = " " if text else ","
     names, n = table.names, table.n_years
     quoted = [_csv_field(name) for name in names]
     years = [str(y) for y in table.years.tolist()]
     columns = [[repr(v) for v in column] for column in table.values.T.tolist()]
-    xs = [[f"{year}{sep}{x}{sep}" for year, x in zip(years, column)] for column in columns]
+    xs = [[f"{year},{x}," for year, x in zip(years, column)] for column in columns]
     ys = [[f"{y}\n" for y in column] for column in columns]
-    yield "scatter pairs\n=============\n" if text else "x_name,y_name,year,x,y\n"
+    yield "x_name,y_name,year,x,y\n"
     for i, j in scatter_pairs(names):
-        if text:
-            yield f"\npair {names[i]} {names[j]}\nyear x y\n"
-        parts = ["" if text else f"{quoted[i]},{quoted[j]},"] * (3 * n)
+        parts = [f"{quoted[i]},{quoted[j]},"] * (3 * n)
         parts[1::3], parts[2::3] = xs[i], ys[j]
         yield "".join(parts)
 
@@ -578,13 +572,13 @@ def _write(path: Path, parts: Iterable[str]) -> Path:
 
 
 def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ...]:
-    """Write the report (and scatter pairs, when present) under ``out_dir``.
+    """Write the report, and a table run's scatter pairs, under ``out_dir``.
 
-    ``text`` produces ``report.txt`` / ``scatter_pairs.txt``; ``delim``
-    produces ``report.csv`` / ``scatter_pairs.csv``.  Matrix-only runs
-    have no observations, so no scatter file is written.  The scatter
-    file is written pair by pair and never held whole in memory.
-    Returns the paths written; any filesystem problem raises a
+    ``format`` picks the report alone: ``report.txt`` for ``text``,
+    ``report.csv`` for ``delim``.  A table run also writes
+    ``scatter_pairs.csv``, pair by pair, never held whole in memory;
+    matrix-only runs have no observations and write none.  Returns the
+    paths written; any filesystem problem raises a
     :class:`~pcrkit.errors.PcrError` naming the path.
     """
     content = render_report(report, format)
@@ -596,6 +590,6 @@ def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ..
     suffix = "txt" if format == "text" else "csv"
     written = [_write(out / f"report.{suffix}", (content,))]
     if report.increments is not None:
-        scatter_path = out / f"scatter_pairs.{suffix}"
-        written.append(_write(scatter_path, _scatter_parts(report.increments, format)))
+        scatter_path = out / "scatter_pairs.csv"
+        written.append(_write(scatter_path, _scatter_parts(report.increments)))
     return tuple(written)

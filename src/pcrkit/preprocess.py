@@ -272,9 +272,11 @@ class CorrelationMatrix:
         """Spectrum; with ``data``, from Z = U S V^T: eigenvalues s_i^2 / (n - 1), eigenvectors V.
 
         Working on Z keeps R's condition number from being squared.
-        With fewer rows than columns, exact zeros pad the spectrum to p
-        and the full V completes the basis.  The s_i^2 are scaled to sum
-        to p rather than divided by n - 1: the two agree in exact
+        The n centred rows of Z have rank at most n - 1, so s_n, where
+        there is one, is rounding residue and its eigenvalue is 0.  With
+        fewer rows than columns, exact zeros pad the spectrum to p and
+        the full V completes the basis.  The s_i^2 are scaled to sum to
+        p rather than divided by n - 1: the two agree in exact
         arithmetic, where every column's squared norm is n - 1, but only
         the scaled form sums to the trace of R's pinned unit diagonal
         and gives a lone variable exactly 1.
@@ -284,6 +286,7 @@ class CorrelationMatrix:
         n, p = self.data.values.shape
         _, s, vt = np.linalg.svd(self.data.values, full_matrices=n < p)
         squares = s**2
+        squares[n - 1:] = 0.0
         eigenvalues = np.zeros(p)
         eigenvalues[: s.size] = squares * p / squares.sum()
         return EigenDecomposition(*canonical_columns(eigenvalues, vt.T))

@@ -3,8 +3,8 @@
 ``golden/README.md`` says how each golden was produced.  A change that
 only rearranges code must leave the reports byte-identical; a change to
 the floating-point path must stay within the token-wise tolerance of
-:mod:`golden_compare`.  Scatter-pair files carry input values only, so
-they must match byte for byte, and so must the reports written by the
+:mod:`golden_compare`.  The scatter-pair file carries input values only,
+so it must match byte for byte, and so must the reports written by the
 current floating-point path (``EXACT_CASES``).  The files written for
 ``panel30.csv`` are pinned by their sha256 digests (``panel30.sha256``).
 """
@@ -99,16 +99,47 @@ def test_report_matches_golden_exactly(golden, args, code, tmp_path, monkeypatch
     assert report_differences(written, expected, exact=True) == []
 
 
-SCATTER_CASES = [("panel9_scatter_pairs.txt", "text"), ("panel9_scatter_pairs.csv", "delim")]
+# Goldens rewritten when the n-th eigenvalue of n centred increments became
+# an exact 0.0: the golden, that eigenvalue's index, the rounding residue it
+# printed before, and the sha256 of the file as it was then.
+RESIDUE_REWRITES = [
+    ("short_wide_report.txt", 5, "3.3786219536510032e-31",
+     "c0ae1747c111841cfbf81e7d26acb0371bd6b6fd8f7f6b35248205737ed5ec72"),
+    ("short_wide_report.csv", 5, "3.3786219536510032e-31",
+     "424a9c67c8e34dae63de2e3580d96190c69751bb3f8961dd2dd55d76792cf0a4"),
+    ("unsettled_report.txt", 14, "1.2394193060546306e-31",
+     "3feb347183b97bbfe210976b235eb5a0f148c65832405f652d524217a37d3262"),
+    ("unsettled_report.csv", 14, "1.2394193060546306e-31",
+     "11835da9a5803c0a80f4234385747a3402d7d5d8d764f9071f4982f434eff3ce"),
+]
 
 
-@pytest.mark.parametrize("golden, format", SCATTER_CASES, ids=[c[0] for c in SCATTER_CASES])
-def test_scatter_pairs_match_golden_exactly(golden, format, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "golden, k, residue, digest", RESIDUE_REWRITES, ids=[c[0] for c in RESIDUE_REWRITES]
+)
+def test_residue_rewrite_moved_one_token(golden, k, residue, digest):
+    # Putting the residue back in place of the 0.0 gives the old file.
+    lines = (GOLDEN / golden).read_bytes().decode("utf-8").split("\n")
+    if golden.endswith(".txt"):
+        i = lines.index("[eigenvalues]") + 1
+        tokens = lines[i].split(" ")
+        assert tokens[k - 1] == "0.0"
+        tokens[k - 1] = residue
+        lines[i] = " ".join(tokens)
+    else:
+        i = lines.index(f"eigenvalues,{k},,0.0")
+        lines[i] = f"eigenvalues,{k},,{residue}"
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("format", ["text", "delim"])
+def test_scatter_pairs_match_golden_exactly(format, tmp_path, monkeypatch):
+    # The report's format does not reach the scatter file.
     monkeypatch.chdir(GOLDEN)
     report = run_pipeline(RunConfig(input_path="panel9.csv"))
     written = emit_report(report, tmp_path, format=format)[-1]
-    assert written.name == "scatter_pairs" + Path(golden).suffix
-    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert written.name == "scatter_pairs.csv"
+    expected = (GOLDEN / "panel9_scatter_pairs.csv").read_text(encoding="utf-8")
     assert report_differences(written.read_text(encoding="utf-8"), expected, exact=True) == []
 
 
@@ -122,8 +153,7 @@ PANEL30_DIGESTS = dict(
 @pytest.mark.parametrize("name", sorted(PANEL30_DIGESTS))
 def test_panel30_files_match_digests(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
-    format = "text" if name.endswith(".txt") else "delim"
-    assert main(["--input", "panel30.csv", "--out", str(tmp_path), "--format", format]) == 0
+    assert main(["--input", "panel30.csv", "--out", str(tmp_path), "--format", "delim"]) == 0
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == PANEL30_DIGESTS[name]
 

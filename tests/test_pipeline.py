@@ -34,16 +34,6 @@ from test_pca import tucker_congruence
 PANEL9 = Path(__file__).parent / "golden" / "panel9.csv"
 
 
-def render_scatter_text(report, out_dir):
-    """The scatter file ``emit_report`` writes in the text layout."""
-    return emit_report(report, out_dir, format="text")[-1].read_text(encoding="utf-8")
-
-
-def render_scatter_delim(report, out_dir):
-    """The scatter file ``emit_report`` writes in the CSV layout."""
-    return emit_report(report, out_dir, format="delim")[-1].read_text(encoding="utf-8")
-
-
 def planted_panel_table(seed=0, n_years=21, noise_sd=0.1, duplicate=None):
     """Planted 2-factor increments cumulated into levels.
 
@@ -611,7 +601,7 @@ def reference_report_delim(report):
     return buffer.getvalue()
 
 
-def reference_scatter(report, format):
+def reference_scatter(report):
     """The per-row scatter writer: every value formatted on its own, one
     f-string per row, names quoted as ``csv.writer`` quotes them."""
 
@@ -621,10 +611,7 @@ def reference_scatter(report, format):
         return buffer.getvalue()[: -len(",\n")]
 
     table = report.increments
-    if format == "text":
-        parts = ["scatter pairs\n============="]
-    else:
-        parts = ["x_name,y_name,year,x,y\n"]
+    parts = ["x_name,y_name,year,x,y\n"]
     for x_name, y_name in itertools.combinations(sorted(table.names), 2):
         rows = zip(
             table.years.tolist(),
@@ -632,14 +619,8 @@ def reference_scatter(report, format):
             table.column(y_name).tolist(),
             strict=True,
         )
-        if format == "text":
-            parts.append(f"\n\npair {x_name} {y_name}\nyear x y")
-            parts += (f"\n{year} {x!r} {y!r}" for year, x, y in rows)
-        else:
-            names = f"{quote(x_name)},{quote(y_name)}"
-            parts += (f"{names},{year},{x!r},{y!r}\n" for year, x, y in rows)
-    if format == "text":
-        parts.append("\n")
+        names = f"{quote(x_name)},{quote(y_name)}"
+        parts += (f"{names},{year},{x!r},{y!r}\n" for year, x, y in rows)
     return "".join(parts)
 
 
@@ -682,12 +663,10 @@ class TestWritersMatchReference:
         assert render_report_delim(report) == reference_report_delim(report)
 
     @pytest.mark.parametrize("build", REPORTS, ids=lambda build: build.__name__)
-    @pytest.mark.parametrize(
-        "format, render", [("text", render_scatter_text), ("delim", render_scatter_delim)]
-    )
-    def test_scatter(self, build, format, render, tmp_path):
+    def test_scatter(self, build, tmp_path):
         report = build(tmp_path)
-        assert render(report, tmp_path / "out") == reference_scatter(report, format)
+        written = emit_report(report, tmp_path / "out", format="delim")[-1]
+        assert written.read_text(encoding="utf-8") == reference_scatter(report)
 
     def test_write_table(self, tmp_path):
         # Names that need quoting, and values from 1e-300 to 1e300.
@@ -879,6 +858,22 @@ class TestSpectrum:
         assert len(printed) == 30 and not any(v.startswith("-") for v in printed)
         assert printed[11:] == ["0.0"] * 19
 
+    @pytest.mark.parametrize("n_years, p", [(4, 3), (6, 5), (6, 30), (12, 11), (12, 20)])
+    def test_centred_rank_bound_prints_as_zeros(self, n_years, p, tmp_path):
+        # N years give N - 1 centred increments, of rank at most N - 2, so
+        # exactly p - (N - 2) eigenvalues print as 0.0.
+        rng = np.random.default_rng(n_years * 100 + p)
+        table = TimeSeriesTable(
+            years=np.arange(2000, 2000 + n_years),
+            names=("IY",) + tuple(f"X{j:02d}" for j in range(1, p + 1)),
+            values=100.0 + np.cumsum(rng.standard_normal((n_years, p + 1)), axis=0),
+        )
+        report = run_pipeline(RunConfig(input_path=write_table(table, tmp_path / "walk.csv")))
+        text = render_report_text(report)
+        printed = text.split("[eigenvalues]\n", 1)[1].split("\n", 1)[0].split()
+        assert len(printed) == p
+        assert printed.count("0.0") == p - (n_years - 2)
+
 
 class TestCli:
     def test_fixture_run_to_files(self, tmp_path, capsys):
@@ -935,7 +930,7 @@ class TestCli:
 
     def test_short_wide_panel_names_a_count_that_fits(self, tmp_path, capsys):
         # 5 increments leave room for 3 components, while Kaiser keeps 4
-        # and 5 eigenvalues are nonzero.  The default run keeps 3 and
+        # and 4 eigenvalues are nonzero.  The default run keeps 3 and
         # says so; every explicit count above 3 fails in the pca stage
         # naming 3.
         source = str(write_table(short_wide_panel(), tmp_path / "wide.csv"))
@@ -1281,8 +1276,7 @@ class TestCli:
 
 
 class TestScatterWriter:
-    @pytest.mark.parametrize("format", ["text", "delim"])
-    def test_each_array_is_formatted_once(self, format, tmp_path, monkeypatch):
+    def test_each_array_is_formatted_once(self, tmp_path, monkeypatch):
         # One repr per increment, however many pairs share its column.
         increments = golden_panel9_report(tmp_path).increments
         calls = []
@@ -1292,5 +1286,5 @@ class TestScatterWriter:
             return repr(value)
 
         monkeypatch.setattr(pipeline, "repr", counting, raising=False)
-        "".join(pipeline._scatter_parts(increments, format))
+        "".join(pipeline._scatter_parts(increments))
         assert sorted(calls) == sorted(increments.values.ravel().tolist())

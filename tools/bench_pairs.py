@@ -30,8 +30,14 @@ each side's median and quartiles, the pairs the change won (ties count
 for neither side), and whether the medians differ by more than the
 parent's interquartile range, in the direction the metric calls better.
 A gain may be claimed only when the change wins at least nine pairs in
-ten and that last column reads ``yes``.  Apart from deleting that
-bytecode, the tool writes nothing.
+ten and that column reads ``yes``.  Then come the relative change of
+the medians, (change - parent) / parent, and a verdict against the
+metric's ``bound``, read as a fraction of the parent's median:
+``worse`` when the change is worse than the parent by more than the
+bound; otherwise ``unresolved`` when the parent's interquartile range
+is wider than the bound, unless every change run beats every parent
+run; otherwise ``ok``.  Apart from deleting that bytecode, the tool
+writes nothing.
 """
 
 import argparse
@@ -63,17 +69,40 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def summary(name: str, better: str, parent: list, change: list) -> str:
-    def stats(xs):
-        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        return med, q3 - q1, f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+def quartiles(xs: list) -> tuple[float, float, float]:
+    """The first quartile, the median and the third quartile of ``xs``."""
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
+
+def verdict(better: str, bound: float, parent: list, change: list) -> str:
+    """``worse``, ``unresolved`` or ``ok``: the change against the parent
+    for a metric whose ``better`` is ``lower`` or ``higher`` and whose
+    regression ``bound`` is a fraction of the parent's median."""
+    sign = 1 if better == "higher" else -1
+    q1, pm, q3 = quartiles(parent)
+    limit = bound * abs(pm)
+    if sign * (quartiles(change)[1] - pm) < -limit:
+        return "worse"
+    beats_every_run = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > limit and not beats_every_run:
+        return "unresolved"
+    return "ok"
+
+
+def summary(metric: dict, parent: list, change: list) -> str:
+    def cell(xs):
+        q1, med, q3 = quartiles(xs)
+        return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+
+    name, better, bound = metric["name"], metric["better"], metric["bound"]
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    (pm, iqr, pcell), (cm, _, ccell) = stats(parent), stats(change)
-    beyond = "yes" if sign * (cm - pm) > iqr else "no"
-    return (f"{name:<12} {pcell:<28} {ccell:<28} {f'{wins}/{len(parent)}':<6} "
-            f"{beyond:<4} (gap {cm - pm:+.4g}, parent IQR {iqr:.4g})")
+    (q1, pm, q3), cm = quartiles(parent), quartiles(change)[1]
+    beyond = "yes" if sign * (cm - pm) > q3 - q1 else "no"
+    return (f"{name:<12} {cell(parent):<28} {cell(change):<28} "
+            f"{f'{wins}/{len(parent)}':<6} {beyond:<6} {(cm - pm) / abs(pm):<+9.2%} "
+            f"{verdict(better, bound, parent, change):<11} "
+            f"(bound {bound:.0%}; gap {cm - pm:+.4g}, parent IQR {q3 - q1:.4g})")
 
 
 def main(argv=None) -> int:
@@ -102,7 +131,7 @@ def main(argv=None) -> int:
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     print(f"{args.workload}: {args.pairs} pairs, {args.seconds:g} s each run")
     print(f"{'metric':<12} {'parent median [q1, q3]':<28} {'change median [q1, q3]':<28} "
-          f"{'wins':<6} better by more than the parent's IQR")
+          f"{'wins':<6} {'> IQR':<6} {'change':<9} verdict")
     lowest = min(r["tail_percentile"] for side in runs.values() for r in side)
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -110,7 +139,7 @@ def main(argv=None) -> int:
             print(f"{name:<12} not comparable: a run's tail lies at its "
                   f"{lowest:g}th percentile, not above the median")
             continue
-        print(summary(name, metric["better"], [r[name] for r in runs["parent"]],
+        print(summary(metric, [r[name] for r in runs["parent"]],
                       [r[name] for r in runs["change"]]))
     return 0
 
