@@ -2,12 +2,13 @@
 
 Every failure is a :class:`PcrError` whose message names the cause: the
 offending column, year, index, shape or value is in the text, which is
-what the command line prints after the stage tag.  Only three kinds get
-a class of their own, because a caller reads something besides the
-message: :class:`TableFormatError` puts the input line in front,
-:class:`RankDeficiencyError` keeps the dependent column for callers that
-report it, and :class:`StageError` carries the pipeline stage, its exit
-code and the partial report.
+what the command line prints after the stage tag.  A defect that
+``load_table`` finds on a line of the input starts its message
+``line N: ``.  Only two kinds get a class of their own, because a caller
+reads something besides the message: :class:`RankDeficiencyError` keeps
+the dependent column, its name and pivot for callers that report it,
+and :class:`StageError` carries the pipeline stage, its exit code and
+the partial report.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ from __future__ import annotations
 
 class PcrError(Exception):
     """Base class for all toolkit errors."""
-
-
-class TableFormatError(PcrError):
-    """Structural problem in a delimited input table, at ``line`` if given."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class RankDeficiencyError(PcrError):

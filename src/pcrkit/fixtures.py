@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TableFormatError
+from .errors import PcrError
 from .linalg import eigen_symmetric
 from .preprocess import CorrelationMatrix
 
@@ -83,11 +83,10 @@ def load_fixture(name: str) -> CorrelationMatrix:
 
     ``fig3`` is the nine-indicator table documented in the module
     docstring; ``published_correlations()`` is its printed form.
-    Unknown names raise :class:`TableFormatError` listing what is
-    available.
+    Unknown names raise a :class:`PcrError` listing what is available.
     """
     if name not in FIXTURE_NAMES:
-        raise TableFormatError(
+        raise PcrError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
     repaired = nearest_valid_correlation(published_correlations())

@@ -135,8 +135,10 @@ def extract(r: CorrelationMatrix, components: int | str = "auto") -> PcaSolution
             f"{float(values[0])!r} does not exceed {KAISER_THRESHOLD}"
         )
     if not usable:
-        kept = "automatic retention kept" if components == "auto" else "cannot retain"
-        raise PcrError(f"{kept} {k} components; no component count fits")
+        raise PcrError(
+            f"no component count fits {r.data.n_years} increments: "
+            "a PCR fit on k components needs k + 2"
+        )
     if components != "auto" and k > usable:
         raise PcrError(f"component count must be in [1, {usable}], got {components!r}")
     k = min(k, usable)

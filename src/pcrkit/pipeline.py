@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PcrError, StageError, TableFormatError
+from .errors import PcrError, StageError
 from .fixtures import load_fixture, published_correlations
 from .pca import (
     VARIMAX_TOL,
@@ -133,8 +133,9 @@ def load_table(path) -> TimeSeriesTable:
     One loop reads each data row in file order: its field count, its
     cells stripped (padding that ``float()`` rejects, ``\\x1c`` to
     ``\\x1f``, is read too), a 64-bit integer year, float values.  Then
-    every value must be finite.  The first defect raises
-    :class:`TableFormatError` naming the line its record starts on.
+    every value must be finite.  The first defect raises a
+    :class:`PcrError` whose message starts ``line N: ``, N the line its
+    record starts on.
     Gaps or repeats in the years and repeated or empty names are
     rejected by :class:`TimeSeriesTable`, whose message names them.
     """
@@ -142,7 +143,7 @@ def load_table(path) -> TimeSeriesTable:
     try:
         text = path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
-        raise TableFormatError(f"cannot read {path}: {err}") from err
+        raise PcrError(f"cannot read {path}: {err}") from err
     # Untranslated line ends, as the csv module requires: a quoted CR or
     # LF stays in its cell, and CR, LF and CRLF each end a line.
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -154,33 +155,29 @@ def load_table(path) -> TimeSeriesTable:
             records.append(record)
             starts.append(reader.line_num + 1)
     except csv.Error as err:
-        raise TableFormatError(str(err), line=reader.line_num) from err
+        raise PcrError(f"line {reader.line_num}: {err}") from err
     while records and not "".join(records[-1]).strip():
         records.pop()
     if not records:
-        raise TableFormatError(f"{path} is empty")
+        raise PcrError(f"{path} is empty")
     header = [cell.strip() for cell in records[0]]
     if not header or header[0] != "year":
-        raise TableFormatError("first header column must be 'year'", line=1)
+        raise PcrError("line 1: first header column must be 'year'")
     names = tuple(header[1:])
     if not names:
-        raise TableFormatError("header has no data columns", line=1)
+        raise PcrError("line 1: header has no data columns")
     rows, lines = records[1:], starts[1:]
     if not rows:
-        raise TableFormatError(f"{path} has a header but no data rows")
+        raise PcrError(f"{path} has a header but no data rows")
     years, flat = [], []
     for record, line in zip(rows, lines):
         if len(record) != len(header):
-            raise TableFormatError(
-                f"expected {len(header)} fields, got {len(record)}", line=line
-            )
+            raise PcrError(f"line {line}: expected {len(header)} fields, got {len(record)}")
         year, *cells = map(str.strip, record)
         try:
             years.append(np.int64(int(year)))
         except (ValueError, OverflowError) as err:
-            raise TableFormatError(
-                f"year {year!r} is not a 64-bit integer", line=line
-            ) from err
+            raise PcrError(f"line {line}: year {year!r} is not a 64-bit integer") from err
         try:
             flat.extend(map(float, cells))
         except ValueError:
@@ -188,16 +185,16 @@ def load_table(path) -> TimeSeriesTable:
                 try:
                     float(cell)
                 except ValueError as err:
-                    raise TableFormatError(
-                        f"column {name!r}: {cell!r} is not a number", line=line
+                    raise PcrError(
+                        f"line {line}: column {name!r}: {cell!r} is not a number"
                     ) from err
     values = np.array(flat, dtype=np.float64).reshape(len(rows), len(names))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
-        raise TableFormatError(
-            f"column {names[j]!r}: {rows[i][j + 1].strip()!r} is not a finite number",
-            line=lines[i],
+        raise PcrError(
+            f"line {lines[i]}: column {names[j]!r}: {rows[i][j + 1].strip()!r} "
+            "is not a finite number"
         )
     return TimeSeriesTable(years=years, names=names, values=values)
 
@@ -252,7 +249,7 @@ def run_pipeline(config: RunConfig) -> Report:
             raise PcrError(f"response column {config.response!r} not among {list(names)}")
         predictors = tuple(n for n in names if n != config.response)
         if not predictors:
-            raise TableFormatError(
+            raise PcrError(
                 f"{config.input_path} has no predictor columns besides the "
                 f"response {config.response!r}"
             )

@@ -74,7 +74,7 @@ def test_errors_defines_only_the_classes_callers_use():
         name for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, Exception)
     }
-    assert classes == {"PcrError", "RankDeficiencyError", "StageError", "TableFormatError"}
+    assert classes == {"PcrError", "RankDeficiencyError", "StageError"}
 
 
 def test_every_export_has_a_user():

@@ -375,7 +375,7 @@ CASES = {
         lambda: extract(correlation_matrix(standardize(difference(
             table([[1.0, 5.0], [4.0, 9.0], [2.0, 4.0]])
         )))),
-        "automatic retention kept 1 components; no component count fits",
+        "no component count fits 2 increments: a PCR fit on k components needs k + 2",
     ),
     "scores-names": (
         lambda: component_scores(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcrkit.errors import TableFormatError
+from pcrkit.errors import PcrError
 from pcrkit.fixtures import (
     FIXTURE_NAMES,
     INDICATOR_NAMES,
@@ -64,7 +64,7 @@ class TestRegistry:
         assert FIXTURE_NAMES == ("fig3",)
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(TableFormatError, match="fig3"):
+        with pytest.raises(PcrError, match="^unknown fixture 'nope'; available: fig3$"):
             load_fixture("nope")
 
     def test_load_is_deterministic(self):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import pcrkit
 from pcrkit import cli, fixtures, linalg, pca, pipeline
-from pcrkit.errors import PcrError, StageError, TableFormatError
+from pcrkit.errors import PcrError, StageError
 from pcrkit.fixtures import INDICATOR_NAMES, load_fixture, published_correlations
 from pcrkit.pca import PcaSolution, score_weights
 from pcrkit.pipeline import (
@@ -87,43 +88,46 @@ class TestLoadTable:
         assert np.array_equal(again.values, table.values)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TableFormatError, match="cannot read"):
-            load_table(tmp_path / "absent.csv")
+        p = tmp_path / "absent.csv"
+        message = f"cannot read {p}: [Errno 2] No such file or directory: {str(p)!r}"
+        with pytest.raises(PcrError, match=f"^{re.escape(message)}$"):
+            load_table(p)
 
     def test_header_must_start_with_year(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("date,IY\n2000,1\n2001,2\n")
-        with pytest.raises(TableFormatError, match="year"):
+        with pytest.raises(PcrError, match="^line 1: first header column must be 'year'$"):
             load_table(p)
 
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("year,IY,GVA\n2000,1,2\n2001,3\n")
-        with pytest.raises(TableFormatError, match="line 3"):
+        with pytest.raises(PcrError, match="^line 3: expected 3 fields, got 2$"):
             load_table(p)
 
     def test_non_numeric_cell_reports_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("year,IY,GVA\n2000,1,2\n2001,x,4\n")
-        with pytest.raises(TableFormatError, match="IY"):
+        with pytest.raises(PcrError, match="^line 3: column 'IY': 'x' is not a number$"):
             load_table(p)
 
     def test_non_integer_year_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("year,IY\n2000.5,1\n")
-        with pytest.raises(TableFormatError, match="integer"):
+        with pytest.raises(PcrError, match=r"^line 2: year '2000\.5' is not a 64-bit integer$"):
             load_table(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("")
-        with pytest.raises(TableFormatError, match="empty"):
+        with pytest.raises(PcrError, match=f"^{re.escape(str(p))} is empty$"):
             load_table(p)
 
     def test_header_only(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("year,IY\n")
-        with pytest.raises(TableFormatError, match="no data rows"):
+        message = f"^{re.escape(str(p))} has a header but no data rows$"
+        with pytest.raises(PcrError, match=message):
             load_table(p)
 
     def test_gap_years_rejected(self, tmp_path):
@@ -735,7 +739,7 @@ class TestCsvDialect:
         lines[6] = b",".join([cells[0], b"x", *cells[2:]])
         copy = tmp_path / "panel9.csv"
         copy.write_bytes(end.join(lines))
-        with pytest.raises(TableFormatError) as excinfo:
+        with pytest.raises(PcrError) as excinfo:
             load_table(copy)
         assert str(excinfo.value) == "line 7: column 'IY': 'x' is not a number"
 
@@ -1007,6 +1011,44 @@ class TestCli:
         p.write_text("year\n2000\n2001\n")
         assert cli.main(["--input", str(p)]) == 2
         assert capsys.readouterr().err == "error: [input] line 1: header has no data columns\n"
+
+    def test_two_increments_fit_no_count_whatever_is_asked(self, tmp_path, capsys):
+        p = tmp_path / "three.csv"
+        p.write_text("year,IY,A,B\n2000,1,5,3\n2001,4,9,1\n2002,2,4,7\n")
+        for count in ("auto", "1", "5"):
+            assert cli.main(["--input", str(p), "--components", count]) == 4
+            assert capsys.readouterr().err == (
+                "error: [pca] no component count fits 2 increments: "
+                "a PCR fit on k components needs k + 2\n"
+            )
+
+    def test_a_ragged_row_writes_its_partial_report(self, tmp_path, capsys):
+        p = tmp_path / "ragged.csv"
+        p.write_text("year,IY,GVA\n2000,1,2\n2001,3\n")
+        expected = {
+            "report.txt": (
+                "principal-components regression report\n"
+                "======================================\n\n"
+                f"[run]\nsource: file {p}\nmode: table\nresponse: IY\n"
+                "difference: absolute\ncomponents: auto\nrotation: varimax\n"
+                "scores: regression\n\n"
+                "[failure]\nstage: input\nerror: line 3: expected 3 fields, got 2\n"
+            ),
+            "report.csv": (
+                f"section,key,field,value\nrun,source,,file {p}\nrun,mode,,table\n"
+                "run,response,,IY\nrun,difference,,absolute\nrun,components,,auto\n"
+                "run,rotation,,varimax\nrun,scores,,regression\n"
+                'failure,input,,"line 3: expected 3 fields, got 2"\n'
+            ),
+        }
+        for format, name in (("text", "report.txt"), ("delim", "report.csv")):
+            out = tmp_path / format
+            assert cli.main(["--input", str(p), "--out", str(out), "--format", format]) == 2
+            assert capsys.readouterr().err == (
+                "error: [input] line 3: expected 3 fields, got 2\n"
+            )
+            assert [f.name for f in out.iterdir()] == [name]
+            assert (out / name).read_bytes() == expected[name].encode()
 
     @pytest.mark.parametrize("header", ["year,,IY", "year,  ,IY"], ids=["empty", "blank"])
     def test_empty_column_name_is_input_error(self, tmp_path, capsys, header):
