@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +61,6 @@ def name_mismatch(wanted: Sequence[str], given: Sequence[str]) -> PcrError:
     return PcrError(f"variable names do not match: missing {missing}, extra {extra}")
 
 
-@dataclass(frozen=True, eq=False)
 class TimeSeriesTable:
     """A rectangular block of yearly observations.
 
@@ -75,13 +73,9 @@ class TimeSeriesTable:
     finite.  Numeric strings convert; complex or unreadable values raise.
     """
 
-    years: np.ndarray
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, years, names: Sequence[str], values):
         try:
-            years = np.asarray(self.years)
+            years = np.asarray(years)
             if years.dtype.kind not in "iufOUS":
                 raise PcrError(f"cannot read years of dtype {years.dtype}")
             # Only these kinds can hold a fraction, which the cast would
@@ -96,7 +90,7 @@ class TimeSeriesTable:
             years = years.astype(np.int64, copy=False)
         except (TypeError, ValueError, ArithmeticError) as err:
             raise PcrError(f"cannot read years as whole numbers: {err}") from None
-        values = as_checked_array(self.values, "table values")
+        values = as_checked_array(values, "table values")
         if values.ndim != 2:
             raise PcrError(f"table values must be 2-d, got shape {values.shape}")
         if years.ndim != 1 or years.shape[0] != values.shape[0]:
@@ -104,17 +98,16 @@ class TimeSeriesTable:
                 f"{years.shape[0] if years.ndim == 1 else '?'} years for "
                 f"{values.shape[0]} rows"
             )
-        if len(self.names) != values.shape[1]:
-            raise PcrError(f"{len(self.names)} names for {values.shape[1]} columns")
-        names = _checked_names(self.names)
+        if len(names) != values.shape[1]:
+            raise PcrError(f"{len(names)} names for {values.shape[1]} columns")
+        self.names = _checked_names(names)
         if not np.all(np.diff(years) == 1):
             gap = int(np.argmax(np.diff(years) != 1))
             raise PcrError(
                 f"years must be consecutive: {years[gap]} is followed by {years[gap + 1]}"
             )
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", names)
+        self.years = years
+        self.values = values
 
     @property
     def n_years(self) -> int:
@@ -207,7 +200,6 @@ def _finished(names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class CorrelationMatrix:
     """A validated Pearson correlation matrix with distinct, non-empty names.
 
@@ -224,9 +216,6 @@ class CorrelationMatrix:
     read, and ``eigen`` comes from one thin SVD of Z.  ``eigen`` holds
     the spectrum, computed once.
     """
-
-    names: tuple[str, ...]
-    data: TimeSeriesTable | None = field(default=None, repr=False)
 
     def __init__(self, names: Sequence[str] | None = None, values=None,
                  data: TimeSeriesTable | None = None):
@@ -249,11 +238,10 @@ class CorrelationMatrix:
             raise PcrError("correlation matrix has no variables")
         if data is None and len(names) != p:
             raise PcrError(f"{len(names)} names for a {p}-row matrix")
-        names = _checked_names(names) if data is None else data.names
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "data", data)
+        self.names = _checked_names(names) if data is None else data.names
+        self.data = data
         if data is None:
-            object.__setattr__(self, "values", _finished(names, values))
+            self.values = _finished(self.names, values)
             smallest = float(self.eigen.eigenvalues[-1])
             if smallest < -PSD_TOL:
                 raise PcrError(
