@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -41,8 +41,17 @@ VIF_SPAN_TOL = 1e-8
 VIF_MAX = 1e12
 
 
-def _checked_names(names: Sequence[str]) -> tuple[str, ...]:
-    names = tuple(names)
+def _checked_names(names, count: int, shape: str) -> tuple[str, ...]:
+    """``names`` as ``count`` distinct non-empty str for ``shape``; a str or non-iterable raises."""
+    if not isinstance(names, str):
+        try:
+            names = tuple(names)
+        except TypeError:
+            pass
+    if not isinstance(names, tuple):
+        raise PcrError(f"column names are {type(names).__name__}, not a sequence of str")
+    if len(names) != count:
+        raise PcrError(f"{len(names)} names for {shape}")
     for i, name in enumerate(names, 1):
         if not isinstance(name, str):
             raise PcrError(f"column name {i} of {len(names)} is {type(name).__name__}, not str")
@@ -64,16 +73,19 @@ def name_mismatch(wanted: Sequence[str], given: Sequence[str]) -> PcrError:
 class TimeSeriesTable:
     """A rectangular block of yearly observations.
 
-    ``values[i, j]`` is variable ``names[j]`` in year ``years[i]``.
-    Years come in an integer, float, object or numeric-text array (any
-    other dtype, bool and ``datetime64`` too, raises, named) and must be
-    consecutive whole numbers that fit a 64-bit integer: a fractional
-    year raises, never truncated, whatever holds it; a larger one
-    raises, never wraps.  Names are distinct non-empty strings, values
-    finite.  Numeric strings convert; complex or unreadable values raise.
+    ``years`` is an int64 array, ``names`` a tuple of distinct non-empty
+    str and ``values`` a finite 2-d float64 array, where ``values[i, j]``
+    is variable ``names[j]`` in year ``years[i]``.  Each is set once, by
+    ``__init__``; reassign none, as a :class:`CorrelationMatrix` of the
+    table caches its ``values`` and ``eigen`` from them.  Years come in an
+    integer, float, object or numeric-text array (any other dtype, bool
+    and ``datetime64`` too, raises, named) and must be consecutive whole
+    numbers that fit a 64-bit integer: a fractional year raises, never
+    truncated, whatever holds it; a larger one raises, never wraps.
+    Numeric strings convert; complex or unreadable values raise.
     """
 
-    def __init__(self, years, names: Sequence[str], values):
+    def __init__(self, years, names: Iterable[str], values):
         try:
             years = np.asarray(years)
             if years.dtype.kind not in "iufOUS":
@@ -98,9 +110,7 @@ class TimeSeriesTable:
                 f"{years.shape[0] if years.ndim == 1 else '?'} years for "
                 f"{values.shape[0]} rows"
             )
-        if len(names) != values.shape[1]:
-            raise PcrError(f"{len(names)} names for {values.shape[1]} columns")
-        self.names = _checked_names(names)
+        self.names = _checked_names(names, values.shape[1], f"{values.shape[1]} columns")
         if not np.all(np.diff(years) == 1):
             gap = int(np.argmax(np.diff(years) != 1))
             raise PcrError(
@@ -213,11 +223,12 @@ class CorrelationMatrix:
     ``PSD_TOL`` (1e-8).  ``data`` is a standardized table Z of at least two
     rows: the matrix is Z'Z / (n - 1), semidefinite by construction,
     computed and finished as bare values are when ``values`` is first
-    read, and ``eigen`` comes from one thin SVD of Z.  ``eigen`` holds
-    the spectrum, computed once.
+    read, and ``eigen``, the spectrum, from one thin SVD of Z.  The
+    attributes ``names`` (a tuple), ``data`` (Z or None), ``values`` and
+    ``eigen`` are each computed once and cached: reassign none of them.
     """
 
-    def __init__(self, names: Sequence[str] | None = None, values=None,
+    def __init__(self, names: Iterable[str] | None = None, values=None,
                  data: TimeSeriesTable | None = None):
         if (names is None, values is None) != (data is not None,) * 2:
             raise PcrError("a correlation matrix takes names and values, or data alone")
@@ -236,18 +247,18 @@ class CorrelationMatrix:
         p = values.shape[0] if data is None else len(data.names)
         if p == 0:
             raise PcrError("correlation matrix has no variables")
-        if data is None and len(names) != p:
-            raise PcrError(f"{len(names)} names for a {p}-row matrix")
-        self.names = _checked_names(names) if data is None else data.names
         self.data = data
-        if data is None:
-            self.values = _finished(self.names, values)
-            smallest = float(self.eigen.eigenvalues[-1])
-            if smallest < -PSD_TOL:
-                raise PcrError(
-                    f"correlation matrix is not positive definite: smallest eigenvalue "
-                    f"{smallest!r}"
-                )
+        if data is not None:
+            self.names = data.names
+            return
+        self.names = _checked_names(names, p, f"a {p}-row matrix")
+        self.values = _finished(self.names, values)
+        smallest = float(self.eigen.eigenvalues[-1])
+        if smallest < -PSD_TOL:
+            raise PcrError(
+                f"correlation matrix is not positive definite: smallest eigenvalue "
+                f"{smallest!r}"
+            )
 
     @functools.cached_property
     def values(self) -> np.ndarray:

@@ -153,6 +153,21 @@ CASES = {
         lambda: table(np.ones((3, 2)), names=(1, 2)),
         "column name 1 of 2 is int, not str",
     ),
+    # Names are read into a tuple once, before they are counted: None
+    # once escaped as a bare TypeError from len(), a generator did too,
+    # and a str was split into one-letter names.
+    "names-none": (
+        lambda: table(np.ones((3, 2)), names=None),
+        "column names are NoneType, not a sequence of str",
+    ),
+    "names-generator": (
+        lambda: table(np.ones((3, 2)), names=(n for n in (1, 2))),
+        "column name 1 of 2 is int, not str",
+    ),
+    "names-str": (
+        lambda: table(np.ones((3, 2)), names="IA"),
+        "column names are str, not a sequence of str",
+    ),
     "duplicate-names": (
         lambda: table(np.ones((3, 3)), names=("IY", "A", "A")),
         "duplicate column name 'A'",
@@ -292,6 +307,14 @@ CASES = {
     "matrix-names-not-text": (
         lambda: CorrelationMatrix(("a", 2), np.eye(2)),
         "column name 2 of 2 is int, not str",
+    ),
+    "matrix-names-str": (
+        lambda: CorrelationMatrix("ab", [[1.0, 0.5], [0.5, 1.0]]),
+        "column names are str, not a sequence of str",
+    ),
+    "matrix-names-number": (
+        lambda: CorrelationMatrix(2, np.eye(2)),
+        "column names are int, not a sequence of str",
     ),
     "matrix-duplicate-names": (
         lambda: CorrelationMatrix(("a", "a"), [[1.0, 0.5], [0.5, 1.0]]),

@@ -800,9 +800,17 @@ class TestDecompositionCount:
                 monkeypatch.setattr(module, "eigen_symmetric", counted)
         return orders
 
+    @staticmethod
+    def render_and_emit(report, out_dir):
+        """Print the report both ways and write it, as the CLI would."""
+        render_report_text(report)
+        render_report_delim(report)
+        emit_report(report, out_dir)
+
     def test_table_run_factors_the_predictors_once(self, tmp_path, monkeypatch):
         # One thin SVD of the standardized predictors gives the VIF and
-        # the component spectrum; no correlation matrix is decomposed.
+        # the component spectrum; no correlation matrix is decomposed,
+        # not even when the report prints the lazily built matrix.
         source = write_table(planted_panel_table(19), tmp_path / "t.csv")
         orders = self.count_eigen_calls(monkeypatch)
         shapes = []
@@ -814,13 +822,14 @@ class TestDecompositionCount:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         report = run_pipeline(RunConfig(input_path=source))
+        self.render_and_emit(report, tmp_path / "out")
         assert orders == []
         assert shapes == [(20, 8)]
         assert report.pcr is not None and report.vif is not None
 
-    def test_fixture_run_decomposes_three_matrices(self, monkeypatch):
+    def test_fixture_run_decomposes_three_matrices(self, tmp_path, monkeypatch):
         orders = self.count_eigen_calls(monkeypatch)
-        run_pipeline(RunConfig(fixture="fig3"))
+        self.render_and_emit(run_pipeline(RunConfig(fixture="fig3")), tmp_path)
         assert orders == [9, 9, 8]
 
 

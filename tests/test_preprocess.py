@@ -157,6 +157,11 @@ class TestTableValidation:
         with pytest.raises(PcrError, match="duplicate"):
             make_table(np.ones((3, 2)), names=("A", "A"))
 
+    def test_names_are_read_once_from_any_iterable(self):
+        t = TimeSeriesTable([2000, 2001], (n for n in ("A", "B")), np.ones((2, 2)))
+        r = CorrelationMatrix(iter(["a", "b"]), np.eye(2))
+        assert t.names == ("A", "B") and r.names == ("a", "b")
+
     def test_any_columns_standardize_and_correlate(self):
         # No column is the response: a table without IY needs no dummy one.
         t = make_table([[1.0, 2.0], [2.0, 1.0], [4.0, 5.0], [3.0, 3.0]], names=("A", "B"))
