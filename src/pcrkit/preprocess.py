@@ -222,10 +222,10 @@ class CorrelationMatrix:
     construction and rejected unless positive semidefinite up to
     ``PSD_TOL`` (1e-8).  ``data`` is a standardized table Z of at least two
     rows: the matrix is Z'Z / (n - 1), semidefinite by construction,
-    computed and finished as bare values are when ``values`` is first
-    read, and ``eigen``, the spectrum, from one thin SVD of Z.  The
-    attributes ``names`` (a tuple), ``data`` (Z or None), ``values`` and
-    ``eigen`` are each computed once and cached: reassign none of them.
+    computed and finished here as bare values are, and ``eigen``, the
+    spectrum, from one thin SVD of Z when first read.  ``names`` (a
+    tuple), ``data`` (Z or None) and ``values`` are set once and
+    ``eigen`` is cached from them: reassign none of them.
     """
 
     def __init__(self, names: Iterable[str] | None = None, values=None,
@@ -244,27 +244,22 @@ class CorrelationMatrix:
                 )
         elif data.n_years < 2:
             raise PcrError(f"correlation needs at least 2 observations, got {data.n_years}")
-        p = values.shape[0] if data is None else len(data.names)
+        else:
+            names = data.names
+            values = data.values.T @ data.values / (data.n_years - 1)
+        p = values.shape[0]
         if p == 0:
             raise PcrError("correlation matrix has no variables")
         self.data = data
-        if data is not None:
-            self.names = data.names
-            return
         self.names = _checked_names(names, p, f"a {p}-row matrix")
         self.values = _finished(self.names, values)
-        smallest = float(self.eigen.eigenvalues[-1])
-        if smallest < -PSD_TOL:
-            raise PcrError(
-                f"correlation matrix is not positive definite: smallest eigenvalue "
-                f"{smallest!r}"
-            )
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The matrix; with ``data``, Z'Z / (n - 1) finished on first read."""
-        z = self.data.values
-        return _finished(self.names, z.T @ z / (self.data.n_years - 1))
+        if data is None:
+            smallest = float(self.eigen.eigenvalues[-1])
+            if smallest < -PSD_TOL:
+                raise PcrError(
+                    f"correlation matrix is not positive definite: smallest eigenvalue "
+                    f"{smallest!r}"
+                )
 
     @functools.cached_property
     def eigen(self) -> EigenDecomposition:
@@ -311,8 +306,8 @@ def correlation_matrix(z: TimeSeriesTable) -> CorrelationMatrix:
     """Pearson correlations of the standardized columns of ``z``.
 
     With unit-variance columns the matrix is Z'Z / (n - 1), which
-    :class:`CorrelationMatrix` computes from ``z`` when it is first read
-    and finishes exactly; the spectrum comes from ``z`` too.
+    :class:`CorrelationMatrix` computes from ``z`` when it is built and
+    finishes exactly; the spectrum comes from ``z`` too.
     """
     return CorrelationMatrix(data=z)
 
