@@ -30,7 +30,7 @@ RANK_TOL = 1e-12
 
 
 def as_checked_array(a, where: str) -> np.ndarray:
-    """Return ``a`` as a float64 array, rejecting NaN and infinity.
+    """Return ``a`` as a new float64 array, rejecting NaN and infinity.
 
     This is where outside numbers are read: numeric strings convert as
     ``float()`` reads them, and complex input or an entry that cannot be
@@ -39,7 +39,7 @@ def as_checked_array(a, where: str) -> np.ndarray:
     try:
         out = np.asarray(a)
         if out.dtype.kind != "c":
-            out = np.asarray(a, dtype=np.float64)
+            out = np.array(a, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise PcrError(f"cannot read {where} as numbers: {err}") from None
     if out.dtype.kind == "c":

@@ -41,8 +41,8 @@ VIF_SPAN_TOL = 1e-8
 VIF_MAX = 1e12
 
 
-def _checked_names(names, count: int, shape: str) -> tuple[str, ...]:
-    """``names`` as ``count`` distinct non-empty str for ``shape``; a str or non-iterable raises."""
+def checked_names(names, count: int | None = None, shape: str = "") -> tuple[str, ...]:
+    """``names`` as distinct non-empty str, ``count`` of them if given; a str raises."""
     if not isinstance(names, str):
         try:
             names = tuple(names)
@@ -50,7 +50,7 @@ def _checked_names(names, count: int, shape: str) -> tuple[str, ...]:
             pass
     if not isinstance(names, tuple):
         raise PcrError(f"column names are {type(names).__name__}, not a sequence of str")
-    if len(names) != count:
+    if count is not None and len(names) != count:
         raise PcrError(f"{len(names)} names for {shape}")
     for i, name in enumerate(names, 1):
         if not isinstance(name, str):
@@ -76,13 +76,14 @@ class TimeSeriesTable:
     ``years`` is an int64 array, ``names`` a tuple of distinct non-empty
     str and ``values`` a finite 2-d float64 array, where ``values[i, j]``
     is variable ``names[j]`` in year ``years[i]``.  Each is set once, by
-    ``__init__``; reassign none, as a :class:`CorrelationMatrix` of the
-    table caches its ``values`` and ``eigen`` from them.  Years come in an
-    integer, float, object or numeric-text array (any other dtype, bool
-    and ``datetime64`` too, raises, named) and must be consecutive whole
-    numbers that fit a 64-bit integer: a fractional year raises, never
-    truncated, whatever holds it; a larger one raises, never wraps.
-    Numeric strings convert; complex or unreadable values raise.
+    ``__init__``, to the table's own copy of what it is given; reassign
+    none, as a :class:`CorrelationMatrix` of the table caches its
+    ``eigen`` from them.  Years come in an integer, float, object or
+    numeric-text array (any other dtype, bool and ``datetime64`` too,
+    raises, named) and must be consecutive whole numbers that fit a
+    64-bit integer: a fractional year raises, never truncated, whatever
+    holds it; a larger one raises, never wraps.  Numeric strings convert;
+    complex or unreadable values raise.
     """
 
     def __init__(self, years, names: Iterable[str], values):
@@ -99,7 +100,7 @@ class TimeSeriesTable:
                         raise PcrError(f"year {year!r} is not a whole number")
                     if not fits:
                         raise PcrError(f"year {year!r} is not a 64-bit integer")
-            years = years.astype(np.int64, copy=False)
+            years = years.astype(np.int64)
         except (TypeError, ValueError, ArithmeticError) as err:
             raise PcrError(f"cannot read years as whole numbers: {err}") from None
         values = as_checked_array(values, "table values")
@@ -110,7 +111,7 @@ class TimeSeriesTable:
                 f"{years.shape[0] if years.ndim == 1 else '?'} years for "
                 f"{values.shape[0]} rows"
             )
-        self.names = _checked_names(names, values.shape[1], f"{values.shape[1]} columns")
+        self.names = checked_names(names, values.shape[1], f"{values.shape[1]} columns")
         if not np.all(np.diff(years) == 1):
             gap = int(np.argmax(np.diff(years) != 1))
             raise PcrError(
@@ -251,7 +252,7 @@ class CorrelationMatrix:
         if p == 0:
             raise PcrError("correlation matrix has no variables")
         self.data = data
-        self.names = _checked_names(names, p, f"a {p}-row matrix")
+        self.names = checked_names(names, p, f"a {p}-row matrix")
         self.values = _finished(self.names, values)
         if data is None:
             smallest = float(self.eigen.eigenvalues[-1])
@@ -285,15 +286,15 @@ class CorrelationMatrix:
         eigenvalues[: s.size] = squares * p / squares.sum()
         return EigenDecomposition(*canonical_columns(eigenvalues, vt.T))
 
-    def submatrix(self, names: tuple[str, ...]) -> "CorrelationMatrix":
+    def submatrix(self, names: Iterable[str]) -> "CorrelationMatrix":
         """Principal submatrix for the given variable names, in that order.
 
         With ``data``, it is built from those columns of the data alone.
         """
+        names = checked_names(names)
         missing = [n for n in names if n not in self.names]
         if missing:
             raise name_mismatch(missing, [])
-        names = tuple(names)
         idx = [self.names.index(n) for n in names]
         if self.data is None:
             return CorrelationMatrix(names, self.values[np.ix_(idx, idx)])

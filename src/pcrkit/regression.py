@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import PcrError
 from .linalg import as_checked_array, column_exponents, solve_least_squares
+from .preprocess import checked_names
 
 # A centered response sum of squares at or below this fraction of the
 # raw sum of squares is rounding residue: the response is treated as
@@ -55,15 +56,16 @@ def fit_ols(predictors, response, names: tuple[str, ...]) -> OlsFit:
     predictors : array_like, shape (n, p)
     response : array_like, shape (n,)
     names : tuple of str
-        One name per predictor, for error messages and the fit record.
+        One distinct, non-empty name per predictor, for error messages
+        and the fit record; a str raises rather than being split.
 
     Raises
     ------
     PcrError
-        Predictors that are not two-dimensional, a response that is
-        not one value per row, a name count other than p, fewer than p + 2
-        observations (no residual degree of freedom), or a coefficient
-        too large for a float, naming its column.
+        Predictors that are not two-dimensional, a response that is not
+        one value per row, names that are not p distinct non-empty str,
+        fewer than p + 2 observations (no residual degree of freedom), or
+        a coefficient too large for a float, naming its column.
     RankDeficiencyError
         A predictor is linearly dependent on earlier ones (or constant,
         which duplicates the intercept); the error names it and gives
@@ -76,13 +78,12 @@ def fit_ols(predictors, response, names: tuple[str, ...]) -> OlsFit:
     n, p = x.shape
     if y.shape != (n,):
         raise PcrError(f"response vector: expected shape ({n},), got {y.shape}")
-    if len(names) != p:
-        raise PcrError(f"{len(names)} names for {p} predictors")
+    names = checked_names(names, p, f"{p} predictors")
     if n < p + 2:
         raise PcrError(f"ols with {p} predictors needs at least {p + 2} observations, got {n}")
     e, e_y = column_exponents(x), int(column_exponents(y))
     design = np.column_stack([np.ones(n), np.ldexp(x, -e)])
-    design_names = ("intercept",) + tuple(names)
+    design_names = ("intercept",) + names
     scaled_y = np.ldexp(y, -e_y)
     scaled_beta = solve_least_squares(design, scaled_y, names=design_names)
     shifts = e_y - np.concatenate(([0], e))
@@ -108,7 +109,7 @@ def fit_ols(predictors, response, names: tuple[str, ...]) -> OlsFit:
         r_squared = 1.0 - ss_res / ss_tot
     residual_se = float(np.ldexp(np.sqrt(ss_res / (n - p - 1)), e_y))
     return OlsFit(
-        predictor_names=tuple(names),
+        predictor_names=names,
         intercept=float(beta[0]),
         coefficients=beta[1:].copy(),
         fitted=np.ldexp(scaled_fitted, e_y),

@@ -86,6 +86,25 @@ CASES = {
         lambda: fit_ols(np.arange(4.0)[:, None], np.ones(4), names=("a", "b")),
         "2 names for 1 predictors",
     ),
+    # fit_ols reads its names as the constructors do: a str was split into
+    # letters, None escaped as a bare TypeError, and a duplicate or a
+    # number was taken as a name.
+    "design-names-str": (
+        lambda: fit_ols(np.eye(4)[:, :2], np.arange(4.0), names="ab"),
+        "column names are str, not a sequence of str",
+    ),
+    "design-names-none": (
+        lambda: fit_ols(np.eye(4)[:, :2], np.arange(4.0), names=None),
+        "column names are NoneType, not a sequence of str",
+    ),
+    "design-duplicate-names": (
+        lambda: fit_ols(np.eye(4)[:, :2], np.arange(4.0), names=("x", "x")),
+        "duplicate column name 'x'",
+    ),
+    "design-names-not-text": (
+        lambda: fit_ols(np.eye(4)[:, :2], np.arange(4.0), names=(1, 2)),
+        "column name 1 of 2 is int, not str",
+    ),
     # 2**-1029 is the exact pivot; the coefficient beyond it overflows.
     # fit_ols scales every column into [0.5, 1), where no pivot is that
     # small, so the solver is called with such a design directly.
@@ -356,6 +375,15 @@ CASES = {
     "submatrix-unknown": (
         lambda: EQUICORRELATED.submatrix(("a", "z")),
         "variable names do not match: missing ['z'], extra []",
+    ),
+    # A str was split into letters, and None escaped as a bare TypeError.
+    "submatrix-names-str": (
+        lambda: EQUICORRELATED.submatrix("ab"),
+        "column names are str, not a sequence of str",
+    ),
+    "submatrix-names-none": (
+        lambda: EQUICORRELATED.submatrix(None),
+        "column names are NoneType, not a sequence of str",
     ),
     # component extraction
     "kaiser-keeps-none": (

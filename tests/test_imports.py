@@ -1,4 +1,4 @@
-"""Every name an import binds is used in its module."""
+"""Every name an import binds is used in its module, and no private name crosses modules."""
 
 import ast
 from pathlib import Path
@@ -27,3 +27,21 @@ def test_no_unused_import(path):
     if path == ROOT / "src/pcrkit/__init__.py":
         used.update(pcrkit.__all__)
     assert sorted(bound - used) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if ROOT / "src" in path.parents],
+    ids=lambda path: str(path.relative_to(ROOT)),
+)
+def test_no_private_name_imported_from_another_module(path):
+    # A helper two pcrkit modules share is public, as name_mismatch is.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "pcrkit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -161,6 +161,15 @@ class TestTableValidation:
         t = TimeSeriesTable([2000, 2001], (n for n in ("A", "B")), np.ones((2, 2)))
         r = CorrelationMatrix(iter(["a", "b"]), np.eye(2))
         assert t.names == ("A", "B") and r.names == ("a", "b")
+        assert r.submatrix(n for n in ("b", "a")).names == ("b", "a")
+
+    def test_keeps_its_own_copies_of_years_and_values(self):
+        # Once built, the table is valid whatever the caller does to its arrays.
+        years, values = np.array([1, 2, 3], dtype=np.int64), np.ones((3, 2))
+        t = TimeSeriesTable(years, ("x", "y"), values)
+        years[1] = 10
+        values[0, 0] = np.nan
+        assert t.years.tolist() == [1, 2, 3] and np.isfinite(t.values).all()
 
     def test_any_columns_standardize_and_correlate(self):
         # No column is the response: a table without IY needs no dummy one.
@@ -355,6 +364,15 @@ class TestCorrelation:
         assert sub.values[0, 1] == r.values[2, 0]
         with pytest.raises(PcrError, match="variable names do not match"):
             r.submatrix(("V1", "nope"))
+
+    def test_data_matrix_of_unstandardized_columns_raises_when_built(self):
+        # Increments of walks scaled 1 to 1000 are not standardized: their
+        # product is no correlation matrix, and vif and extract never see it.
+        rng = np.random.default_rng(0)
+        levels = np.cumsum(rng.standard_normal((20, 4)), axis=0) * [1, 10, 100, 1000]
+        increments = difference(make_table(levels, names="ABCD"))
+        with pytest.raises(PcrError, match="^diagonal entry for 'D' is 1145118\\.04"):
+            CorrelationMatrix(data=increments)
 
     @pytest.mark.parametrize(
         "values",
