@@ -370,7 +370,7 @@ class TestCorrelation:
         # product is no correlation matrix, and vif and extract never see it.
         rng = np.random.default_rng(0)
         levels = np.cumsum(rng.standard_normal((20, 4)), axis=0) * [1, 10, 100, 1000]
-        increments = difference(make_table(levels, names="ABCD"))
+        increments = difference(make_table(levels, names=tuple("ABCD")))
         with pytest.raises(PcrError, match="^diagonal entry for 'D' is 1145118\\.04"):
             CorrelationMatrix(data=increments)
 
