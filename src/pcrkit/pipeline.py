@@ -138,11 +138,12 @@ def load_table(path) -> TimeSeriesTable:
     record starts on.
     Gaps or repeats in the years and repeated or empty names are
     rejected by :class:`TimeSeriesTable`, whose message names them.
+    An unreadable ``path``, or one of any other type, raises a :class:`PcrError` naming it.
     """
-    path = Path(path)
     try:
+        path = Path(path)
         text = path.read_bytes().decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as err:
+    except (TypeError, ValueError, OSError) as err:
         raise PcrError(f"cannot read {path}: {err}") from err
     # Untranslated line ends, as the csv module requires: a quoted CR or
     # LF stays in its cell, and CR, LF and CRLF each end a line.
@@ -206,14 +207,15 @@ def write_table(table: TimeSeriesTable, path) -> Path:
     ``repr``, never need quoting.  ``load_table`` of the file returns the
     same names, years and value bits whenever no name has leading or
     trailing whitespace, which ``load_table`` strips; a name may hold
-    commas, quotes, CR and LF.
+    commas, quotes, CR and LF.  An unwritable ``path``, or one of any
+    other type, raises a :class:`PcrError` naming it.
     """
     header = ",".join(_csv_field(name) for name in ("year", *table.names))
     rows = (
         f"{year},{','.join(map(repr, row))}\n"
         for year, row in zip(table.years.tolist(), table.values.tolist())
     )
-    return _write(Path(path), itertools.chain((f"{header}\n",), rows))
+    return _write(path, itertools.chain((f"{header}\n",), rows))
 
 
 def run_pipeline(config: RunConfig) -> Report:
@@ -276,13 +278,10 @@ def run_pipeline(config: RunConfig) -> Report:
 
         stage = "regression"
         response_inc = diffed.column(config.response)
-        # Stacked 1-D slices, not values[:, idx]: the fit's bits follow the layout.
-        idx = [j for j, n in enumerate(names) if n != config.response]
-        predictor_values = np.column_stack([diffed.values[:, j] for j in idx])
+        # Keeps the table's C order, as values[:, idx] would not: the fit's bits follow it.
+        predictor_values = np.delete(diffed.values, names.index(config.response), axis=1)
         try:
-            report.baseline = fit_ols(
-                predictor_values, response_inc, names=predictors
-            )
+            report.baseline = fit_ols(predictor_values, response_inc, names=predictors)
         except PcrError as err:
             report.baseline_error = str(err)
         report.pcr = fit_pcr(report.scores, response_inc, solution.component_names)
@@ -557,13 +556,14 @@ def _scatter_parts(table: TimeSeriesTable) -> Iterator[str]:
         yield "".join(parts)
 
 
-def _write(path: Path, parts: Iterable[str]) -> Path:
+def _write(path, parts: Iterable[str]) -> Path:
     try:
+        path = Path(path)
         # A 1 MiB buffer sends a wide scatter file (6.9 MB at p = 60) to the
         # system in a few writes instead of one per default 8 KiB buffer.
         with open(path, "w", buffering=1 << 20, encoding="utf-8", newline="") as file:
             file.writelines(parts)
-    except OSError as err:
+    except (TypeError, ValueError, OSError) as err:
         raise PcrError(f"cannot write {path}: {err}") from err
     return path
 
@@ -575,18 +575,17 @@ def emit_report(report: Report, out_dir, format: str = "text") -> tuple[Path, ..
     ``report.csv`` for ``delim``.  A table run also writes
     ``scatter_pairs.csv``, pair by pair, never held whole in memory;
     matrix-only runs have no observations and write none.  Returns the
-    paths written; any filesystem problem raises a
-    :class:`~pcrkit.errors.PcrError` naming the path.
+    paths written; any filesystem problem, or an ``out_dir`` of any other
+    type than a path, raises a :class:`~pcrkit.errors.PcrError` naming it.
     """
     content = render_report(report, format)
-    out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise PcrError(f"cannot write {out}: {err}") from err
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (TypeError, ValueError, OSError) as err:
+        raise PcrError(f"cannot write {out_dir}: {err}") from err
     suffix = "txt" if format == "text" else "csv"
-    written = [_write(out / f"report.{suffix}", (content,))]
+    written = [_write(out_dir / f"report.{suffix}", (content,))]
     if report.increments is not None:
-        scatter_path = out / "scatter_pairs.csv"
-        written.append(_write(scatter_path, _scatter_parts(report.increments)))
+        written.append(_write(out_dir / "scatter_pairs.csv", _scatter_parts(report.increments)))
     return tuple(written)

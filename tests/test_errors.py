@@ -13,6 +13,7 @@ import os
 import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +55,20 @@ EQUICORRELATED = CorrelationMatrix(
 )
 SINGULAR = CorrelationMatrix(("a", "b"), [[1.0, 1.0], [1.0, 1.0]])
 TWO_COMPONENTS = extract(EQUICORRELATED, 2)
+
+
+def python_error(call):
+    """Python's own text for the ``TypeError`` or ``ValueError`` that ``call`` raises."""
+    try:
+        call()
+    except (TypeError, ValueError) as err:
+        return str(err)
+    raise AssertionError("no error raised")
+
+
+NOT_A_PATH = python_error(lambda: Path(123))
+NONE_PATH = python_error(lambda: Path(None))
+NUL_IN_PATH = python_error(lambda: os.stat("a\0b"))
 
 CASES = {
     # dense linear algebra
@@ -505,6 +520,32 @@ CASES = {
         "[input] response column 'Y' not among "
         "['IY', 'REI', 'PDS', 'PDC', 'IR', 'GVA', 'CPI', 'PD', 'GDHI']",
     ),
+    # A path of another type, or with a NUL byte, once escaped as a bare
+    # TypeError or ValueError from Path() or open().
+    "table-path-int": (
+        lambda: load_table(123),
+        f"cannot read 123: {NOT_A_PATH}",
+    ),
+    "table-path-nul": (
+        lambda: load_table("a\0b"),
+        f"cannot read a\0b: {NUL_IN_PATH}",
+    ),
+    "write-path-none": (
+        lambda: write_table(table(np.ones((3, 2))), None),
+        f"cannot write None: {NONE_PATH}",
+    ),
+    "write-path-nul": (
+        lambda: write_table(table(np.ones((3, 2))), "a\0b"),
+        f"cannot write a\0b: {NUL_IN_PATH}",
+    ),
+    "report-path-int": (
+        lambda: emit_report(Report(), 123),
+        f"cannot write 123: {NOT_A_PATH}",
+    ),
+    "report-path-nul": (
+        lambda: emit_report(Report(), "a\0b"),
+        f"cannot write a\0b: {NUL_IN_PATH}",
+    ),
 }
 
 
@@ -514,6 +555,14 @@ def test_message(case):
     with pytest.raises(PcrError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_input_path_of_another_type_fails_the_input_stage():
+    with pytest.raises(StageError) as excinfo:
+        run_pipeline(RunConfig(input_path=123))
+    assert str(excinfo.value) == f"[input] cannot read 123: {NOT_A_PATH}"
+    assert excinfo.value.exit_code == 2
+    assert excinfo.value.report.failure == ("input", f"cannot read 123: {NOT_A_PATH}")
 
 
 def test_unreadable_year_is_named():

@@ -91,6 +91,7 @@ class TestExtract:
         assert sol.proportion[0] == pytest.approx(0.9, abs=1e-12)
         assert sol.communality == pytest.approx([0.9, 0.9], abs=1e-12)
         assert sol.component_names == ("PC1",)
+        assert sol.rotated_proportion is None
 
     def test_kaiser_auto_retention(self):
         sol = extract(corr([[1.0, 0.8], [0.8, 1.0]]), "auto")

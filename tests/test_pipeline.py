@@ -810,7 +810,7 @@ class TestDecompositionCount:
     def test_table_run_factors_the_predictors_once(self, tmp_path, monkeypatch):
         # One thin SVD of the standardized predictors gives the VIF and
         # the component spectrum; no correlation matrix is decomposed,
-        # not even when the report prints the lazily built matrix.
+        # not even the one the report prints, which is built with its values.
         source = write_table(planted_panel_table(19), tmp_path / "t.csv")
         orders = self.count_eigen_calls(monkeypatch)
         shapes = []
